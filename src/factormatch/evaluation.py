@@ -12,23 +12,24 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from . import codec
 from .descriptors import DescriptorMatrix, view_index
-from .factorization import FactorLoadings, nmf_loadings, pca_loadings
+from .factorization import FactorLoadings
 from .fusion import FusionParams, fuse
 from .matcher import (
     METRIC_ANGLE,
     METRIC_CORRELATION,
-    IndexedImage,
     ObjectIndex,
     RankedList,
     combined_hypotheses,
     rank_database,
 )
-from .model_order import estimate_order
-from .service import nmf_seed
+from .service import build_index, factorized, index_from_loadings, stored_loadings
+
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
+from .factorization import nmf_loadings, pca_loadings  # noqa: F401
+from .model_order import estimate_order  # noqa: F401
 
 PIPELINES = ("pca_corr", "pca_angle", "nmf_corr", "nmf_angle", "combined")
 _SINGLE_METRIC = {
@@ -151,41 +152,6 @@ def split_queries(
     return queries, database
 
 
-def _image_loadings(
-    m: DescriptorMatrix,
-    k_max: int | None,
-    bits: int | None,
-    fixed_k: int | None,
-    base_seed: int,
-) -> tuple[FactorLoadings, FactorLoadings, int]:
-    if fixed_k is None:
-        k = estimate_order(m, k_max).k_star
-    else:
-        k = min(fixed_k, min(m.T, m.N))
-    pca, _ = pca_loadings(m, k)
-    nmf, _, _ = nmf_loadings(m, k, seed=nmf_seed(m.image_id, base_seed))
-    if bits is not None:
-        pca = codec.dequantize(codec.quantize(pca, bits))
-        nmf = codec.dequantize(codec.quantize(nmf, bits))
-    return pca, nmf, k
-
-
-def build_eval_index(
-    database: Sequence[DescriptorMatrix],
-    k_max: int | None = None,
-    bits: int | None = 5,
-    fixed_k: int | None = None,
-    base_seed: int = 0,
-) -> ObjectIndex:
-    images = {}
-    for m in database:
-        pca, nmf, k = _image_loadings(m, k_max, bits, fixed_k, base_seed)
-        images[m.image_id] = IndexedImage(
-            image_id=m.image_id, object_id=m.object_id, pca=pca, nmf=nmf, k_star=k
-        )
-    return ObjectIndex(images=images)
-
-
 def _true_object_rank(ranked: RankedList, object_id: str) -> int | None:
     for pos, entry in enumerate(ranked.entries, start=1):
         if entry.object_id == object_id:
@@ -212,6 +178,41 @@ def _accuracy_records(
     ]
 
 
+def _query_records(
+    index: ObjectIndex,
+    queries: Iterable[tuple[str, FactorLoadings, FactorLoadings]],
+    bits: int | None,
+    rank_mode: str,
+    pipelines: Sequence[str],
+    eta: int,
+    alpha: int,
+    top: int,
+) -> list[EvalRecord]:
+    """Accuracy of each pipeline over ``(object_id, pca, nmf)`` queries, each
+    query taken through the same ``bits`` round trip as the index."""
+    unknown = set(pipelines) - set(PIPELINES)
+    if unknown:
+        raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
+    positions: dict[str, list[int | None]] = {p: [] for p in pipelines}
+    for object_id, pca, nmf in queries:
+        q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
+        for pipeline in pipelines:
+            if pipeline == "combined":
+                v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
+                ranked = fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
+            else:
+                kind, metric = _SINGLE_METRIC[pipeline]
+                query = q_pca if kind == "pca" else q_nmf
+                ranked = rank_database(query, index, metric, eta)
+            positions[pipeline].append(_true_object_rank(ranked, object_id))
+    return [
+        rec for pipeline in pipelines for rec in _accuracy_records(
+            positions[pipeline], pipeline, rank_mode, bits,
+            alpha if pipeline == "combined" else None, top,
+        )
+    ]
+
+
 # --- evaluate and sweeps ----------------------------------------------------
 
 
@@ -229,39 +230,20 @@ def evaluate(
     corpus_label: str = "corpus",
 ) -> EvalReport:
     """Measure top-n accuracy of the requested pipelines on one corpus."""
-    unknown = set(pipelines) - set(PIPELINES)
-    if unknown:
-        raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     t0 = time.perf_counter()
-    index = build_eval_index(database, k_max, bits, fixed_k, base_seed)
+    index = build_index(database, k_max, bits, base_seed, fixed_k)
     t_index = time.perf_counter() - t0
 
-    positions: dict[str, list[int | None]] = {p: [] for p in pipelines}
     t0 = time.perf_counter()
-    for m in queries:
-        q_pca, q_nmf, _ = _image_loadings(m, k_max, bits, fixed_k, base_seed)
-        for pipeline in pipelines:
-            if pipeline == "combined":
-                v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
-                ranked = fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
-            else:
-                kind, metric = _SINGLE_METRIC[pipeline]
-                query = q_pca if kind == "pca" else q_nmf
-                ranked = rank_database(query, index, metric, eta)
-            positions[pipeline].append(_true_object_rank(ranked, m.object_id))
-    t_query = time.perf_counter() - t0
-
-    report = EvalReport(corpus_label=corpus_label, eta=eta, runtime={
-        "index_build": t_index, "queries": t_query,
+    records = _query_records(
+        index, factorized(queries, k_max, base_seed, fixed_k), bits,
+        rank_mode_label(fixed_k), pipelines, eta, alpha, top,
+    )
+    report = EvalReport(corpus_label=corpus_label, eta=eta, records=records, runtime={
+        "index_build": t_index, "queries": time.perf_counter() - t0,
     })
-    mode = rank_mode_label(fixed_k)
-    for pipeline in pipelines:
-        report.records.extend(_accuracy_records(
-            positions[pipeline], pipeline, mode, bits,
-            alpha if pipeline == "combined" else None, top,
-        ))
     report.validate()
     return report
 
@@ -290,18 +272,18 @@ def sweep_alpha(
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     t0 = time.perf_counter()
-    index = build_eval_index(database, k_max, bits, None, base_seed)
+    index = build_index(database, k_max, bits, base_seed)
 
     positions: dict[int, list[int | None]] = {a: [] for a in alphas}
     nmf_positions: list[int | None] = []
-    for m in queries:
-        q_pca, q_nmf, _ = _image_loadings(m, k_max, bits, None, base_seed)
+    for object_id, pca, nmf in factorized(queries, k_max, base_seed):
+        q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
         v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
         for a in alphas:
             ranked = fuse(v_pri, v_sec, FusionParams(alpha=a, eta=eta))
-            positions[a].append(_true_object_rank(ranked, m.object_id))
+            positions[a].append(_true_object_rank(ranked, object_id))
         nmf_positions.append(_true_object_rank(
-            rank_database(q_nmf, index, METRIC_ANGLE, eta), m.object_id
+            rank_database(q_nmf, index, METRIC_ANGLE, eta), object_id
         ))
 
     report = EvalReport(corpus_label=corpus_label, eta=eta, runtime={
@@ -328,16 +310,18 @@ def sweep_bits(
     pipelines: Sequence[str] = PIPELINES,
     corpus_label: str = "corpus",
 ) -> EvalReport:
-    """Accuracy versus quantization rate, plus an unquantized reference row."""
+    """Accuracy versus quantization rate, plus an unquantized reference row;
+    every image is factorized once and only quantized again for each rate."""
+    top = min(top, eta)
     t0 = time.perf_counter()
+    queries, database = (list(factorized(part, k_max, base_seed))
+                         for part in split_queries(corpus, query_view))
     report = EvalReport(corpus_label=corpus_label, eta=eta)
     for bits in [*bit_grid, None]:
-        sub = evaluate(
-            corpus, eta=eta, alpha=alpha, bits=bits, top=top, k_max=k_max,
-            query_view=query_view, base_seed=base_seed, pipelines=pipelines,
-            corpus_label=corpus_label,
-        )
-        report.records.extend(sub.records)
+        report.records.extend(_query_records(
+            index_from_loadings(database, bits), queries, bits, RANK_ESTIMATED,
+            pipelines, eta, alpha, top,
+        ))
     report.runtime["total"] = time.perf_counter() - t0
     report.validate()
     return report

@@ -51,22 +51,17 @@ def fuse(v_pri: "RankedList", v_sec: "RankedList", params: FusionParams) -> "Ran
     working = list(v_pri.entries)
     n = len(working)
 
+    # pairs past the end of the list (i + j > n) never swap: stop at n, not eta
     for _ in range(eta * eta):
         swapped = False
         i = 1
-        while i < eta / 2:
-            j = 1
-            while j <= eta - i:
-                if i + j <= n:
-                    a = sec_rank.get(working[i - 1].object_id, absent)
-                    b = sec_rank.get(working[i + j - 1].object_id, absent)
-                    if a > b + alpha + j:
-                        working[i - 1], working[i + j - 1] = (
-                            working[i + j - 1],
-                            working[i - 1],
-                        )
-                        swapped = True
-                j += 1
+        while i < min(eta / 2, n):
+            for j in range(1, min(eta, n) - i + 1):
+                a = sec_rank.get(working[i - 1].object_id, absent)
+                b = sec_rank.get(working[i + j - 1].object_id, absent)
+                if a > b + alpha + j:
+                    working[i - 1], working[i + j - 1] = working[i + j - 1], working[i - 1]
+                    swapped = True
             i += 1
         if not swapped:
             break

@@ -80,7 +80,6 @@ class IndexedImage:
     object_id: str
     pca: FactorLoadings
     nmf: FactorLoadings
-    k_star: int
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,9 @@ class ObjectIndex:
                 raise ValueError(f"key {image_id!r} != record id {rec.image_id!r}")
             if rec.pca.kind != KIND_PCA or rec.nmf.kind != KIND_NMF:
                 raise ValueError(f"image {image_id!r} has mistagged loadings")
-            if rec.pca.k != rec.k_star or rec.nmf.k != rec.k_star:
+            if rec.pca.k != rec.nmf.k:
                 raise ValueError(
-                    f"image {image_id!r}: loadings ranks ({rec.pca.k}, {rec.nmf.k}) "
-                    f"differ from k_star={rec.k_star}"
+                    f"image {image_id!r}: loadings ranks ({rec.pca.k}, {rec.nmf.k}) differ"
                 )
 
     @property

@@ -12,7 +12,8 @@ and ships the blobs. Transport is a plain TCP stream of frames:
                 | count * (u16 id_len | object_id | f32 score | u16 rank)
                 | u16 err_len | error_text
 
-Status 0 = ok, 1 = malformed frame, 2 = invalid parameters, 3 = query failed.
+Status 0 = ok, 1 = malformed frame, 2 = invalid parameters (including blobs
+that are not PCA then NMF of one rank), 3 = query failed.
 A bad query never kills the connection; only an oversized declared frame
 closes it (the stream can no longer be trusted).
 """
@@ -26,12 +27,12 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from . import codec
+from . import codec, factorization
 from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
-from .factorization import FactorLoadings, nmf_loadings, pca_loadings
+from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
 from .matcher import (
     IndexedImage,
     ObjectIndex,
@@ -76,14 +77,28 @@ def nmf_seed(image_id: str, base_seed: int = 0) -> int:
 
 
 def factorize_image(
-    m: DescriptorMatrix, k_max: int | None = None, base_seed: int = 0
+    m: DescriptorMatrix,
+    k_max: int | None = None,
+    base_seed: int = 0,
+    fixed_k: int | None = None,
 ) -> tuple[FactorLoadings, FactorLoadings, int]:
-    """Estimate the model order of one image and compute both loadings at it."""
-    profile = estimate_order(m, k_max)
-    k_star = profile.k_star
-    pca, svd = pca_loadings(m, k_star)
-    nmf, _, _ = nmf_loadings(m, k_star, seed=nmf_seed(m.image_id, base_seed))
-    return pca, nmf, k_star
+    """Both loadings of one image from one SVD, at its estimated model order
+    or at ``fixed_k`` (capped at the matrix rank)."""
+    # through the module, so a wrapper on factorization.compute_svd sees it
+    svd = factorization.compute_svd(m)
+    if fixed_k is None:
+        k = estimate_order(m, k_max, svd=svd).k_star
+    else:
+        k = min(fixed_k, m.T, m.N)
+    pca, _ = pca_loadings(m, k, svd=svd)
+    nmf, _, _ = nmf_loadings(m, k, seed=nmf_seed(m.image_id, base_seed))
+    return pca, nmf, k
+
+
+def stored_loadings(f: FactorLoadings, bits: int | None) -> FactorLoadings:
+    """Loadings as the server holds them after a ``bits``-bit upload;
+    ``bits=None`` keeps full precision (reference mode)."""
+    return f if bits is None else codec.dequantize(codec.quantize(f, bits))
 
 
 def client_blobs(
@@ -116,27 +131,34 @@ def quantized_records(
     base_seed: int = 0,
 ) -> list[IndexRecord]:
     """Factorize and quantize every corpus image for storage."""
-    records = []
+    return [IndexRecord(m.object_id, *client_blobs(m, bits, k_max, base_seed))
+            for m in corpus]
+
+
+def factorized(
+    corpus: Iterable[DescriptorMatrix],
+    k_max: int | None = None,
+    base_seed: int = 0,
+    fixed_k: int | None = None,
+) -> Iterator[tuple[str, FactorLoadings, FactorLoadings]]:
+    """``(object_id, pca, nmf)`` of each image, factorized as it is consumed."""
     for m in corpus:
-        pca, nmf, _ = factorize_image(m, k_max, base_seed)
-        records.append(IndexRecord(
-            object_id=m.object_id,
-            pca=codec.quantize(pca, bits),
-            nmf=codec.quantize(nmf, bits),
-        ))
-    return records
+        pca, nmf, _ = factorize_image(m, k_max, base_seed, fixed_k)
+        yield m.object_id, pca, nmf
 
 
-def index_from_records(records: Sequence[IndexRecord]) -> ObjectIndex:
-    images = {}
-    for rec in records:
-        pca = codec.dequantize(rec.pca)
-        nmf = codec.dequantize(rec.nmf)
-        images[rec.pca.image_id] = IndexedImage(
-            image_id=rec.pca.image_id, object_id=rec.object_id,
-            pca=pca, nmf=nmf, k_star=rec.pca.k,
+def index_from_loadings(
+    images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
+) -> ObjectIndex:
+    """Index of ``(object_id, pca, nmf)`` triples as the server holds them
+    after ``bits``-bit uploads (``bits=None``: full precision)."""
+    return ObjectIndex(images={
+        pca.image_id: IndexedImage(
+            image_id=pca.image_id, object_id=object_id,
+            pca=stored_loadings(pca, bits), nmf=stored_loadings(nmf, bits),
         )
-    return ObjectIndex(images=images)
+        for object_id, pca, nmf in images
+    })
 
 
 def build_index(
@@ -144,25 +166,17 @@ def build_index(
     k_max: int | None = None,
     bits: int | None = 5,
     base_seed: int = 0,
+    fixed_k: int | None = None,
 ) -> ObjectIndex:
     """Build the in-memory database from a descriptor corpus.
 
-    With ``bits`` set, stored loadings go through a quantize/dequantize round
+    Stored loadings go through the ``bits``-bit quantize/dequantize round
     trip, mirroring what a server reading quantized uploads would hold;
     ``bits=None`` keeps full precision (reference mode).
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    if bits is not None:
-        return index_from_records(quantized_records(corpus, k_max, bits, base_seed))
-    images = {}
-    for m in corpus:
-        pca, nmf, k_star = factorize_image(m, k_max, base_seed)
-        images[m.image_id] = IndexedImage(
-            image_id=m.image_id, object_id=m.object_id,
-            pca=pca, nmf=nmf, k_star=k_star,
-        )
-    return ObjectIndex(images=images)
+    return index_from_loadings(factorized(corpus, k_max, base_seed, fixed_k), bits)
 
 
 # --- index persistence ----------------------------------------------------
@@ -202,7 +216,9 @@ def read_index(path: str | Path) -> ObjectIndex:
             blobs.append(codec.decode(data[pos:pos + blob_len]))
             pos += blob_len
         records.append(IndexRecord(object_id=object_id, pca=blobs[0], nmf=blobs[1]))
-    return index_from_records(records)
+    return index_from_loadings(
+        (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf)) for rec in records
+    )
 
 
 # --- wire encoding --------------------------------------------------------
@@ -333,6 +349,12 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
         return encode_response(
             STATUS_INVALID_PARAMS,
             error_text=f"blob descriptor dims differ: {query_pca.T} vs {query_nmf.T}",
+        )
+    if (query_pca.kind, query_nmf.kind) != (KIND_PCA, KIND_NMF) or query_pca.k != query_nmf.k:
+        return encode_response(
+            STATUS_INVALID_PARAMS,
+            error_text=f"blobs must be pca then nmf of one rank, got "
+                       f"{query_pca.kind} k={query_pca.k} and {query_nmf.kind} k={query_nmf.k}",
         )
     try:
         ranked = retrieve_combined(query_pca, query_nmf, index, eta=eta, alpha=alpha)

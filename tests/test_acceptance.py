@@ -284,7 +284,7 @@ def test_rank_database_scaling():
         nmf_cols /= np.linalg.norm(nmf_cols, axis=0)
         nmf = FactorLoadings(image_id=f"img{i:05d}", kind="nmf", columns=nmf_cols)
         return IndexedImage(image_id=f"img{i:05d}", object_id=f"obj{i:05d}",
-                            pca=pca, nmf=nmf, k_star=k)
+                            pca=pca, nmf=nmf)
 
     images = [image(i) for i in range(800)]
     query = FactorLoadings(image_id="q", kind="pca",

@@ -1,0 +1,64 @@
+"""The benchmark's tracer finds the layer functions by name on the package's
+modules; these tests fail when a refactor moves a name it wraps."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import factormatch
+from factormatch import SynthCorpusSpec, generate_corpus
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer():
+    """A tracer installed on the package; every wrapped attribute is put
+    back afterwards so later tests run unwrapped code."""
+    owners = [module for module in vars(factormatch).values()
+              if type(module) is type(factormatch)]
+    owners.append(factormatch.matcher.ObjectIndex)
+    saved = [(owner, dict(vars(owner))) for owner in owners]
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, factormatch)
+        yield tracer
+    finally:
+        for owner, attrs in saved:
+            for name, value in attrs.items():
+                if vars(owner).get(name) is not value:
+                    setattr(owner, name, value)
+
+
+def test_install_finds_every_hook(tracer):
+    assert tracer.spans == []
+
+
+def test_factorize_image_traced_with_one_svd(tracer):
+    spec = SynthCorpusSpec(1, 1, T=16, descriptors_per_view=60,
+                           planted_rank=3, view_noise_sigma=0.02, seed=3)
+    m = generate_corpus(spec)[0]
+    result = factormatch.service.factorize_image(m, 8)
+    assert len(result) == 3
+    for name in ("service.factorize_image", "factorization.compute_svd",
+                 "model_order.estimate_order", "factorization.pca_loadings",
+                 "factorization.nmf_loadings"):
+        assert len(tracer.durations(name)) == 1, name
+
+
+def test_evaluate_runtime_keys_read(tracer):
+    spec = SynthCorpusSpec(3, 2, T=16, descriptors_per_view=60,
+                           planted_rank=3, view_noise_sigma=0.02, seed=3)
+    factormatch.evaluation.evaluate(generate_corpus(spec), eta=3, alpha=1,
+                                    top=2, k_max=8)
+    assert len(tracer.counts["evaluation.index_build_s"]) == 1
+    assert len(tracer.counts["evaluation.queries_s"]) == 1

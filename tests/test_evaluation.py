@@ -118,6 +118,18 @@ class TestSweepBits:
         assert abs(acc5 - accf) <= 0.01
 
 
+    def test_records_equal_evaluate_at_each_rate(self, noisy_corpus):
+        # the sweep factorizes once; each point must match a full evaluate
+        grid = (2, 5)
+        report = sweep_bits(noisy_corpus, bit_grid=grid, eta=ETA, alpha=2,
+                            top=3, k_max=K_MAX)
+        expected = []
+        for bits in (*grid, None):
+            expected.extend(evaluate(noisy_corpus, eta=ETA, alpha=2, bits=bits,
+                                     top=3, k_max=K_MAX).records)
+        assert report.records == expected
+
+
 class TestSweepRank:
     def test_estimated_row_reported_with_every_fixed_rank(self, noisy_corpus):
         report = sweep_rank(noisy_corpus, fixed_ranks=(1, 3), eta=ETA,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,39 @@ def reference_fuse(pri_ids, sec_ids, alpha, eta):
         if not changed:
             return order
     return order
+
+
+def eta_bounded_fuse(v_pri, v_sec, params):
+    """The pass loop as it was when bounded by eta rather than the list
+    length, kept verbatim as the reference for the bounded loop."""
+    eta = params.eta
+    alpha = params.alpha
+    sec_rank = {obj: pos for pos, obj in enumerate(v_sec.object_ids(), start=1)}
+    absent = eta + 1
+    working = list(v_pri.entries)
+    n = len(working)
+
+    for _ in range(eta * eta):
+        swapped = False
+        i = 1
+        while i < eta / 2:
+            j = 1
+            while j <= eta - i:
+                if i + j <= n:
+                    a = sec_rank.get(working[i - 1].object_id, absent)
+                    b = sec_rank.get(working[i + j - 1].object_id, absent)
+                    if a > b + alpha + j:
+                        working[i - 1], working[i + j - 1] = (
+                            working[i + j - 1],
+                            working[i - 1],
+                        )
+                        swapped = True
+                j += 1
+            i += 1
+        if not swapped:
+            break
+
+    return RankedList(entries=tuple(working), eta=eta)
 
 
 def random_lists(rng, eta):
@@ -89,6 +124,30 @@ class TestAgainstReference:
             ours = fuse(ranked(pri, eta), ranked(sec, eta),
                         FusionParams(alpha=alpha, eta=eta)).object_ids()
             assert ours == reference_fuse(pri, sec, alpha, eta)
+
+
+class TestLengthBoundedLoop:
+    def test_matches_eta_bounded_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            eta = int(rng.integers(1, 41))
+            pool = [f"obj{c}" for c in range(eta + 4)]
+            # short lists too, where the eta bound and the length bound differ
+            pri = list(rng.choice(pool, size=int(rng.integers(0, eta + 1)), replace=False))
+            sec = list(rng.choice(pool, size=int(rng.integers(0, eta + 1)), replace=False))
+            params = FusionParams(alpha=int(rng.integers(0, eta + 1)), eta=eta)
+            v_pri, v_sec = ranked(pri, eta), ranked(sec, eta)
+            assert fuse(v_pri, v_sec, params).entries == \
+                eta_bounded_fuse(v_pri, v_sec, params).entries
+
+    def test_largest_eta_costs_no_more_than_the_list(self):
+        # eta is a u16 the client sends; ten entries must not cost 65535^2 steps
+        pri = [f"o{i}" for i in range(10)]
+        start = time.perf_counter()
+        out = fuse(ranked(pri, 65535), ranked(pri[::-1], 65535),
+                   FusionParams(alpha=0, eta=65535))
+        assert time.perf_counter() - start < 0.5
+        assert sorted(out.object_ids()) == sorted(pri)
 
 
 class TestProperties:

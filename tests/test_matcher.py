@@ -43,7 +43,7 @@ def toy_index(entries):
         pca = pca_of(pca_cols, image_id)
         nmf = nmf_of(nmf_cols, image_id)
         images[image_id] = IndexedImage(
-            image_id=image_id, object_id=object_id, pca=pca, nmf=nmf, k_star=pca.k
+            image_id=image_id, object_id=object_id, pca=pca, nmf=nmf
         )
     return ObjectIndex(images=images)
 

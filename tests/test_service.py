@@ -21,6 +21,7 @@ from factormatch.service import (
     decode_response,
     encode_query,
     encode_response,
+    factorize_image,
     quantized_records,
     query_remote,
     read_frame,
@@ -60,7 +61,7 @@ class TestBuildIndex:
         index = build_index(generate_corpus(spec), k_max=4, bits=5)
         assert index.num_images == 1
         (rec,) = index.images.values()
-        assert rec.pca.k == rec.nmf.k == rec.k_star
+        assert rec.pca.k == rec.nmf.k
 
     def test_synthetic_corpus_bookkeeping(self, corpus, index):
         assert index.num_images == len(corpus) == 18
@@ -71,7 +72,7 @@ class TestBuildIndex:
         assert index.num_images == 250
         assert index.num_objects == 50
         for rec in index.images.values():
-            assert rec.pca.k == rec.nmf.k == rec.k_star
+            assert rec.pca.k == rec.nmf.k
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -92,6 +93,39 @@ class TestBuildIndex:
         assert all(k == 24 for k in ks)
         bodies = [rec.pca.payload_bytes() + rec.nmf.payload_bytes() for rec in records]
         assert all(body == 3840 for body in bodies)
+
+
+class TestFactorizeImage:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        """Count compute_svd calls through every module that binds it."""
+        from factormatch import factorization, model_order, service
+
+        calls = []
+        original = factorization.compute_svd
+
+        def counted(m):
+            calls.append(m.image_id)
+            return original(m)
+
+        for module in (factorization, model_order, service):
+            monkeypatch.setattr(module, "compute_svd", counted, raising=False)
+        return calls
+
+    def test_one_svd_per_image(self, corpus, svd_calls):
+        for m in corpus[:3]:
+            factorize_image(m, K_MAX)
+        assert svd_calls == [m.image_id for m in corpus[:3]]
+
+    def test_one_svd_at_fixed_rank(self, corpus, svd_calls):
+        pca, nmf, k = factorize_image(corpus[0], fixed_k=2)
+        assert svd_calls == [corpus[0].image_id]
+        assert pca.k == nmf.k == k == 2
+
+    def test_fixed_rank_capped_at_matrix_rank(self, corpus):
+        m = corpus[0]
+        _, _, k = factorize_image(m, fixed_k=10 * m.T)
+        assert k == min(m.T, m.N)
 
 
 class TestIndexFile:
@@ -211,6 +245,25 @@ class TestAnswerQuery:
         assert status == STATUS_INVALID_PARAMS
         assert "dims differ" in err
 
+    def test_swapped_blobs_invalid(self, corpus, index):
+        pca_blob, nmf_blob = self._blobs(corpus)
+        status, entries, err = decode_response(
+            answer_query(index, encode_query(4, 1, nmf_blob, pca_blob))
+        )
+        assert status == STATUS_INVALID_PARAMS
+        assert entries == []
+        assert "pca then nmf" in err
+
+    def test_mismatched_ranks_invalid(self, corpus, index):
+        pca_blob, _ = self._blobs(corpus)
+        _, nmf, k = factorize_image(corpus[0], fixed_k=2)
+        assert k == 2 != codec.decode(pca_blob).k
+        status, _, err = decode_response(answer_query(
+            index, encode_query(4, 1, pca_blob, codec.encode(codec.quantize(nmf, 5))))
+        )
+        assert status == STATUS_INVALID_PARAMS
+        assert "one rank" in err
+
 
 class TestLiveServer:
     def test_self_match_round_trip(self, corpus, server):
@@ -246,6 +299,21 @@ class TestLiveServer:
             status, entries, _ = decode_response(read_frame(stream))
             assert status == STATUS_OK
             assert entries
+            stream.close()
+
+    def test_connection_survives_swapped_blobs(self, corpus, server):
+        pca_blob, nmf_blob = (codec.encode(b) for b in
+                              client_blobs(corpus[0], bits=5, k_max=K_MAX))
+        with socket.create_connection(server.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            write_frame(stream, encode_query(3, 1, nmf_blob, pca_blob))
+            status, entries, _ = decode_response(read_frame(stream))
+            assert status == STATUS_INVALID_PARAMS
+            assert entries == []
+            write_frame(stream, encode_query(3, 1, pca_blob, nmf_blob))
+            status, entries, _ = decode_response(read_frame(stream))
+            assert status == STATUS_OK
+            assert entries[0][0] == corpus[0].object_id
             stream.close()
 
     def test_server_status_raises_client_side(self, corpus, server):
