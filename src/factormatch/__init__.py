@@ -5,81 +5,35 @@ and sparse-NMF loading matrices (rank chosen by an information-content
 criterion), quantizes them, and ships a few kilobytes to a server that ranks
 database objects by column correlation and subspace angle, fusing the two
 hypotheses into one ranked list.
+
+Each layer is a submodule (``factormatch.service``, ``factormatch.evaluation``
+and so on); only the synthetic-corpus entry points are re-exported here.
 """
 
-from .codec import QuantizedLoadings, decode, dequantize, encode, quantize
-from .descriptors import (
-    DescriptorMatrix,
-    SynthCorpusSpec,
-    generate_corpus,
-    load_corpus,
-    load_descriptors,
-    save_corpus,
-    save_descriptors,
+from . import (
+    codec,
+    descriptors,
+    evaluation,
+    factorization,
+    fusion,
+    matcher,
+    model_order,
+    service,
 )
-from .evaluation import EvalReport, evaluate, sweep_alpha, sweep_bits, sweep_rank
-from .factorization import (
-    FactorAssignment,
-    FactorLoadings,
-    SvdResult,
-    nmf_loadings,
-    nmf_objective,
-    pca_loadings,
-)
-from .fusion import FusionParams, fuse
-from .matcher import (
-    DegenerateLoadingsError,
-    ObjectIndex,
-    RankedList,
-    correlation_score,
-    rank_database,
-    retrieve_combined,
-    subspace_angle,
-)
-from .model_order import ModelOrderProfile, estimate_order, information_content, residual_variance
-from .service import RetrievalServer, build_index, query_remote, serve
+from .descriptors import SynthCorpusSpec, generate_corpus, save_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DescriptorMatrix",
+    "codec",
+    "descriptors",
+    "evaluation",
+    "factorization",
+    "fusion",
+    "matcher",
+    "model_order",
+    "service",
     "SynthCorpusSpec",
     "generate_corpus",
-    "load_corpus",
-    "load_descriptors",
     "save_corpus",
-    "save_descriptors",
-    "FactorLoadings",
-    "FactorAssignment",
-    "SvdResult",
-    "pca_loadings",
-    "nmf_loadings",
-    "nmf_objective",
-    "ModelOrderProfile",
-    "estimate_order",
-    "information_content",
-    "residual_variance",
-    "QuantizedLoadings",
-    "quantize",
-    "dequantize",
-    "encode",
-    "decode",
-    "ObjectIndex",
-    "RankedList",
-    "subspace_angle",
-    "correlation_score",
-    "rank_database",
-    "retrieve_combined",
-    "DegenerateLoadingsError",
-    "FusionParams",
-    "fuse",
-    "RetrievalServer",
-    "build_index",
-    "serve",
-    "query_remote",
-    "EvalReport",
-    "evaluate",
-    "sweep_alpha",
-    "sweep_bits",
-    "sweep_rank",
 ]

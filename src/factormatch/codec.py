@@ -178,7 +178,10 @@ def decode(data: bytes) -> QuantizedLoadings:
         raise CodecError(
             f"truncated blob: need {id_end + body_len} bytes, have {len(data)}"
         )
-    image_id = data[header_end:id_end].decode("utf-8")
+    try:
+        image_id = data[header_end:id_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"image id is not UTF-8: {exc}") from None
     body = np.frombuffer(data[id_end:id_end + body_len], dtype=np.uint8)
     bit_stream = np.unpackbits(body, bitorder="little")[: T * k * bits]
     bit_matrix = bit_stream.reshape(T * k, bits).astype(np.uint32)
@@ -188,8 +191,3 @@ def decode(data: bytes) -> QuantizedLoadings:
         image_id=image_id, kind=_CODE_KIND[kind_code], T=T, k=k,
         bits=bits, lo=float(lo), hi=float(hi), levels=levels,
     )
-
-
-def blob_header_bytes(image_id: str) -> int:
-    """Size of everything before the packed levels in a QFL1 blob."""
-    return 4 + struct.calcsize("<BBHHffH") + len(image_id.encode("utf-8"))

@@ -4,7 +4,8 @@ One view per object (the first, by default) queries an index built from all
 remaining views; accuracy at depth n is the fraction of queries whose true
 object lands in the top n. The sweeps rerun that measurement along one axis:
 fusion weight alpha, quantization rate, fixed factorization rank versus the
-estimated model order.
+estimated model order. ``evaluate`` and the three sweeps are each one call
+into the same loop over (rank, rate, alpha) points.
 """
 
 from __future__ import annotations
@@ -12,20 +13,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .descriptors import DescriptorMatrix, view_index
-from .factorization import FactorLoadings
-from .fusion import FusionParams, fuse
-from .matcher import (
-    METRIC_ANGLE,
-    METRIC_CORRELATION,
-    ObjectIndex,
-    RankedList,
-    combined_hypotheses,
-    rank_database,
-)
-from .service import build_index, factorized, index_from_loadings, stored_loadings
+from .fusion import FusionParams, RankedList, fuse
+from .matcher import METRIC_ANGLE, METRIC_CORRELATION, combined_hypotheses, rank_database
+from .service import factorized, index_from_loadings, stored_loadings
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
 from .factorization import nmf_loadings, pca_loadings  # noqa: F401
@@ -159,61 +152,72 @@ def _true_object_rank(ranked: RankedList, object_id: str) -> int | None:
     return None
 
 
-def _accuracy_records(
-    positions: list[int | None],
-    pipeline: str,
-    rank_mode: str,
-    bits: int | None,
-    alpha: int | None,
-    top: int,
-) -> list[EvalRecord]:
-    total = len(positions)
-    return [
-        EvalRecord(
-            pipeline=pipeline, rank_mode=rank_mode, bits=bits, alpha=alpha,
-            top_n=n,
-            accuracy=sum(1 for p in positions if p is not None and p <= n) / total,
-        )
-        for n in range(1, top + 1)
-    ]
+# --- evaluate and sweeps ----------------------------------------------------
 
 
-def _query_records(
-    index: ObjectIndex,
-    queries: Iterable[tuple[str, FactorLoadings, FactorLoadings]],
-    bits: int | None,
-    rank_mode: str,
+def _sweep(
+    corpus: Sequence[DescriptorMatrix],
+    ranks: Sequence[int | None],
+    rates: Sequence[int | None],
+    alphas: Sequence[int],
     pipelines: Sequence[str],
     eta: int,
-    alpha: int,
     top: int,
-) -> list[EvalRecord]:
-    """Accuracy of each pipeline over ``(object_id, pca, nmf)`` queries, each
-    query taken through the same ``bits`` round trip as the index."""
+    k_max: int | None,
+    query_view: int,
+    base_seed: int,
+    corpus_label: str,
+) -> EvalReport:
+    """Top-n accuracy of ``pipelines`` at every (rank, rate, alpha) point.
+
+    Rank ``None`` is the estimated model order, rate ``None`` full precision.
+    Every image is factorized once per rank and the database is indexed once
+    per rate; each query's two hypotheses are computed once per rate and
+    fused once per alpha, and each single-metric pipeline is ranked once per
+    rate (its records keep ``alpha=None``). Records come out rank by rate by
+    pipeline, with the alphas inside ``combined``.
+    """
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
         raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
-    positions: dict[str, list[int | None]] = {p: [] for p in pipelines}
-    for object_id, pca, nmf in queries:
-        q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
-        for pipeline in pipelines:
-            if pipeline == "combined":
-                v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
-                ranked = fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
-            else:
-                kind, metric = _SINGLE_METRIC[pipeline]
-                query = q_pca if kind == "pca" else q_nmf
-                ranked = rank_database(query, index, metric, eta)
-            positions[pipeline].append(_true_object_rank(ranked, object_id))
-    return [
-        rec for pipeline in pipelines for rec in _accuracy_records(
-            positions[pipeline], pipeline, rank_mode, bits,
-            alpha if pipeline == "combined" else None, top,
-        )
-    ]
-
-
-# --- evaluate and sweeps ----------------------------------------------------
+    top = min(top, eta)
+    queries, database = split_queries(corpus, query_view)
+    points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
+    report = EvalReport(corpus_label, eta, runtime={"index_build": 0.0, "queries": 0.0})
+    for fixed_k in ranks:
+        t0 = time.perf_counter()
+        db_loadings = list(factorized(database, k_max, base_seed, fixed_k))
+        t1 = time.perf_counter()
+        query_loadings = list(factorized(queries, k_max, base_seed, fixed_k))
+        report.runtime["index_build"] += t1 - t0
+        report.runtime["queries"] += time.perf_counter() - t1
+        for bits in rates:
+            t0 = time.perf_counter()
+            index = index_from_loadings(db_loadings, bits)
+            t1 = time.perf_counter()
+            positions: list[list[int | None]] = [[] for _ in points]
+            for object_id, pca, nmf in query_loadings:
+                q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
+                if "combined" in pipelines:
+                    v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
+                for (pipeline, alpha), found in zip(points, positions):
+                    if pipeline == "combined":
+                        ranked = fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
+                    else:
+                        kind, metric = _SINGLE_METRIC[pipeline]
+                        query = q_pca if kind == "pca" else q_nmf
+                        ranked = rank_database(query, index, metric, eta)
+                    found.append(_true_object_rank(ranked, object_id))
+            report.runtime["index_build"] += t1 - t0
+            report.runtime["queries"] += time.perf_counter() - t1
+            for (pipeline, alpha), found in zip(points, positions):
+                report.records.extend(
+                    EvalRecord(pipeline, rank_mode_label(fixed_k), bits, alpha, n,
+                               sum(1 for p in found if p is not None and p <= n) / len(found))
+                    for n in range(1, top + 1)
+                )
+    report.validate()
+    return report
 
 
 def evaluate(
@@ -230,22 +234,8 @@ def evaluate(
     corpus_label: str = "corpus",
 ) -> EvalReport:
     """Measure top-n accuracy of the requested pipelines on one corpus."""
-    top = min(top, eta)
-    queries, database = split_queries(corpus, query_view)
-    t0 = time.perf_counter()
-    index = build_index(database, k_max, bits, base_seed, fixed_k)
-    t_index = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    records = _query_records(
-        index, factorized(queries, k_max, base_seed, fixed_k), bits,
-        rank_mode_label(fixed_k), pipelines, eta, alpha, top,
-    )
-    report = EvalReport(corpus_label=corpus_label, eta=eta, records=records, runtime={
-        "index_build": t_index, "queries": time.perf_counter() - t0,
-    })
-    report.validate()
-    return report
+    return _sweep(corpus, [fixed_k], [bits], [alpha], pipelines, eta, top, k_max,
+                  query_view, base_seed, corpus_label)
 
 
 def sweep_alpha(
@@ -269,33 +259,8 @@ def sweep_alpha(
         alphas = range(eta + 1)
     if any(not 0 <= a <= eta for a in alphas):
         raise ValueError(f"alphas must lie in [0, {eta}]")
-    top = min(top, eta)
-    queries, database = split_queries(corpus, query_view)
-    t0 = time.perf_counter()
-    index = build_index(database, k_max, bits, base_seed)
-
-    positions: dict[int, list[int | None]] = {a: [] for a in alphas}
-    nmf_positions: list[int | None] = []
-    for object_id, pca, nmf in factorized(queries, k_max, base_seed):
-        q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
-        v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
-        for a in alphas:
-            ranked = fuse(v_pri, v_sec, FusionParams(alpha=a, eta=eta))
-            positions[a].append(_true_object_rank(ranked, object_id))
-        nmf_positions.append(_true_object_rank(
-            rank_database(q_nmf, index, METRIC_ANGLE, eta), object_id
-        ))
-
-    report = EvalReport(corpus_label=corpus_label, eta=eta, runtime={
-        "total": time.perf_counter() - t0,
-    })
-    for a in alphas:
-        report.records.extend(_accuracy_records(
-            positions[a], "combined", RANK_ESTIMATED, bits, a, top))
-    report.records.extend(_accuracy_records(
-        nmf_positions, "nmf_angle", RANK_ESTIMATED, bits, None, top))
-    report.validate()
-    return report
+    return _sweep(corpus, [None], [bits], alphas, ("combined", "nmf_angle"), eta, top,
+                  k_max, query_view, base_seed, corpus_label)
 
 
 def sweep_bits(
@@ -312,19 +277,8 @@ def sweep_bits(
 ) -> EvalReport:
     """Accuracy versus quantization rate, plus an unquantized reference row;
     every image is factorized once and only quantized again for each rate."""
-    top = min(top, eta)
-    t0 = time.perf_counter()
-    queries, database = (list(factorized(part, k_max, base_seed))
-                         for part in split_queries(corpus, query_view))
-    report = EvalReport(corpus_label=corpus_label, eta=eta)
-    for bits in [*bit_grid, None]:
-        report.records.extend(_query_records(
-            index_from_loadings(database, bits), queries, bits, RANK_ESTIMATED,
-            pipelines, eta, alpha, top,
-        ))
-    report.runtime["total"] = time.perf_counter() - t0
-    report.validate()
-    return report
+    return _sweep(corpus, [None], [*bit_grid, None], [alpha], pipelines, eta, top,
+                  k_max, query_view, base_seed, corpus_label)
 
 
 def sweep_rank(
@@ -343,15 +297,5 @@ def sweep_rank(
     """Accuracy under fixed factorization ranks versus the estimated order."""
     if any(k < 1 for k in fixed_ranks):
         raise ValueError("fixed ranks must be positive")
-    t0 = time.perf_counter()
-    report = EvalReport(corpus_label=corpus_label, eta=eta)
-    for fixed_k in [*fixed_ranks, None]:
-        sub = evaluate(
-            corpus, eta=eta, alpha=alpha, bits=bits, top=top, k_max=k_max,
-            fixed_k=fixed_k, query_view=query_view, base_seed=base_seed,
-            pipelines=pipelines, corpus_label=corpus_label,
-        )
-        report.records.extend(sub.records)
-    report.runtime["total"] = time.perf_counter() - t0
-    report.validate()
-    return report
+    return _sweep(corpus, [*fixed_ranks, None], [bits], [alpha], pipelines, eta, top,
+                  k_max, query_view, base_seed, corpus_label)

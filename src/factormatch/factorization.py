@@ -117,10 +117,6 @@ class SvdResult:
     singular_values: np.ndarray
     Vt: np.ndarray = field(repr=False)
 
-    def reconstruct(self) -> np.ndarray:
-        k = self.singular_values.size
-        return (self.U[:, :k] * self.singular_values) @ self.Vt[:k, :]
-
 
 def compute_svd(m: DescriptorMatrix) -> SvdResult:
     """SVD with a full ``T x T`` orthogonal U and non-increasing singular values."""

@@ -10,15 +10,46 @@ the primary list more; at ``alpha = eta`` the gap can never be exceeded
 Objects missing from the secondary list take rank ``eta + 1``, treating them
 as weakly dis-preferred without forcing swaps among themselves. Passes repeat
 until none fires, with a hard cap of ``eta**2`` passes.
+
+The ranked-list types live here rather than in the matcher, which imports
+this module, so the two modules import in one direction only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
-if TYPE_CHECKING:  # circular at runtime: matcher imports fuse
-    from .matcher import RankedList
+
+class RankedEntry(NamedTuple):
+    object_id: str
+    image_id: str
+    score: float
+
+
+@dataclass(frozen=True)
+class RankedList:
+    """Best-first, object-deduplicated top-eta list."""
+
+    entries: tuple[RankedEntry, ...]
+    eta: int
+
+    def __post_init__(self) -> None:
+        if self.eta < 1:
+            raise ValueError("eta must be >= 1")
+        entries = tuple(RankedEntry(*e) for e in self.entries)
+        if len(entries) > self.eta:
+            raise ValueError(f"{len(entries)} entries exceed eta={self.eta}")
+        objects = [e.object_id for e in entries]
+        if len(set(objects)) != len(objects):
+            raise ValueError("duplicate object_id in ranked list")
+        object.__setattr__(self, "entries", entries)
+
+    def object_ids(self) -> list[str]:
+        return [e.object_id for e in self.entries]
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -33,10 +64,8 @@ class FusionParams:
             raise ValueError(f"alpha={self.alpha} out of range [0, {self.eta}]")
 
 
-def fuse(v_pri: "RankedList", v_sec: "RankedList", params: FusionParams) -> "RankedList":
+def fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> RankedList:
     """Reorder ``v_pri`` using ``v_sec`` ranks; entries keep their scores."""
-    from .matcher import RankedList
-
     eta = params.eta
     alpha = params.alpha
     for name, lst in (("primary", v_pri), ("secondary", v_sec)):

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
-from .fusion import FusionParams, fuse
+from .fusion import FusionParams, RankedEntry, RankedList, fuse
 
 METRIC_ANGLE = "angle"
 METRIC_CORRELATION = "correlation"
@@ -41,37 +41,6 @@ WORST_ANGLE = math.pi / 2
 
 class DegenerateLoadingsError(ValueError):
     """Loadings whose columns do not span a full-rank subspace."""
-
-
-class RankedEntry(NamedTuple):
-    object_id: str
-    image_id: str
-    score: float
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Best-first, object-deduplicated top-eta list."""
-
-    entries: tuple[RankedEntry, ...]
-    eta: int
-
-    def __post_init__(self) -> None:
-        if self.eta < 1:
-            raise ValueError("eta must be >= 1")
-        entries = tuple(RankedEntry(*e) for e in self.entries)
-        if len(entries) > self.eta:
-            raise ValueError(f"{len(entries)} entries exceed eta={self.eta}")
-        objects = [e.object_id for e in entries]
-        if len(set(objects)) != len(objects):
-            raise ValueError("duplicate object_id in ranked list")
-        object.__setattr__(self, "entries", entries)
-
-    def object_ids(self) -> list[str]:
-        return [e.object_id for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)

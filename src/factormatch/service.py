@@ -33,13 +33,8 @@ from . import codec, factorization
 from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
-from .matcher import (
-    IndexedImage,
-    ObjectIndex,
-    RankedEntry,
-    RankedList,
-    retrieve_combined,
-)
+from .fusion import RankedEntry, RankedList
+from .matcher import IndexedImage, ObjectIndex, retrieve_combined
 from .model_order import estimate_order
 
 QUERY_MAGIC = b"QRY1"
@@ -151,14 +146,17 @@ def index_from_loadings(
     images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
 ) -> ObjectIndex:
     """Index of ``(object_id, pca, nmf)`` triples as the server holds them
-    after ``bits``-bit uploads (``bits=None``: full precision)."""
-    return ObjectIndex(images={
-        pca.image_id: IndexedImage(
+    after ``bits``-bit uploads (``bits=None``: full precision); an image id
+    seen twice is a ``ValueError``."""
+    by_id: dict[str, IndexedImage] = {}
+    for object_id, pca, nmf in images:
+        if pca.image_id in by_id:
+            raise ValueError(f"duplicate image id {pca.image_id!r}")
+        by_id[pca.image_id] = IndexedImage(
             image_id=pca.image_id, object_id=object_id,
             pca=stored_loadings(pca, bits), nmf=stored_loadings(nmf, bits),
         )
-        for object_id, pca, nmf in images
-    })
+    return ObjectIndex(images=by_id)
 
 
 def build_index(
@@ -197,25 +195,35 @@ def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
 
 
 def read_index(path: str | Path) -> ObjectIndex:
+    """Load a :func:`write_index` file; a short, overlong or otherwise
+    malformed file raises :class:`ProtocolError` or ``codec.CodecError``."""
     data = Path(path).read_bytes()
     if data[:4] != INDEX_MAGIC:
         raise ProtocolError(f"not an index file: magic {data[:4]!r}")
     pos = 4
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+
+    def take(size: int, field_name: str) -> bytes:
+        nonlocal pos
+        if len(data) < pos + size:
+            raise ProtocolError(f"index file truncated in {field_name} at byte {pos}")
+        pos += size
+        return data[pos - size:pos]
+
+    (count,) = struct.unpack("<I", take(4, "image count"))
     records = []
     for _ in range(count):
-        (obj_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        object_id = data[pos:pos + obj_len].decode("utf-8")
-        pos += obj_len
+        (obj_len,) = struct.unpack("<H", take(2, "object id length"))
+        try:
+            object_id = take(obj_len, "object id").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"object id is not UTF-8: {exc}") from None
         blobs = []
         for _ in range(2):
-            (blob_len,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            blobs.append(codec.decode(data[pos:pos + blob_len]))
-            pos += blob_len
+            (blob_len,) = struct.unpack("<I", take(4, "blob length"))
+            blobs.append(codec.decode(take(blob_len, "blob")))
         records.append(IndexRecord(object_id=object_id, pca=blobs[0], nmf=blobs[1]))
+    if pos != len(data):
+        raise ProtocolError(f"{len(data) - pos} trailing bytes after {count} index records")
     return index_from_loadings(
         (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf)) for rec in records
     )

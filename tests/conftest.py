@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,9 @@ def random_unit_columns(rng: np.random.Generator, T: int, k: int) -> np.ndarray:
     """Random loadings-shaped matrix with unit-norm columns."""
     cols = rng.standard_normal((T, k))
     return cols / np.linalg.norm(cols, axis=0)
+
+
+def blob_header_bytes(image_id: str) -> int:
+    """Size of everything before the packed levels in a QFL1 blob: magic,
+    the ``<BBHHffH`` kind/bits/T/k/lo/hi/id-length header and the image id."""
+    return 4 + struct.calcsize("<BBHHffH") + len(image_id.encode("utf-8"))

@@ -33,7 +33,7 @@ from factormatch.matcher import (
 from factormatch.model_order import estimate_order
 from factormatch.service import answer_query, build_index, client_blobs, read_frame, serve, write_frame
 
-from conftest import random_unit_columns
+from conftest import blob_header_bytes, random_unit_columns
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 
@@ -170,7 +170,7 @@ def test_quantizer_round_trip_and_payload():
             FactorLoadings(image_id="img", kind=kind, columns=cols), 5))
     body = sum(q.payload_bytes() for q in pair)
     total = sum(len(codec.encode(q)) for q in pair)
-    headers = 2 * codec.blob_header_bytes("img")
+    headers = 2 * blob_header_bytes("img")
     report(
         "quantization",
         worst_excess <= 1e-12 and body == 3840 and total == 3840 + headers,

@@ -4,7 +4,6 @@ import pytest
 from factormatch.codec import (
     CodecError,
     QuantizedLoadings,
-    blob_header_bytes,
     decode,
     dequantize,
     encode,
@@ -13,7 +12,7 @@ from factormatch.codec import (
 )
 from factormatch.factorization import FactorLoadings
 
-from conftest import random_unit_columns
+from conftest import blob_header_bytes, random_unit_columns
 
 
 def pca_loadings_of(columns, image_id="img"):
@@ -149,6 +148,13 @@ class TestBlobFormat:
         blob = encode(quantize(random_pca(rng, 12, 3), 5))
         with pytest.raises(CodecError, match="truncated"):
             decode(blob[:-1])
+
+    def test_non_utf8_image_id(self):
+        rng = np.random.default_rng(20)
+        blob = bytearray(encode(quantize(random_pca(rng, 12, 3, image_id="img"), 5)))
+        blob[blob.index(b"img")] = 0xFF
+        with pytest.raises(CodecError, match="UTF-8"):
+            decode(bytes(blob))
 
     def test_empty_k_rejected_at_construction(self):
         with pytest.raises(ValueError, match="k >= 1"):

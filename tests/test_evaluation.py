@@ -102,6 +102,18 @@ class TestSweepAlpha:
         with pytest.raises(ValueError, match="alphas"):
             sweep_alpha(noisy_corpus, alphas=(0, 9), eta=4, k_max=K_MAX)
 
+    def test_records_equal_evaluate_at_each_alpha(self, noisy_corpus):
+        alphas = (0, 2, ETA)
+        report = sweep_alpha(noisy_corpus, alphas=alphas, eta=ETA, bits=5,
+                             top=3, k_max=K_MAX)
+        expected = []
+        for alpha in alphas:
+            expected.extend(evaluate(noisy_corpus, eta=ETA, alpha=alpha, bits=5, top=3,
+                                     k_max=K_MAX, pipelines=("combined",)).records)
+        expected.extend(evaluate(noisy_corpus, eta=ETA, bits=5, top=3, k_max=K_MAX,
+                                 pipelines=("nmf_angle",)).records)
+        assert report.records == expected
+
 
 class TestSweepBits:
     def test_rate_sweep_shape_and_degradation(self, noisy_corpus):
@@ -131,6 +143,16 @@ class TestSweepBits:
 
 
 class TestSweepRank:
+    def test_records_equal_evaluate_at_each_rank(self, noisy_corpus):
+        ranks = (1, 3)
+        report = sweep_rank(noisy_corpus, fixed_ranks=ranks, eta=ETA, alpha=2,
+                            bits=5, top=2, k_max=K_MAX)
+        expected = []
+        for fixed_k in (*ranks, None):
+            expected.extend(evaluate(noisy_corpus, eta=ETA, alpha=2, bits=5, top=2,
+                                     k_max=K_MAX, fixed_k=fixed_k).records)
+        assert report.records == expected
+
     def test_estimated_row_reported_with_every_fixed_rank(self, noisy_corpus):
         report = sweep_rank(noisy_corpus, fixed_ranks=(1, 3), eta=ETA,
                             alpha=2, bits=5, top=2, k_max=K_MAX)
@@ -159,6 +181,18 @@ class TestSweepRank:
             fixed1 = report.accuracy(pipeline, 1, rank_mode="fixed:1")
             estimated = report.accuracy(pipeline, 1, rank_mode="estimated")
             assert fixed1 < estimated
+
+
+@pytest.mark.parametrize("run", [
+    lambda c: evaluate(c, eta=ETA, top=2, k_max=K_MAX),
+    lambda c: sweep_alpha(c, alphas=(0, 2), eta=ETA, top=2, k_max=K_MAX),
+    lambda c: sweep_bits(c, bit_grid=(5,), eta=ETA, top=2, k_max=K_MAX),
+    lambda c: sweep_rank(c, fixed_ranks=(2,), eta=ETA, top=2, k_max=K_MAX),
+], ids=["evaluate", "sweep_alpha", "sweep_bits", "sweep_rank"])
+def test_runtime_split_into_index_build_and_queries(noisy_corpus, run):
+    runtime = run(noisy_corpus).runtime
+    assert set(runtime) == {"index_build", "queries"}
+    assert all(seconds > 0 for seconds in runtime.values())
 
 
 class TestReportValidation:

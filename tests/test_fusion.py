@@ -1,8 +1,11 @@
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from factormatch import fusion, matcher
 from factormatch.fusion import FusionParams, fuse
 from factormatch.matcher import RankedEntry, RankedList
 
@@ -190,3 +193,13 @@ class TestValidation:
         v = ranked(list("ABC"), 3)
         with pytest.raises(ValueError, match="exceeds eta"):
             fuse(v, v, FusionParams(alpha=1, eta=2))
+
+
+def test_fusion_imports_nothing_from_matcher():
+    # matcher imports fusion, so the ranked-list types live in fusion
+    tree = ast.parse(Path(fusion.__file__).read_text())
+    modules = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert not [m for m in modules if "matcher" in m]
+    assert (matcher.RankedList, matcher.RankedEntry) == (fusion.RankedList, fusion.RankedEntry)

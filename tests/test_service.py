@@ -78,6 +78,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="empty"):
             build_index([], bits=5)
 
+    def test_duplicate_image_id_rejected(self, corpus):
+        with pytest.raises(ValueError, match=f"duplicate image id '{corpus[0].image_id}'"):
+            build_index([corpus[0], corpus[1], corpus[0]], k_max=K_MAX)
+
     def test_unquantized_mode(self, corpus):
         index = build_index(corpus[:3], k_max=K_MAX, bits=None)
         for rec in index.images.values():
@@ -145,6 +149,39 @@ class TestIndexFile:
         path = tmp_path / "junk.idx"
         path.write_bytes(b"not an index")
         with pytest.raises(ProtocolError, match="magic"):
+            read_index(path)
+
+    @pytest.fixture
+    def four_records(self, corpus):
+        return quantized_records(corpus[:4], k_max=K_MAX, bits=5)
+
+    def test_every_truncation_rejected(self, four_records, tmp_path):
+        path = tmp_path / "four.idx"
+        write_index(path, four_records)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises((ProtocolError, codec.CodecError)):
+                read_index(path)
+
+    def test_trailing_bytes_rejected(self, four_records, tmp_path):
+        path = tmp_path / "four.idx"
+        write_index(path, four_records)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ProtocolError, match="4 trailing bytes"):
+            read_index(path)
+
+    def test_non_utf8_object_id_rejected(self, tmp_path):
+        path = tmp_path / "bad_id.idx"
+        path.write_bytes(b"IDX1" + struct.pack("<IH", 1, 1) + b"\xff")
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            read_index(path)
+
+    def test_duplicate_record_rejected(self, four_records, tmp_path):
+        path = tmp_path / "dup.idx"
+        write_index(path, [*four_records[:2], four_records[0]])
+        duplicate = four_records[0].pca.image_id
+        with pytest.raises(ValueError, match=f"duplicate image id '{duplicate}'"):
             read_index(path)
 
 
@@ -217,6 +254,16 @@ class TestAnswerQuery:
         )
         assert status == STATUS_MALFORMED
         assert "malformed" in err
+
+    def test_non_utf8_image_id_is_malformed(self, corpus, index):
+        pca_blob, nmf_blob = self._blobs(corpus)
+        image_id = corpus[0].image_id.encode()
+        bad_pca = pca_blob.replace(image_id, b"\xff" + image_id[1:], 1)
+        status, _, err = decode_response(
+            answer_query(index, encode_query(4, 1, bad_pca, nmf_blob))
+        )
+        assert status == STATUS_MALFORMED
+        assert "UTF-8" in err
 
     def test_eta_zero_invalid(self, corpus, index):
         pca_blob, nmf_blob = self._blobs(corpus)
