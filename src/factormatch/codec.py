@@ -8,7 +8,7 @@ both endpoints representable.
 Blob layout (little-endian): magic ``QFL1``, u8 kind (0=PCA, 1=NMF), u8 b,
 u16 T, u16 k, f32 lo, f32 hi, u16 id length + UTF-8 image id, then
 ``ceil(T*k*b/8)`` bytes of levels packed column-major, LSB-first within each
-byte.
+byte, the padding bits of the last byte zero.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ def encode(q: QuantizedLoadings) -> bytes:
 
 
 def decode(data: bytes) -> QuantizedLoadings:
-    """Parse a QFL1 blob back into :class:`QuantizedLoadings`."""
+    """Parse a QFL1 blob back into :class:`QuantizedLoadings`; any blob that
+    is not exactly one well-formed QFL1 blob raises :class:`CodecError`."""
     if len(data) < 4 or data[:4] != BLOB_MAGIC:
         raise CodecError(f"bad magic {data[:4]!r}, expected {BLOB_MAGIC!r}")
     header_fmt = "<BBHHffH"
@@ -178,16 +179,28 @@ def decode(data: bytes) -> QuantizedLoadings:
         raise CodecError(
             f"truncated blob: need {id_end + body_len} bytes, have {len(data)}"
         )
+    if len(data) > id_end + body_len:
+        raise CodecError(f"{len(data) - id_end - body_len} trailing bytes after the levels")
     try:
         image_id = data[header_end:id_end].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CodecError(f"image id is not UTF-8: {exc}") from None
-    body = np.frombuffer(data[id_end:id_end + body_len], dtype=np.uint8)
-    bit_stream = np.unpackbits(body, bitorder="little")[: T * k * bits]
-    bit_matrix = bit_stream.reshape(T * k, bits).astype(np.uint32)
-    flat = (bit_matrix << np.arange(bits, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    n_bits = T * k * bits
+    body = np.frombuffer(data, dtype=np.uint8, offset=id_end)
+    if n_bits % 8 and body[-1] >> (n_bits % 8):
+        raise CodecError("nonzero padding bits after the levels")
+    # level i occupies bits [i * bits, (i + 1) * bits) of the body, LSB-first;
+    # with bits <= 16 that is a window of at most three bytes
+    padded = np.concatenate([body, np.zeros(2, dtype=np.uint8)]).astype(np.uint32)
+    start = np.arange(T * k, dtype=np.int64) * bits
+    byte = start >> 3
+    window = padded[byte] | (padded[byte + 1] << 8) | (padded[byte + 2] << 16)
+    flat = (window >> (start & 7).astype(np.uint32)) & np.uint32((1 << bits) - 1)
     levels = flat.reshape((T, k), order="F")
-    return QuantizedLoadings(
-        image_id=image_id, kind=_CODE_KIND[kind_code], T=T, k=k,
-        bits=bits, lo=float(lo), hi=float(hi), levels=levels,
-    )
+    try:
+        return QuantizedLoadings(
+            image_id=image_id, kind=_CODE_KIND[kind_code], T=T, k=k,
+            bits=bits, lo=float(lo), hi=float(hi), levels=levels,
+        )
+    except ValueError as exc:  # e.g. a quantizer range other than the kind's
+        raise CodecError(str(exc)) from None

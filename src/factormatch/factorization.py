@@ -191,6 +191,7 @@ def nmf_loadings(
     values = m.values.astype(np.float64)
     N = m.N
     col_idx = np.arange(N)
+    row_idx = np.arange(m.T)[:, None]
 
     def assign(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S = L.T @ values  # k x N inner products
@@ -208,10 +209,14 @@ def nmf_loadings(
 
     for _ in range(max_iters - 1):
         # Exact minimizer of the objective over unit-norm columns for the
-        # frozen assignment: scale-weighted sum of each cluster's members.
-        weighted = np.zeros((k, m.T))
-        np.add.at(weighted, cluster, (values * scale).T)
-        weighted = weighted.T
+        # frozen assignment: scale-weighted sum of each cluster's members,
+        # one bincount over (cluster, descriptor row) bins, each summed in
+        # descriptor order. The k x T result is used transposed, so the
+        # column norms below reduce contiguous memory in pairwise order.
+        weighted = np.bincount(
+            (cluster * m.T + row_idx).ravel(), weights=(values * scale).ravel(),
+            minlength=k * m.T,
+        ).reshape(k, m.T).T
         norms = np.linalg.norm(weighted, axis=0)
         live = norms > 0
         L_new = np.zeros_like(L)

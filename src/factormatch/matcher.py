@@ -5,25 +5,30 @@ matrix ``B`` sharing the descriptor dimension T:
 
 * ``subspace_angle`` — the angle between the column spans, equal to
   ``arccos`` of the largest singular value of ``Qa^T Qb`` for orthonormal
-  bases ``Qa, Qb``. This matches the projection-matrix form
-  ``arccos(||P_A P_B||_2)`` exactly while costing ``O(T k^2 + k^3)`` per pair
-  instead of ``O(T^3)``; the projection form survives in the tests as the
-  oracle. Smaller is better.
+  bases ``Qa, Qb`` (Björck & Golub, Math. Comp. 27, 1973), here each side's
+  left singular vectors. This matches the projection-matrix form
+  ``arccos(||P_A P_B||_2)`` exactly while costing ``O(T k^2 + k^3)`` per
+  pair instead of ``O(T^3)``; the projection form survives in the tests as
+  the oracle. Smaller is better.
 * ``correlation_score`` — sum over B's columns of the best correlation with
   any column of A. Larger is better.
 
-``rank_database`` applies one metric across the whole database (or a
-candidate subset), dedups images to objects keeping each object's best view,
-and truncates to the top eta. ``retrieve_combined`` runs the full pipeline:
-cheap PCA-correlation prefilter, NMF-angle rerank on the surviving objects'
-views, then the rank-fusion pass.
+The index is columnar: each kind's loadings of every image sit side by side
+in one ``T x Σk`` matrix. ``rank_database`` scores the whole database (or a
+candidate subset) at once — one GEMM for the correlation, one batched SVD of
+the database side per rank ``k`` for the angle — dedups images to objects
+keeping each object's best view, and truncates to the top eta. The two
+pairwise metrics are the same kernels applied to one database image.
+``retrieve_combined`` runs the full pipeline: cheap PCA-correlation
+prefilter, NMF-angle rerank on the surviving objects' views, then the
+rank-fusion pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +48,15 @@ class DegenerateLoadingsError(ValueError):
     """Loadings whose columns do not span a full-rank subspace."""
 
 
+class DimensionMismatchError(ValueError):
+    """Loadings of different descriptor dimensions T met."""
+
+
+def _check_dims(a_T: int, b_T: int) -> None:
+    if a_T != b_T:
+        raise DimensionMismatchError(f"descriptor dims differ: {a_T} vs {b_T}")
+
+
 @dataclass(frozen=True)
 class IndexedImage:
     image_id: str
@@ -51,16 +65,37 @@ class IndexedImage:
     nmf: FactorLoadings
 
 
-@dataclass(frozen=True)
+class _ImageView(Mapping[str, IndexedImage]):
+    """Read-only image id -> :class:`IndexedImage` view of an index; each
+    record is rebuilt from the stacked columns when it is looked up."""
+
+    def __init__(self, index: ObjectIndex):
+        self._index = index
+
+    def __getitem__(self, image_id: str) -> IndexedImage:
+        return self._index._record(self._index._row[image_id])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index._image_ids)
+
+    def __len__(self) -> int:
+        return len(self._index._image_ids)
+
+
 class ObjectIndex:
-    """Immutable server-side database: image id -> loadings + object id."""
+    """Immutable server-side database of one descriptor dimension T, stored
+    by column.
 
-    images: dict[str, IndexedImage] = field(repr=False)
+    Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
+    ``T x Σk`` PCA and NMF loading matrices, which hold the only copy of the
+    loadings; ``images`` maps image ids to records rebuilt on access.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.images:
+    def __init__(self, images: Mapping[str, IndexedImage]):
+        if not images:
             raise ValueError("index must contain at least one image")
-        for image_id, rec in self.images.items():
+        T = next(iter(images.values())).pca.T
+        for image_id, rec in images.items():
             if rec.image_id != image_id:
                 raise ValueError(f"key {image_id!r} != record id {rec.image_id!r}")
             if rec.pca.kind != KIND_PCA or rec.nmf.kind != KIND_NMF:
@@ -69,50 +104,157 @@ class ObjectIndex:
                 raise ValueError(
                     f"image {image_id!r}: loadings ranks ({rec.pca.k}, {rec.nmf.k}) differ"
                 )
+            if rec.pca.T != T or rec.nmf.T != T:
+                raise DimensionMismatchError(
+                    f"image {image_id!r}: descriptor dims ({rec.pca.T}, {rec.nmf.T}) "
+                    f"differ from the index's {T}"
+                )
+        records = images.values()
+        n = len(images)
+        self._image_ids = tuple(images)
+        self._object_ids = tuple(rec.object_id for rec in records)
+        self._offsets = np.cumsum([0, *(rec.pca.k for rec in records)])
+        self._pca = np.concatenate([rec.pca.columns for rec in records], axis=1)
+        self._nmf = np.concatenate([rec.nmf.columns for rec in records], axis=1)
+        for array in (self._offsets, self._pca, self._nmf):
+            array.setflags(write=False)
+        self._row = {image_id: r for r, image_id in enumerate(self._image_ids)}
+        rows_of: dict[str, list[int]] = {}
+        for r, object_id in enumerate(self._object_ids):
+            rows_of.setdefault(object_id, []).append(r)
+        self._rows_of_object = rows_of
+        # per row: its object's code (for the dedup) and its image id's
+        # lexicographic rank (for the tie-break)
+        self._object_code = np.empty(n, dtype=np.intp)
+        for code, rows in enumerate(rows_of.values()):
+            self._object_code[rows] = code
+        self._id_rank = np.empty(n, dtype=np.intp)
+        self._id_rank[sorted(range(n), key=self._image_ids.__getitem__)] = np.arange(n)
+        self.images: Mapping[str, IndexedImage] = _ImageView(self)
+
+    @property
+    def T(self) -> int:
+        return self._pca.shape[0]
 
     @property
     def num_images(self) -> int:
-        return len(self.images)
+        return len(self._image_ids)
 
     @property
     def num_objects(self) -> int:
-        return len({rec.object_id for rec in self.images.values()})
+        return len(self._rows_of_object)
 
     def images_of_objects(self, object_ids: Iterable[str]) -> set[str]:
-        wanted = set(object_ids)
-        return {iid for iid, rec in self.images.items() if rec.object_id in wanted}
+        rows_of = self._rows_of_object
+        return {self._image_ids[r] for obj in set(object_ids) if obj in rows_of
+                for r in rows_of[obj]}
 
-
-def _orthonormal_basis(f: FactorLoadings) -> np.ndarray:
-    """Orthonormalize columns; raise if they are numerically rank-deficient."""
-    U, s, _ = np.linalg.svd(f.columns, full_matrices=False)
-    if s[0] == 0.0:
-        raise DegenerateLoadingsError(f"loadings of {f.image_id!r} are all zero")
-    tol = max(f.T, f.k) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.sum(s > tol))
-    if rank < f.k:
-        raise DegenerateLoadingsError(
-            f"loadings of {f.image_id!r} have rank {rank} < k={f.k}"
+    def _record(self, row: int) -> IndexedImage:
+        cols = slice(self._offsets[row], self._offsets[row + 1])
+        image_id = self._image_ids[row]
+        return IndexedImage(
+            image_id=image_id, object_id=self._object_ids[row],
+            pca=FactorLoadings(image_id=image_id, kind=KIND_PCA, columns=self._pca[:, cols]),
+            nmf=FactorLoadings(image_id=image_id, kind=KIND_NMF, columns=self._nmf[:, cols]),
         )
-    return U[:, : f.k]
+
+    def _rows(self, candidates: set[str] | None) -> np.ndarray:
+        """Row numbers of the candidate images (all rows for ``None``) in
+        index order, so that no score depends on the set's iteration order;
+        ids the index does not hold are skipped."""
+        if candidates is None:
+            return np.arange(self.num_images)
+        row = self._row
+        return np.array(sorted(row[i] for i in candidates if i in row), dtype=np.intp)
+
+
+# --- scoring kernels ------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _bases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of an ``(n, T, k)`` stack of loadings from one
+    batched SVD, and each matrix's numerical rank: its singular values above
+    ``max(T, k) * eps * s_max`` (0 for an all-zero matrix)."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    tol = max(stack.shape[1:]) * _EPS * s[:, :1]
+    return u, np.sum(s > tol, axis=1)
+
+
+def _basis(f: FactorLoadings) -> np.ndarray:
+    """Orthonormal basis of one loading matrix; raise if it is rank-deficient."""
+    q, rank = _bases(f.columns[None])
+    if rank[0] == 0:
+        raise DegenerateLoadingsError(f"loadings of {f.image_id!r} are all zero")
+    if rank[0] < f.k:
+        raise DegenerateLoadingsError(
+            f"loadings of {f.image_id!r} have rank {rank[0]} < k={f.k}"
+        )
+    return q[0]
+
+
+def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Angle between the span of ``qa`` and that of each basis in ``qb``."""
+    top = np.linalg.svd(qa.T @ qb, compute_uv=False)[:, 0]
+    return np.arccos(np.clip(top, -1.0, 1.0))
+
+
+def _rank_groups(ks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(k, positions)`` of the images of each rank ``k``."""
+    for k in np.unique(ks):
+        yield int(k), np.flatnonzero(ks == k)
+
+
+def _columns(starts: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Column numbers of images whose ``ks[i]`` columns start at ``starts[i]``."""
+    ends = np.cumsum(ks)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - ks), ks)
+
+
+def _correlations(q: np.ndarray, columns: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Correlation score of each image laid side by side in ``columns``
+    (image ``i`` owns the next ``ks[i]`` of them): one GEMM, each database
+    column's best query column, then a sum per image in ``np.sum``'s order."""
+    best = (q.T @ columns).max(axis=0)
+    starts = np.cumsum(ks) - ks
+    sums = np.empty(ks.size)
+    for k, pos in _rank_groups(ks):
+        sums[pos] = best[_columns(starts[pos], np.full(pos.size, k))].reshape(-1, k).sum(axis=1)
+    return sums
 
 
 def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:
     """Smallest principal angle between the column spans, in [0, pi/2]."""
-    if a.T != b.T:
-        raise ValueError(f"descriptor dims differ: {a.T} vs {b.T}")
-    qa = _orthonormal_basis(a)
-    qb = _orthonormal_basis(b)
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return float(np.arccos(np.clip(s[0], -1.0, 1.0)))
+    _check_dims(a.T, b.T)
+    qa = _basis(a)
+    qb = _basis(b)
+    return float(_angles(qa, qb[None])[0])
 
 
 def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:
     """Sum over b's columns of their maximum correlation with a's columns."""
-    if a.T != b.T:
-        raise ValueError(f"descriptor dims differ: {a.T} vs {b.T}")
-    S = a.columns.T @ b.columns
-    return float(np.sum(S.max(axis=0)))
+    _check_dims(a.T, b.T)
+    return float(_correlations(a.columns, b.columns, np.array([b.k]))[0])
+
+
+def _angle_keys(query: FactorLoadings, stacked: np.ndarray, starts: np.ndarray,
+                ks: np.ndarray) -> np.ndarray:
+    """Angle of the query to each image whose ``ks[i]`` columns start at
+    ``starts[i]`` of ``stacked``: the query is orthonormalized once, each
+    rank's images by one batched SVD. A degenerate image, and every image
+    for a degenerate query, scores ``WORST_ANGLE``."""
+    keys = np.full(ks.size, WORST_ANGLE)
+    try:
+        qa = _basis(query)
+    except DegenerateLoadingsError:
+        return keys
+    T = stacked.shape[0]
+    for k, pos in _rank_groups(ks):
+        block = stacked[:, _columns(starts[pos], np.full(pos.size, k))]
+        qb, rank = _bases(block.reshape(T, pos.size, k).transpose(1, 0, 2))
+        keys[pos] = np.where(rank == k, _angles(qa, qb), WORST_ANGLE)
+    return keys
 
 
 def rank_database(
@@ -136,33 +278,27 @@ def rank_database(
         raise ValueError(f"unknown metric {metric!r}")
     if eta < 1:
         raise ValueError("eta must be >= 1")
-    pool = index.images.keys() if candidates is None else candidates & index.images.keys()
-    scored: list[tuple[float, str, str]] = []  # (sort key, image_id, object_id)
-    for image_id in pool:
-        rec = index.images[image_id]
-        db_loadings = rec.pca if query.kind == KIND_PCA else rec.nmf
-        if metric == METRIC_ANGLE:
-            try:
-                key = subspace_angle(query, db_loadings)
-            except DegenerateLoadingsError:
-                key = WORST_ANGLE
-        else:
-            key = -correlation_score(query, db_loadings)
-        scored.append((key, image_id, rec.object_id))
-    if not scored:
+    _check_dims(query.T, index.T)
+    rows = index._rows(candidates)
+    if rows.size == 0:
         raise ValueError("no candidate images to rank")
-    scored.sort(key=lambda t: (t[0], t[1]))
-    entries: list[RankedEntry] = []
-    seen: set[str] = set()
-    for key, image_id, object_id in scored:
-        if object_id in seen:
-            continue
-        seen.add(object_id)
-        score = -key if metric == METRIC_CORRELATION else key
-        entries.append(RankedEntry(object_id, image_id, score))
-        if len(entries) == eta:
-            break
-    return RankedList(entries=tuple(entries), eta=eta)
+    stacked = index._pca if query.kind == KIND_PCA else index._nmf
+    starts = index._offsets[rows]
+    ks = index._offsets[rows + 1] - starts
+    if metric == METRIC_ANGLE:
+        keys = _angle_keys(query, stacked, starts, ks)
+    else:
+        columns = stacked if candidates is None else stacked[:, _columns(starts, ks)]
+        keys = -_correlations(query.columns, columns, ks)
+    # best-first by (key, image id); each object's first row is its best view
+    order = np.lexsort((index._id_rank[rows], keys))
+    _, first = np.unique(index._object_code[rows[order]], return_index=True)
+    best = order[np.sort(first)[:eta]]
+    sign = -1.0 if metric == METRIC_CORRELATION else 1.0
+    return RankedList(entries=tuple(
+        RankedEntry(index._object_ids[r], index._image_ids[r], sign * key)
+        for r, key in zip(rows[best].tolist(), keys[best].tolist())
+    ), eta=eta)
 
 
 def combined_hypotheses(

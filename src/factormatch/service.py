@@ -13,7 +13,8 @@ and ships the blobs. Transport is a plain TCP stream of frames:
                 | u16 err_len | error_text
 
 Status 0 = ok, 1 = malformed frame, 2 = invalid parameters (including blobs
-that are not PCA then NMF of one rank), 3 = query failed.
+that are not PCA then NMF of one rank, or of another descriptor dimension T
+than the index's), 3 = query failed.
 A bad query never kills the connection; only an oversized declared frame
 closes it (the stream can no longer be trusted).
 """
@@ -196,7 +197,9 @@ def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
 
 def read_index(path: str | Path) -> ObjectIndex:
     """Load a :func:`write_index` file; a short, overlong or otherwise
-    malformed file raises :class:`ProtocolError` or ``codec.CodecError``."""
+    malformed file, or records that do not form one index (a duplicated
+    image id, mixed descriptor dimensions), raise :class:`ProtocolError` or
+    ``codec.CodecError``."""
     data = Path(path).read_bytes()
     if data[:4] != INDEX_MAGIC:
         raise ProtocolError(f"not an index file: magic {data[:4]!r}")
@@ -224,9 +227,13 @@ def read_index(path: str | Path) -> ObjectIndex:
         records.append(IndexRecord(object_id=object_id, pca=blobs[0], nmf=blobs[1]))
     if pos != len(data):
         raise ProtocolError(f"{len(data) - pos} trailing bytes after {count} index records")
-    return index_from_loadings(
-        (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf)) for rec in records
-    )
+    try:
+        return index_from_loadings(
+            (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
+            for rec in records
+        )
+    except ValueError as exc:  # records that do not form one index
+        raise ProtocolError(f"invalid index file: {exc}") from None
 
 
 # --- wire encoding --------------------------------------------------------
@@ -357,6 +364,11 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
         return encode_response(
             STATUS_INVALID_PARAMS,
             error_text=f"blob descriptor dims differ: {query_pca.T} vs {query_nmf.T}",
+        )
+    if query_pca.T != index.T:
+        return encode_response(
+            STATUS_INVALID_PARAMS,
+            error_text=f"query descriptor dim {query_pca.T} differs from the index's {index.T}",
         )
     if (query_pca.kind, query_nmf.kind) != (KIND_PCA, KIND_NMF) or query_pca.k != query_nmf.k:
         return encode_response(

@@ -62,3 +62,26 @@ def test_evaluate_runtime_keys_read(tracer):
                                     top=2, k_max=8)
     assert len(tracer.counts["evaluation.index_build_s"]) == 1
     assert len(tracer.counts["evaluation.queries_s"]) == 1
+
+
+def test_answer_query_spans(tracer):
+    """One query records the prefilter, candidate lookup and rerank spans
+    the benchmark's per-layer matcher metrics are read from."""
+    spec = SynthCorpusSpec(4, 3, T=16, descriptors_per_view=60,
+                           planted_rank=3, view_noise_sigma=0.02, seed=3)
+    corpus = generate_corpus(spec)
+    service, codec = factormatch.service, factormatch.codec
+    with tracer.off():
+        index = service.build_index(corpus[1:], k_max=8)
+        q_pca, q_nmf = service.client_blobs(corpus[0], 5, k_max=8)
+    payload = service.encode_query(3, 1, codec.encode(q_pca), codec.encode(q_nmf))
+    status, entries, _ = service.decode_response(service.answer_query(index, payload))
+    assert status == service.STATUS_OK and entries
+    for name in ("service.answer_query", "matcher.correlation_rank",
+                 "matcher.images_of_objects", "matcher.angle_rerank"):
+        assert len(tracer.durations(name)) == 1, name
+    assert tracer.durations("matcher.angle_full") == []
+    with tracer.off():  # every view of the objects the prefilter keeps
+        kept = factormatch.matcher.rank_database(codec.dequantize(q_pca), index, eta=3)
+        rerank = index.images_of_objects(kept.object_ids())
+    assert tracer.counts["matcher.rerank_candidates"] == [len(rerank)]

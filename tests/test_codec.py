@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormatch.codec import (
     CodecError,
@@ -149,6 +151,19 @@ class TestBlobFormat:
         with pytest.raises(CodecError, match="truncated"):
             decode(blob[:-1])
 
+    def test_trailing_bytes(self):
+        rng = np.random.default_rng(20)
+        blob = encode(quantize(random_pca(rng, 8, 2), 5))
+        with pytest.raises(CodecError, match="8 trailing bytes"):
+            decode(blob + b"junkjunk")
+
+    def test_range_other_than_kind_is_codec_error(self):
+        rng = np.random.default_rng(20)
+        blob = bytearray(encode(quantize(random_pca(rng, 8, 2), 5)))
+        blob[10:14] = np.float32(0.5).tobytes()  # lo
+        with pytest.raises(CodecError, match="range"):
+            decode(bytes(blob))
+
     def test_non_utf8_image_id(self):
         rng = np.random.default_rng(20)
         blob = bytearray(encode(quantize(random_pca(rng, 12, 3, image_id="img"), 5)))
@@ -172,3 +187,39 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match="range"):
             QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
                               lo=-1.0, hi=1.0, levels=np.zeros((2, 1), dtype=np.uint32))
+
+
+FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+VALID_BLOB = encode(quantize(nmf_loadings_of(np.full((6, 2), 1 / np.sqrt(6)), "fuzz"), 5))
+
+
+def _decode_or_codec_error(data: bytes) -> None:
+    try:
+        q = decode(data)
+    except CodecError:
+        return
+    assert encode(q) == data  # a blob that decodes is exactly one blob
+
+
+class TestDecodeFuzz:
+    """Any bytes decode to loadings or raise CodecError, nothing else."""
+
+    @FUZZ
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        _decode_or_codec_error(data)
+
+    @FUZZ
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_after_the_magic(self, data):
+        _decode_or_codec_error(b"QFL1" + data)
+
+    @FUZZ
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_BLOB) - 1), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, len(VALID_BLOB)), st.binary(max_size=8))
+    def test_mutated_valid_blob(self, edits, cut, tail):
+        data = bytearray(VALID_BLOB)
+        for pos, value in edits:
+            data[pos] = value
+        _decode_or_codec_error(bytes(data[:cut]) + tail)

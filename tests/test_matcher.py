@@ -1,11 +1,15 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
+    WORST_ANGLE,
     DegenerateLoadingsError,
+    DimensionMismatchError,
     IndexedImage,
     ObjectIndex,
     RankedEntry,
@@ -145,6 +149,16 @@ class TestCorrelationScore:
             total += best
         assert correlation_score(a, b) == pytest.approx(total, abs=1e-12)
 
+    def test_sums_in_np_sum_order(self):
+        # the per-image sum of the batched kernel is np.sum's pairwise sum,
+        # also past its 8-way unrolling (k >= 8) and 128-element blocks
+        rng = np.random.default_rng(13)
+        for kb in (1, 7, 8, 9, 24, 129, 300):
+            a = pca_of(random_unit_columns(rng, 16, 3))
+            b = pca_of(random_unit_columns(rng, 16, kb))
+            expected = float(np.sum((a.columns.T @ b.columns).max(axis=0)))
+            assert correlation_score(a, b) == expected
+
     def test_bounded_by_database_column_count(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -256,6 +270,170 @@ class TestRankDatabase:
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="at least one image"):
             ObjectIndex(images={})
+
+
+def per_pair_ranking(query, entries, metric, eta, candidates=None):
+    """The ranking as a loop over the one-image metrics: (object, image, score)
+    best-first by (key, image id), one entry per object, top eta."""
+    make = pca_of if query.kind == "pca" else nmf_of
+    scored = []
+    for image_id, obj, pca_cols, nmf_cols in entries:
+        if candidates is not None and image_id not in candidates:
+            continue
+        db = make(pca_cols if query.kind == "pca" else nmf_cols, image_id)
+        if metric == "angle":
+            try:
+                key = subspace_angle(query, db)
+            except DegenerateLoadingsError:
+                key = WORST_ANGLE
+        else:
+            key = -correlation_score(query, db)
+        scored.append((key, image_id, obj))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    ranked, seen = [], set()
+    for key, image_id, obj in scored:
+        if obj not in seen:
+            seen.add(obj)
+            ranked.append((obj, image_id, -key if metric == "correlation" else key))
+    return ranked[:eta]
+
+
+def random_nmf_columns(rng, T, k):
+    cols = np.abs(random_unit_columns(rng, T, k))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+def mixed_case(seed, T=12):
+    """Objects with 1-3 views of mixed rank k in 1..5, listed out of id order;
+    one image duplicates another's loadings under a smaller id, and one NMF
+    matrix has an all-zero column."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for o in range(8):
+        for v in range(1, int(rng.integers(1, 4)) + 1):
+            k = int(rng.integers(1, 6))
+            entries.append((f"o{o}_v{v}", f"o{o}", random_unit_columns(rng, T, k),
+                            random_nmf_columns(rng, T, k)))
+    zeroed = entries[1][3].copy()
+    zeroed[:, 0] = 0.0
+    entries[1] = (*entries[1][:3], zeroed)
+    entries.append(("a_dup", "dup", entries[2][2], entries[2][3]))
+    order = rng.permutation(len(entries))
+    return rng, [entries[i] for i in order]
+
+
+class TestColumnarRanking:
+    """rank_database on the columnar index against a per-pair loop."""
+
+    @staticmethod
+    def assert_same(ranked, expected):
+        assert [(e.object_id, e.image_id) for e in ranked.entries] == [
+            (obj, image_id) for obj, image_id, _ in expected]
+        for entry, (_, _, score) in zip(ranked.entries, expected):
+            assert entry.score == pytest.approx(score, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_per_pair_loop(self, seed):
+        rng, entries = mixed_case(seed)
+        index = toy_index(entries)
+        ids = [e[0] for e in entries]
+        subset = set(rng.choice(ids, size=len(ids) // 2, replace=False)) | {"not_indexed"}
+        for kind in ("pca", "nmf"):
+            k = int(rng.integers(1, 5))
+            query = (pca_of(random_unit_columns(rng, 12, k)) if kind == "pca"
+                     else nmf_of(random_nmf_columns(rng, 12, k)))
+            for metric in ("correlation", "angle"):
+                for candidates in (None, subset):
+                    self.assert_same(
+                        rank_database(query, index, metric, eta=5, candidates=candidates),
+                        per_pair_ranking(query, entries, metric, 5, candidates))
+
+    @pytest.mark.parametrize("metric", ["correlation", "angle"])
+    def test_duplicate_loadings_tie_by_image_id(self, metric):
+        rng, entries = mixed_case(0)
+        index = toy_index(entries)
+        (_, _, pca_cols, _), = [e for e in entries if e[0] == "a_dup"]
+        twin = next(e[0] for e in entries if e[0] != "a_dup" and e[2] is pca_cols)
+        for kind in ("pca", "nmf"):
+            query = (pca_of(random_unit_columns(rng, 12, 3)) if kind == "pca"
+                     else nmf_of(random_nmf_columns(rng, 12, 3)))
+            ranked = rank_database(query, index, metric, eta=2, candidates={twin, "a_dup"})
+            assert [e.image_id for e in ranked.entries] == ["a_dup", twin]
+            assert ranked.entries[0].score == ranked.entries[1].score
+
+    def test_all_zero_nmf_column_scores_worst_angle(self):
+        rng, entries = mixed_case(1)
+        index = toy_index(entries)
+        dead, dead_obj = next(e[:2] for e in entries if not e[3].any(axis=0).all())
+        others = {e[0] for e in entries if e[1] != dead_obj}
+        query = nmf_of(random_nmf_columns(rng, 12, 2))
+        ranked = rank_database(query, index, "angle", eta=20, candidates=others | {dead})
+        assert ranked.entries[-1].image_id == dead
+        assert ranked.entries[-1].score == WORST_ANGLE
+
+    def test_degenerate_query_gives_every_image_worst_angle(self):
+        _, entries = mixed_case(2)
+        index = toy_index(entries)
+        query = nmf_of(np.zeros((12, 3)))
+        ranked = rank_database(query, index, "angle", eta=20)
+        assert all(e.score == WORST_ANGLE for e in ranked.entries)
+        # all tie, so each object's smallest image id represents it, in id order
+        best: dict[str, str] = {}
+        for image_id, obj, _, _ in entries:
+            best[obj] = min(best.get(obj, image_id), image_id)
+        assert [e.image_id for e in ranked.entries] == sorted(best.values())
+        self.assert_same(ranked, per_pair_ranking(query, entries, "angle", 20))
+
+    def test_images_view_rebuilds_the_records(self):
+        _, entries = mixed_case(3)
+        index = toy_index(entries)
+        assert list(index.images) == [e[0] for e in entries]
+        assert len(index.images) == index.num_images == len(entries)
+        for image_id, obj, pca_cols, nmf_cols in entries:
+            rec = index.images[image_id]
+            assert (rec.image_id, rec.object_id) == (image_id, obj)
+            assert np.array_equal(rec.pca.columns, pca_cols)
+            assert np.array_equal(rec.nmf.columns, nmf_cols)
+        assert index.images.get("missing") is None
+        with pytest.raises(TypeError):
+            index.images["o0_v1"] = None
+
+    def test_index_keeps_no_record(self):
+        _, entries = mixed_case(4)
+        images = {e[0]: IndexedImage(e[0], e[1], pca_of(e[2], e[0]), nmf_of(e[3], e[0]))
+                  for e in entries}
+        refs = [weakref.ref(rec.pca) for rec in images.values()]
+        index = ObjectIndex(images=images)
+        del images
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert index.num_images == len(entries)
+
+    def test_images_of_objects(self):
+        _, entries = mixed_case(5)
+        index = toy_index(entries)
+        wanted = ["o1", "o3", "nobody"]
+        assert index.images_of_objects(wanted) == {e[0] for e in entries if e[1] in wanted}
+        assert index.num_objects == len({e[1] for e in entries})
+
+
+class TestOneDimensionPerIndex:
+    def test_mixed_T_rejected(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(DimensionMismatchError, match="descriptor dims"):
+            toy_index([
+                ("a_v1", "a", random_unit_columns(rng, 6, 2), random_nmf_columns(rng, 6, 2)),
+                ("b_v1", "b", random_unit_columns(rng, 5, 2), random_nmf_columns(rng, 5, 2)),
+            ])
+
+    def test_query_of_another_T_rejected(self):
+        rng = np.random.default_rng(12)
+        index = toy_index([
+            ("a_v1", "a", random_unit_columns(rng, 6, 2), random_nmf_columns(rng, 6, 2))])
+        assert index.T == 6
+        for metric in ("correlation", "angle"):
+            with pytest.raises(DimensionMismatchError, match="dims differ: 5 vs 6"):
+                rank_database(pca_of(random_unit_columns(rng, 5, 2)), index, metric)
 
 
 class TestRetrieveCombined:

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormatch import codec
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
@@ -12,6 +14,7 @@ from factormatch.service import (
     STATUS_INVALID_PARAMS,
     STATUS_MALFORMED,
     STATUS_OK,
+    STATUS_QUERY_FAILED,
     ProtocolError,
     ServerReportedError,
     answer_query,
@@ -40,6 +43,13 @@ def corpus():
     spec = SynthCorpusSpec(6, 3, T=16, descriptors_per_view=100,
                            planted_rank=3, view_noise_sigma=0.02, seed=11)
     return generate_corpus(spec)
+
+
+def other_T_corpus():
+    """Two images of descriptor dimension T=8, against the T=16 corpus."""
+    return generate_corpus(SynthCorpusSpec(
+        2, 1, T=8, descriptors_per_view=30, planted_rank=2,
+        view_noise_sigma=0.01, seed=9))
 
 
 @pytest.fixture(scope="module")
@@ -181,8 +191,38 @@ class TestIndexFile:
         path = tmp_path / "dup.idx"
         write_index(path, [*four_records[:2], four_records[0]])
         duplicate = four_records[0].pca.image_id
-        with pytest.raises(ValueError, match=f"duplicate image id '{duplicate}'"):
+        with pytest.raises(ProtocolError, match=f"duplicate image id '{duplicate}'"):
             read_index(path)
+
+    def test_mixed_descriptor_dims_rejected(self, four_records, tmp_path):
+        path = tmp_path / "mixed.idx"
+        other = quantized_records(other_T_corpus()[:1], k_max=4)
+        write_index(path, [*four_records[1:3], *other])
+        with pytest.raises(ProtocolError, match="descriptor dims"):
+            read_index(path)
+
+
+class TestIndexFileFuzz:
+    """Any corruption of an index file loads or raises a typed error."""
+
+    @pytest.fixture(scope="class")
+    def index_bytes(self, corpus, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "two.idx"
+        write_index(path, quantized_records(corpus[:2], k_max=K_MAX, bits=5))
+        return path.read_bytes()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_file(self, index_bytes, tmp_path_factory, data):
+        blob = bytearray(index_bytes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        path = tmp_path_factory.getbasetemp() / "mutated.idx"
+        path.write_bytes(bytes(blob))
+        try:
+            read_index(path)
+        except (ProtocolError, codec.CodecError):
+            pass
 
 
 class TestWireFormat:
@@ -230,6 +270,37 @@ class TestWireFormat:
         buf = io.BytesIO(struct.pack("<I", 1 << 30) + b"x")
         with pytest.raises(ProtocolError, match="exceeds"):
             read_frame(buf)
+
+
+FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+VALID_QUERY = encode_query(20, 2, b"PCA-BLOB", b"NMF-BLOB")
+
+
+def _decode_query_or_protocol_error(payload: bytes) -> None:
+    try:
+        version, eta, alpha, pca_blob, nmf_blob = decode_query(payload)
+    except ProtocolError:
+        return
+    assert encode_query(eta, alpha, pca_blob, nmf_blob)[5:] == payload[5:]
+
+
+class TestDecodeQueryFuzz:
+    """Any payload splits into a query or raises ProtocolError, nothing else."""
+
+    @FUZZ
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_after_the_magic(self, data):
+        _decode_query_or_protocol_error(b"QRY1" + data)
+
+    @FUZZ
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_QUERY) - 1), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, len(VALID_QUERY)), st.binary(max_size=8))
+    def test_mutated_valid_query(self, edits, cut, tail):
+        data = bytearray(VALID_QUERY)
+        for pos, value in edits:
+            data[pos] = value
+        _decode_query_or_protocol_error(bytes(data[:cut]) + tail)
 
 
 class TestAnswerQuery:
@@ -311,6 +382,24 @@ class TestAnswerQuery:
         assert status == STATUS_INVALID_PARAMS
         assert "one rank" in err
 
+    def test_query_of_another_T_invalid(self, index):
+        q_pca, q_nmf = client_blobs(other_T_corpus()[0], bits=5, k_max=4)
+        status, entries, err = decode_response(answer_query(
+            index, encode_query(4, 1, codec.encode(q_pca), codec.encode(q_nmf))))
+        assert status == STATUS_INVALID_PARAMS
+        assert entries == []
+        assert "descriptor dim 8 differs from the index's 16" in err
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_query_gets_a_status(self, corpus, index, data):
+        """A corrupted query is answered with a status, never an exception."""
+        payload = bytearray(encode_query(4, 1, *self._blobs(corpus)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
+        status, _, _ = decode_response(answer_query(index, bytes(payload)))
+        assert status in (STATUS_OK, STATUS_MALFORMED, STATUS_INVALID_PARAMS, STATUS_QUERY_FAILED)
+
 
 class TestLiveServer:
     def test_self_match_round_trip(self, corpus, server):
@@ -358,6 +447,22 @@ class TestLiveServer:
             assert status == STATUS_INVALID_PARAMS
             assert entries == []
             write_frame(stream, encode_query(3, 1, pca_blob, nmf_blob))
+            status, entries, _ = decode_response(read_frame(stream))
+            assert status == STATUS_OK
+            assert entries[0][0] == corpus[0].object_id
+            stream.close()
+
+    def test_connection_survives_query_of_another_T(self, corpus, server):
+        blobs = [(codec.encode(p), codec.encode(n)) for p, n in (
+            client_blobs(other_T_corpus()[0], bits=5, k_max=4),
+            client_blobs(corpus[0], bits=5, k_max=K_MAX))]
+        with socket.create_connection(server.address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            write_frame(stream, encode_query(3, 1, *blobs[0]))
+            status, entries, err = decode_response(read_frame(stream))
+            assert (status, entries) == (STATUS_INVALID_PARAMS, [])
+            assert "differs from the index's" in err
+            write_frame(stream, encode_query(3, 1, *blobs[1]))
             status, entries, _ = decode_response(read_frame(stream))
             assert status == STATUS_OK
             assert entries[0][0] == corpus[0].object_id
