@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -46,10 +47,15 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=int, default=20, help="ranked list length")
-    parser.add_argument("--alpha", type=int, default=2, help="fusion weight")
-    parser.add_argument("--bits", type=int, default=5, help="quantization bits")
+def _add_common(parser: argparse.ArgumentParser, *, eta: bool = True, alpha: bool = True,
+                bits: bool = True) -> None:
+    """Shared options; a command leaves out those it does not read."""
+    if eta:
+        parser.add_argument("--eta", type=int, default=20, help="ranked list length")
+    if alpha:
+        parser.add_argument("--alpha", type=int, default=2, help="fusion weight")
+    if bits:
+        parser.add_argument("--bits", type=int, default=5, help="quantization bits")
     parser.add_argument("--k-max", type=int, default=None,
                         help="model-order scan ceiling (default: shape-derived)")
     parser.add_argument("--seed", type=int, default=0, help="NMF base seed")
@@ -82,7 +88,10 @@ def main(argv: list[str] | None = None) -> int:
         prog="factormatch",
         description="Image retrieval from quantized PCA/NMF descriptor factor loadings",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations, so `sweep-alpha --alpha 2` is not read as `--alphas 2`
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("gen-corpus", help="write a synthetic descriptor corpus")
     p.add_argument("--spec", required=True,
@@ -92,13 +101,13 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("build-index", help="factorize a corpus into an index file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output .idx path")
-    _add_common(p)
+    _add_common(p, eta=False, alpha=False)
 
     p = sub.add_parser("serve", help="serve an index over TCP")
     p.add_argument("--index", required=True,
                    help=".idx file, descriptor directory, or synthetic:<spec>")
     p.add_argument("--listen", default="127.0.0.1:7010", help="host:port to bind")
-    _add_common(p)
+    _add_common(p, eta=False, alpha=False)
 
     p = sub.add_parser("query", help="query a running server with one image")
     p.add_argument("--server", required=True, help="host:port of the server")
@@ -112,13 +121,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("sweep-alpha", help="combined accuracy across fusion weights")
     _add_eval_common(p)
-    _add_common(p)
+    _add_common(p, alpha=False)
     p.add_argument("--alphas", default=None,
                    help="comma-separated alpha grid (default 0..eta)")
 
     p = sub.add_parser("sweep-bits", help="accuracy across quantization rates")
     _add_eval_common(p)
-    _add_common(p)
+    _add_common(p, bits=False)
     p.add_argument("--grid", default="1,2,3,4,5,6,8",
                    help="comma-separated bit widths")
 
@@ -150,17 +159,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve":
         index = load_index_arg(args.index, args.k_max, args.bits, args.seed)
-        endpoint = parse_endpoint(args.listen)
-        server = service.serve(index, endpoint)
-        host, port = server.address
-        print(f"serving {index.num_images} images / {index.num_objects} objects "
-              f"on {host}:{port}")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
+        with service.RetrievalServer(index, parse_endpoint(args.listen)) as server:
+            host, port = server.address
+            print(f"serving {index.num_images} images / {index.num_objects} objects "
+                  f"on {host}:{port}")
+            try:
+                server.serve_forever()
+            except KeyboardInterrupt:
+                pass
         return 0
 
     if args.command == "query":

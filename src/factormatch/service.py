@@ -178,97 +178,70 @@ def build_index(
     return index_from_loadings(factorized(corpus, k_max, base_seed, fixed_k), bits)
 
 
-# --- index persistence ----------------------------------------------------
-
-
-def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
-    """Persist quantized records: ``IDX1`` | u32 count | per image
-    (u16 obj_len | object_id | u32 len | pca blob | u32 len | nmf blob)."""
-    out = bytearray()
-    out += INDEX_MAGIC
-    out += struct.pack("<I", len(records))
-    for rec in records:
-        obj = rec.object_id.encode("utf-8")
-        out += struct.pack("<H", len(obj)) + obj
-        for blob in (codec.encode(rec.pca), codec.encode(rec.nmf)):
-            out += struct.pack("<I", len(blob)) + blob
-    Path(path).write_bytes(bytes(out))
-
-
-def read_index(path: str | Path) -> ObjectIndex:
-    """Load a :func:`write_index` file; a short, overlong or otherwise
-    malformed file, or records that do not form one index (a duplicated
-    image id, mixed descriptor dimensions), raise :class:`ProtocolError` or
-    ``codec.CodecError``."""
-    data = Path(path).read_bytes()
-    if data[:4] != INDEX_MAGIC:
-        raise ProtocolError(f"not an index file: magic {data[:4]!r}")
-    pos = 4
-
-    def take(size: int, field_name: str) -> bytes:
-        nonlocal pos
-        if len(data) < pos + size:
-            raise ProtocolError(f"index file truncated in {field_name} at byte {pos}")
-        pos += size
-        return data[pos - size:pos]
-
-    (count,) = struct.unpack("<I", take(4, "image count"))
-    records = []
-    for _ in range(count):
-        (obj_len,) = struct.unpack("<H", take(2, "object id length"))
-        try:
-            object_id = take(obj_len, "object id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"object id is not UTF-8: {exc}") from None
-        blobs = []
-        for _ in range(2):
-            (blob_len,) = struct.unpack("<I", take(4, "blob length"))
-            blobs.append(codec.decode(take(blob_len, "blob")))
-        records.append(IndexRecord(object_id=object_id, pca=blobs[0], nmf=blobs[1]))
-    if pos != len(data):
-        raise ProtocolError(f"{len(data) - pos} trailing bytes after {count} index records")
-    try:
-        return index_from_loadings(
-            (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
-            for rec in records
-        )
-    except ValueError as exc:  # records that do not form one index
-        raise ProtocolError(f"invalid index file: {exc}") from None
-
-
 # --- wire encoding --------------------------------------------------------
 
 
+class _Reader:
+    """Bounded little-endian reads over one payload: every field that does
+    not fit, does not decode or is followed by stray bytes raises
+    :class:`ProtocolError`."""
+
+    def __init__(self, data: bytes, magic: bytes, what: str):
+        if data[:len(magic)] != magic:
+            raise ProtocolError(f"bad {what} magic {data[:len(magic)]!r}")
+        self.data, self.pos, self.what = data, len(magic), what
+
+    def take(self, n: int, field: str) -> bytes:
+        if len(self.data) < self.pos + n:
+            raise ProtocolError(f"{self.what} truncated in {field} at byte {self.pos}")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
+
+    def text(self, field: str) -> str:
+        """u16 length + UTF-8."""
+        (n,) = self.unpack("H", f"{field} length")
+        try:
+            return self.take(n, field).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"{field} is not UTF-8: {exc}") from None
+
+    def blob(self, field: str) -> bytes:
+        """u32 length + bytes."""
+        (n,) = self.unpack("I", f"{field} length")
+        return self.take(n, field)
+
+    def end(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise ProtocolError(f"{len(self.data) - self.pos} trailing bytes after {what}")
+
+
+def _text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ValueError(f"text of {len(raw)} bytes exceeds the u16 length limit")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def _blob(blob: bytes) -> bytes:
+    return struct.pack("<I", len(blob)) + blob
+
+
 def encode_query(eta: int, alpha: int, pca_blob: bytes, nmf_blob: bytes) -> bytes:
-    return (
-        QUERY_MAGIC
-        + struct.pack("<BHH", PROTOCOL_VERSION, eta, alpha)
-        + struct.pack("<I", len(pca_blob)) + pca_blob
-        + struct.pack("<I", len(nmf_blob)) + nmf_blob
-    )
+    return (QUERY_MAGIC + struct.pack("<BHH", PROTOCOL_VERSION, eta, alpha)
+            + _blob(pca_blob) + _blob(nmf_blob))
 
 
 def decode_query(payload: bytes) -> tuple[int, int, int, bytes, bytes]:
     """Split a query payload into (version, eta, alpha, pca_blob, nmf_blob)."""
-    if len(payload) < 4 or payload[:4] != QUERY_MAGIC:
-        raise ProtocolError(f"bad query magic {payload[:4]!r}")
-    if len(payload) < 9:
-        raise ProtocolError("truncated query header")
-    version, eta, alpha = struct.unpack_from("<BHH", payload, 4)
-    pos = 9
-    blobs = []
-    for name in ("pca", "nmf"):
-        if len(payload) < pos + 4:
-            raise ProtocolError(f"truncated {name} blob length")
-        (blob_len,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        if len(payload) < pos + blob_len:
-            raise ProtocolError(f"truncated {name} blob")
-        blobs.append(payload[pos:pos + blob_len])
-        pos += blob_len
-    if pos != len(payload):
-        raise ProtocolError(f"{len(payload) - pos} trailing bytes after query")
-    return version, eta, alpha, blobs[0], blobs[1]
+    r = _Reader(payload, QUERY_MAGIC, "query")
+    version, eta, alpha = r.unpack("BHH", "header")
+    pca_blob, nmf_blob = r.blob("pca blob"), r.blob("nmf blob")
+    r.end("query")
+    return version, eta, alpha, pca_blob, nmf_blob
 
 
 def encode_response(
@@ -276,44 +249,24 @@ def encode_response(
     entries: Sequence[tuple[str, float]] = (),
     error_text: str = "",
 ) -> bytes:
-    out = bytearray()
-    out += RESPONSE_MAGIC
-    out += struct.pack("<BH", status, len(entries))
+    out = bytearray(RESPONSE_MAGIC + struct.pack("<BH", status, len(entries)))
     for rank, (object_id, score) in enumerate(entries, start=1):
-        obj = object_id.encode("utf-8")
-        out += struct.pack("<H", len(obj)) + obj
-        out += struct.pack("<fH", score, rank)
-    err = error_text.encode("utf-8")
-    out += struct.pack("<H", len(err)) + err
+        out += _text(object_id) + struct.pack("<fH", score, rank)
+    out += _text(error_text)
     return bytes(out)
 
 
 def decode_response(payload: bytes) -> tuple[int, list[tuple[str, float, int]], str]:
     """Split a response payload into (status, [(object_id, score, rank)], error)."""
-    if len(payload) < 4 or payload[:4] != RESPONSE_MAGIC:
-        raise ProtocolError(f"bad response magic {payload[:4]!r}")
-    if len(payload) < 7:
-        raise ProtocolError("truncated response header")
-    status, count = struct.unpack_from("<BH", payload, 4)
-    pos = 7
+    r = _Reader(payload, RESPONSE_MAGIC, "response")
+    status, count = r.unpack("BH", "header")
     entries = []
     for _ in range(count):
-        if len(payload) < pos + 2:
-            raise ProtocolError("truncated response entry")
-        (id_len,) = struct.unpack_from("<H", payload, pos)
-        pos += 2
-        if len(payload) < pos + id_len + 6:
-            raise ProtocolError("truncated response entry")
-        object_id = payload[pos:pos + id_len].decode("utf-8")
-        pos += id_len
-        score, rank = struct.unpack_from("<fH", payload, pos)
-        pos += 6
+        object_id = r.text("object id")
+        score, rank = r.unpack("fH", "score and rank")
         entries.append((object_id, float(score), rank))
-    if len(payload) < pos + 2:
-        raise ProtocolError("truncated error field")
-    (err_len,) = struct.unpack_from("<H", payload, pos)
-    pos += 2
-    error_text = payload[pos:pos + err_len].decode("utf-8")
+    error_text = r.text("error text")
+    r.end("response")
     return status, entries, error_text
 
 
@@ -323,7 +276,9 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
 
 
 def read_frame(stream: BinaryIO, max_frame: int = DEFAULT_MAX_FRAME) -> bytes | None:
-    """Read one length-prefixed frame; None on clean EOF at a frame boundary."""
+    """Read one length-prefixed frame from a buffered stream (whose
+    ``read(n)`` returns short only at EOF); None on clean EOF at a frame
+    boundary."""
     header = stream.read(4)
     if not header:
         return None
@@ -332,13 +287,42 @@ def read_frame(stream: BinaryIO, max_frame: int = DEFAULT_MAX_FRAME) -> bytes | 
     (length,) = struct.unpack("<I", header)
     if length > max_frame:
         raise ProtocolError(f"frame of {length} bytes exceeds limit {max_frame}")
-    payload = b""
-    while len(payload) < length:
-        chunk = stream.read(length - len(payload))
-        if not chunk:
-            raise ProtocolError("stream ended inside a frame payload")
-        payload += chunk
+    payload = stream.read(length)
+    if len(payload) < length:
+        raise ProtocolError("stream ended inside a frame payload")
     return payload
+
+
+# --- index persistence ----------------------------------------------------
+
+
+def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
+    """Persist quantized records: ``IDX1`` | u32 count | per image
+    (u16 obj_len | object_id | u32 len | pca blob | u32 len | nmf blob)."""
+    out = bytearray(INDEX_MAGIC + struct.pack("<I", len(records)))
+    for rec in records:
+        out += _text(rec.object_id) + _blob(codec.encode(rec.pca)) + _blob(codec.encode(rec.nmf))
+    Path(path).write_bytes(out)
+
+
+def read_index(path: str | Path) -> ObjectIndex:
+    """Load a :func:`write_index` file; a short, overlong or otherwise
+    malformed file, or records that do not form one index (a duplicated
+    image id, mixed descriptor dimensions), raise :class:`ProtocolError` or
+    ``codec.CodecError``."""
+    r = _Reader(Path(path).read_bytes(), INDEX_MAGIC, "index file")
+    (count,) = r.unpack("I", "image count")
+    records = [IndexRecord(r.text("object id"), codec.decode(r.blob("pca blob")),
+                           codec.decode(r.blob("nmf blob")))
+               for _ in range(count)]
+    r.end(f"{count} index records")
+    try:
+        return index_from_loadings(
+            (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
+            for rec in records
+        )
+    except ValueError as exc:  # records that do not form one index
+        raise ProtocolError(f"invalid index file: {exc}") from None
 
 
 # --- server ---------------------------------------------------------------
@@ -353,29 +337,20 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
     except (ProtocolError, codec.CodecError) as exc:
         return encode_response(STATUS_MALFORMED, error_text=f"malformed frame: {exc}")
     if version != PROTOCOL_VERSION:
-        return encode_response(
-            STATUS_INVALID_PARAMS, error_text=f"unsupported protocol version {version}"
-        )
-    if eta < 1 or alpha > eta:
-        return encode_response(
-            STATUS_INVALID_PARAMS, error_text=f"invalid parameters: eta={eta}, alpha={alpha}"
-        )
-    if query_pca.T != query_nmf.T:
-        return encode_response(
-            STATUS_INVALID_PARAMS,
-            error_text=f"blob descriptor dims differ: {query_pca.T} vs {query_nmf.T}",
-        )
-    if query_pca.T != index.T:
-        return encode_response(
-            STATUS_INVALID_PARAMS,
-            error_text=f"query descriptor dim {query_pca.T} differs from the index's {index.T}",
-        )
-    if (query_pca.kind, query_nmf.kind) != (KIND_PCA, KIND_NMF) or query_pca.k != query_nmf.k:
-        return encode_response(
-            STATUS_INVALID_PARAMS,
-            error_text=f"blobs must be pca then nmf of one rank, got "
-                       f"{query_pca.kind} k={query_pca.k} and {query_nmf.kind} k={query_nmf.k}",
-        )
+        invalid = f"unsupported protocol version {version}"
+    elif eta < 1 or alpha > eta:
+        invalid = f"invalid parameters: eta={eta}, alpha={alpha}"
+    elif query_pca.T != query_nmf.T:
+        invalid = f"blob descriptor dims differ: {query_pca.T} vs {query_nmf.T}"
+    elif query_pca.T != index.T:
+        invalid = f"query descriptor dim {query_pca.T} differs from the index's {index.T}"
+    elif (query_pca.kind, query_nmf.kind) != (KIND_PCA, KIND_NMF) or query_pca.k != query_nmf.k:
+        invalid = (f"blobs must be pca then nmf of one rank, got {query_pca.kind} "
+                   f"k={query_pca.k} and {query_nmf.kind} k={query_nmf.k}")
+    else:
+        invalid = ""
+    if invalid:
+        return encode_response(STATUS_INVALID_PARAMS, error_text=invalid)
     try:
         ranked = retrieve_combined(query_pca, query_nmf, index, eta=eta, alpha=alpha)
     except Exception as exc:  # noqa: BLE001 - reported to the client, not fatal
@@ -386,12 +361,12 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    server: RetrievalServer
+
     def handle(self) -> None:
-        index = self.server.index  # type: ignore[attr-defined]
-        max_frame = self.server.max_frame  # type: ignore[attr-defined]
         while True:
             try:
-                payload = read_frame(self.rfile, max_frame)
+                payload = read_frame(self.rfile, self.server.max_frame)
             except ProtocolError as exc:
                 # Oversized or truncated stream: report and drop the
                 # connection, since frame boundaries are lost.
@@ -404,18 +379,19 @@ class _Handler(socketserver.StreamRequestHandler):
             if payload is None:
                 return
             try:
-                write_frame(self.wfile, answer_query(index, payload))
+                write_frame(self.wfile, answer_query(self.server.index, payload))
             except OSError:
                 return
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class RetrievalServer(socketserver.ThreadingTCPServer):
+    """TCP server answering framed queries against ``index``, one daemon
+    thread per connection. ``serve_forever()`` blocks the calling thread;
+    :func:`serve` runs it in a background thread instead. Use as a context
+    manager or call close()."""
+
     daemon_threads = True
     allow_reuse_address = True
-
-
-class RetrievalServer:
-    """Running server handle; use as a context manager or call close()."""
 
     def __init__(
         self,
@@ -423,33 +399,29 @@ class RetrievalServer:
         endpoint: tuple[str, int] = ("127.0.0.1", 0),
         max_frame: int = DEFAULT_MAX_FRAME,
     ):
-        self._server = _ThreadingServer(endpoint, _Handler)
-        self._server.index = index  # type: ignore[attr-defined]
-        self._server.max_frame = max_frame  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="factormatch-server", daemon=True
-        )
+        super().__init__(endpoint, _Handler)
+        self.index = index
+        self.max_frame = max_frame
+        self._thread: threading.Thread | None = None
 
-    def start(self) -> "RetrievalServer":
+    def start(self) -> RetrievalServer:
+        """Serve in a background thread until close()."""
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="factormatch-server", daemon=True
+        )
         self._thread.start()
         return self
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return str(host), int(port)
 
     def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
-
-    def serve_forever(self) -> None:
-        """Block in the calling thread (CLI mode)."""
-        self._server.serve_forever()
-
-    def __enter__(self) -> "RetrievalServer":
-        return self
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=5)
+        self.server_close()
 
     def __exit__(self, *exc_info) -> None:
         self.close()
@@ -460,7 +432,7 @@ def serve(
     endpoint: tuple[str, int] = ("127.0.0.1", 0),
     max_frame: int = DEFAULT_MAX_FRAME,
 ) -> RetrievalServer:
-    """Bind and start serving; returns the running handle."""
+    """Bind and start serving in a background thread; returns the running server."""
     return RetrievalServer(index, endpoint, max_frame).start()
 
 
@@ -477,13 +449,10 @@ def send_query(
 ) -> tuple[int, list[tuple[str, float, int]], str]:
     """Send prebuilt blobs; returns the raw (status, entries, error) triple."""
     payload = encode_query(eta, alpha, pca_blob, nmf_blob)
-    with socket.create_connection(endpoint, timeout=timeout) as sock:
-        stream = sock.makefile("rwb")
-        try:
-            write_frame(stream, payload)
-            response = read_frame(stream)
-        finally:
-            stream.close()
+    with (socket.create_connection(endpoint, timeout=timeout) as sock,
+          sock.makefile("rwb") as stream):
+        write_frame(stream, payload)
+        response = read_frame(stream)
     if response is None:
         raise ProtocolError("server closed the connection without responding")
     return decode_response(response)

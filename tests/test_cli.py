@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import socketserver
 
 import pytest
 
+from factormatch import cli
 from factormatch.cli import main
+from factormatch.descriptors import SynthCorpusSpec, generate_corpus, save_corpus
 from factormatch.service import read_index, serve
 
 SPEC = "objects=4,views=3,T=16,N=80,r=3,sigma=0.02,seed=13"
@@ -73,3 +77,47 @@ def test_sweep_subcommands(tmp_path):
 def test_bad_corpus_argument(tmp_path):
     with pytest.raises(SystemExit):
         main(["evaluate", "--corpus", str(tmp_path / "missing"), "--eta", "3"])
+
+
+def test_build_index_rejects_an_object_id_too_long_to_store(tmp_path):
+    corpus = generate_corpus(SynthCorpusSpec.from_string(SPEC))
+    corpus[0] = dataclasses.replace(corpus[0], object_id="o" * 70_000)
+    save_corpus(corpus, tmp_path / "corpus")
+    out = tmp_path / "db.idx"
+    with pytest.raises(ValueError, match="70000 bytes"):
+        main(["build-index", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+              "--k-max", "8"])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-index", "--corpus", "c", "--out", "o", "--eta", "3"],
+    ["build-index", "--corpus", "c", "--out", "o", "--alpha", "1"],
+    ["serve", "--index", "i", "--eta", "3"],
+    ["serve", "--index", "i", "--alpha", "1"],
+    ["sweep-alpha", "--corpus", "c", "--alpha", "1"],
+    ["sweep-bits", "--corpus", "c", "--bits", "5"],
+])
+def test_options_the_command_does_not_read_are_rejected(argv, monkeypatch):
+    def loaded(*_args):
+        raise AssertionError(f"{argv[0]} accepted {argv[-2]}")
+    monkeypatch.setattr(cli, "load_corpus_arg", loaded)
+    monkeypatch.setattr(cli, "load_index_arg", loaded)
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+def test_serve_runs_one_accept_loop(monkeypatch, capsys):
+    loops = []
+
+    def serve_forever(self, poll_interval=0.5):
+        loops.append(self)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
+    # shutdown() would wait for a loop that the stub never runs
+    monkeypatch.setattr(socketserver.BaseServer, "shutdown", lambda self: None)
+    assert main(["serve", "--index", f"synthetic:{SPEC}", "--k-max", "8",
+                 "--listen", "127.0.0.1:0"]) == 0
+    assert len(loops) == 1
+    assert "serving 12 images / 4 objects on 127.0.0.1:" in capsys.readouterr().out

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import math
 import socket
 import struct
 
@@ -194,6 +196,13 @@ class TestIndexFile:
         with pytest.raises(ProtocolError, match=f"duplicate image id '{duplicate}'"):
             read_index(path)
 
+    def test_object_id_too_long_to_store_rejected(self, four_records, tmp_path):
+        path = tmp_path / "long.idx"
+        record = dataclasses.replace(four_records[0], object_id="o" * 70_000)
+        with pytest.raises(ValueError, match="70000 bytes"):
+            write_index(path, [record])
+        assert not path.exists()
+
     def test_mixed_descriptor_dims_rejected(self, four_records, tmp_path):
         path = tmp_path / "mixed.idx"
         other = quantized_records(other_T_corpus()[:1], k_max=4)
@@ -257,6 +266,26 @@ class TestWireFormat:
         assert entries == []
         assert err == "malformed frame"
 
+    def test_response_non_utf8_object_id_rejected(self):
+        payload = (b"RSP1" + struct.pack("<BHH", STATUS_OK, 1, 1) + b"\xff"
+                   + struct.pack("<fHH", 0.5, 1, 0))
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            decode_response(payload)
+
+    def test_response_error_text_overrun_rejected(self):
+        payload = b"RSP1" + struct.pack("<BHH", STATUS_QUERY_FAILED, 0, 10) + b"abc"
+        with pytest.raises(ProtocolError, match="error text"):
+            decode_response(payload)
+
+    def test_response_trailing_bytes_rejected(self):
+        payload = encode_response(STATUS_OK, [("obj1", 0.25)]) + b"junk"
+        with pytest.raises(ProtocolError, match="4 trailing bytes"):
+            decode_response(payload)
+
+    def test_error_text_too_long_to_send_rejected(self):
+        with pytest.raises(ValueError, match="70000 bytes"):
+            encode_response(STATUS_QUERY_FAILED, error_text="e" * 70_000)
+
     def test_frame_round_trip_and_resync(self):
         buf = io.BytesIO()
         write_frame(buf, b"first")
@@ -265,6 +294,11 @@ class TestWireFormat:
         assert read_frame(buf) == b"first"
         assert read_frame(buf) == b"second"
         assert read_frame(buf) is None
+
+    def test_stream_ending_inside_a_payload(self):
+        buf = io.BytesIO(struct.pack("<I", 10) + b"abc")
+        with pytest.raises(ProtocolError, match="stream ended inside a frame payload"):
+            read_frame(buf)
 
     def test_frame_size_limit(self):
         buf = io.BytesIO(struct.pack("<I", 1 << 30) + b"x")
@@ -301,6 +335,39 @@ class TestDecodeQueryFuzz:
         for pos, value in edits:
             data[pos] = value
         _decode_query_or_protocol_error(bytes(data[:cut]) + tail)
+
+
+VALID_RESPONSE = encode_response(STATUS_OK, [("obj1", 0.25), ("obj2", 1.5)], "note")
+
+
+def _decode_response_or_protocol_error(payload: bytes) -> None:
+    try:
+        status, entries, error_text = decode_response(payload)
+    except ProtocolError:
+        return
+    ranks = [rank for _, _, rank in entries]
+    if ranks == list(range(1, len(entries) + 1)) and not any(
+            math.isnan(score) for _, score, _ in entries):
+        assert encode_response(status, [(o, s) for o, s, _ in entries], error_text) == payload
+
+
+class TestDecodeResponseFuzz:
+    """Any payload splits into a response or raises ProtocolError, nothing else."""
+
+    @FUZZ
+    @given(st.integers(0, 255), st.integers(0, 2), st.binary(max_size=64))
+    def test_arbitrary_bytes_after_the_header(self, status, count, data):
+        _decode_response_or_protocol_error(b"RSP1" + struct.pack("<BH", status, count) + data)
+
+    @FUZZ
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_RESPONSE) - 1), st.integers(0, 255)),
+                    max_size=4),
+           st.integers(0, len(VALID_RESPONSE)), st.binary(max_size=8))
+    def test_mutated_valid_response(self, edits, cut, tail):
+        data = bytearray(VALID_RESPONSE)
+        for pos, value in edits:
+            data[pos] = value
+        _decode_response_or_protocol_error(bytes(data[:cut]) + tail)
 
 
 class TestAnswerQuery:
