@@ -108,13 +108,18 @@ def load_descriptors(
     """Parse a descriptor file; exact inverse of :func:`save_descriptors`.
 
     ``image_id``/``object_id`` are fallbacks for payloads without a trailer
-    (e.g. csv files, where ids live in the filename).
+    (e.g. csv files, where ids live in the filename). Any payload that is not
+    a valid descriptor matrix raises :class:`DescriptorFormatError`.
     """
-    if fmt == "binary":
-        return _load_binary(data, image_id, object_id)
-    if fmt == "csv":
-        return _load_csv(data, image_id, object_id)
-    raise ValueError(f"unknown descriptor format {fmt!r}")
+    loaders = {"binary": _load_binary, "csv": _load_csv}
+    if fmt not in loaders:
+        raise ValueError(f"unknown descriptor format {fmt!r}")
+    try:
+        return loaders[fmt](data, image_id, object_id)
+    except DescriptorFormatError:
+        raise
+    except ValueError as exc:  # text that is not UTF-8, values the matrix rejects
+        raise DescriptorFormatError(str(exc)) from None
 
 
 def _load_binary(data: bytes, image_id: str, object_id: str) -> DescriptorMatrix:
@@ -165,8 +170,9 @@ def _load_csv(data: bytes, image_id: str, object_id: str) -> DescriptorMatrix:
         rows.append(row)
     if not rows:
         raise DescriptorFormatError("empty csv descriptor file")
-    return DescriptorMatrix(image_id=image_id, object_id=object_id,
-                            values=np.array(rows, dtype=np.float32))
+    with np.errstate(over="ignore"):  # beyond float32 becomes inf, rejected as non-finite
+        values = np.array(rows, dtype=np.float32)
+    return DescriptorMatrix(image_id=image_id, object_id=object_id, values=values)
 
 
 @dataclass(frozen=True)

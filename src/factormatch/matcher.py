@@ -15,8 +15,9 @@ matrix ``B`` sharing the descriptor dimension T:
 
 The index is columnar: each kind's loadings of every image sit side by side
 in one ``T x Σk`` matrix. ``rank_database`` scores the whole database (or a
-candidate subset) at once — one GEMM for the correlation, one batched SVD of
-the database side per rank ``k`` for the angle — dedups images to objects
+candidate subset) at once — one GEMM for the correlation; for the angle,
+database bases cached in the index (each image's computed once, by one
+batched SVD per rank ``k`` of the images not yet cached) — dedups images to objects
 keeping each object's best view, and truncates to the top eta. The two
 pairwise metrics are the same kernels applied to one database image.
 ``retrieve_combined`` runs the full pipeline: cheap PCA-correlation
@@ -42,6 +43,9 @@ METRIC_CORRELATION = "correlation"
 DEFAULT_METRIC = {KIND_PCA: METRIC_CORRELATION, KIND_NMF: METRIC_ANGLE}
 
 WORST_ANGLE = math.pi / 2
+
+# Ids travel with a u16 length in blobs, index files and responses.
+_MAX_ID_BYTES = 0xFFFF
 
 
 class DegenerateLoadingsError(ValueError):
@@ -83,12 +87,15 @@ class _ImageView(Mapping[str, IndexedImage]):
 
 
 class ObjectIndex:
-    """Immutable server-side database of one descriptor dimension T, stored
-    by column.
+    """Server-side database of one descriptor dimension T, stored by column:
+    immutable loadings plus a derived basis cache.
 
     Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
     ``T x Σk`` PCA and NMF loading matrices, which hold the only copy of the
-    loadings; ``images`` maps image ids to records rebuilt on access.
+    loadings; ``images`` maps image ids to records rebuilt on access. The
+    angle metric fills, per kind and on first use of each image, its
+    orthonormal basis and numerical rank (:meth:`_basis_cache`); those are a
+    function of the loadings alone, so no answer depends on what was cached.
     """
 
     def __init__(self, images: Mapping[str, IndexedImage]):
@@ -104,6 +111,11 @@ class ObjectIndex:
                 raise ValueError(
                     f"image {image_id!r}: loadings ranks ({rec.pca.k}, {rec.nmf.k}) differ"
                 )
+            for what, text in (("image", image_id), ("object", rec.object_id)):
+                size = len(text.encode("utf-8"))
+                if size > _MAX_ID_BYTES:
+                    raise ValueError(
+                        f"{what} id of {size} bytes exceeds the {_MAX_ID_BYTES}-byte limit")
             if rec.pca.T != T or rec.nmf.T != T:
                 raise DimensionMismatchError(
                     f"image {image_id!r}: descriptor dims ({rec.pca.T}, {rec.nmf.T}) "
@@ -131,6 +143,7 @@ class ObjectIndex:
         self._id_rank = np.empty(n, dtype=np.intp)
         self._id_rank[sorted(range(n), key=self._image_ids.__getitem__)] = np.arange(n)
         self.images: Mapping[str, IndexedImage] = _ImageView(self)
+        self._basis_caches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def T(self) -> int:
@@ -166,6 +179,23 @@ class ObjectIndex:
             return np.arange(self.num_images)
         row = self._row
         return np.array(sorted(row[i] for i in candidates if i in row), dtype=np.intp)
+
+    def _stack(self, kind: str) -> np.ndarray:
+        return self._pca if kind == KIND_PCA else self._nmf
+
+    def _basis_cache(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(bases, ranks)`` of this kind's images, allocated on first use:
+        image ``r``'s orthonormal basis is the ``T x k`` C-order block at
+        ``bases[T * offsets[r]:T * offsets[r + 1]]``, valid once ``ranks[r]``
+        (its numerical rank) is no longer -1. Writers store the basis before
+        the rank, and two writers of one image store identical bytes, so
+        threads share the cache without a lock."""
+        cache = self._basis_caches.get(kind)
+        if cache is None:  # setdefault: threads that race here share one cache
+            cache = self._basis_caches.setdefault(kind, (
+                np.empty(self.T * int(self._offsets[-1])),
+                np.full(self.num_images, -1, dtype=np.intp)))
+        return cache
 
 
 # --- scoring kernels ------------------------------------------------------
@@ -238,22 +268,32 @@ def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:
     return float(_correlations(a.columns, b.columns, np.array([b.k]))[0])
 
 
-def _angle_keys(query: FactorLoadings, stacked: np.ndarray, starts: np.ndarray,
-                ks: np.ndarray) -> np.ndarray:
-    """Angle of the query to each image whose ``ks[i]`` columns start at
-    ``starts[i]`` of ``stacked``: the query is orthonormalized once, each
-    rank's images by one batched SVD. A degenerate image, and every image
-    for a degenerate query, scores ``WORST_ANGLE``."""
-    keys = np.full(ks.size, WORST_ANGLE)
+def _angle_keys(query: FactorLoadings, index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
+    """Angle of the query to each image of ``rows``: the query is
+    orthonormalized once; each image's basis comes from the index's cache,
+    where the images not yet cached are first filled by one batched SVD per
+    rank. A degenerate image, and every image for a degenerate query, scores
+    ``WORST_ANGLE``."""
+    keys = np.full(rows.size, WORST_ANGLE)
     try:
         qa = _basis(query)
     except DegenerateLoadingsError:
         return keys
-    T = stacked.shape[0]
-    for k, pos in _rank_groups(ks):
-        block = stacked[:, _columns(starts[pos], np.full(pos.size, k))]
-        qb, rank = _bases(block.reshape(T, pos.size, k).transpose(1, 0, 2))
-        keys[pos] = np.where(rank == k, _angles(qa, qb), WORST_ANGLE)
+    stacked = index._stack(query.kind)
+    bases, ranks = index._basis_cache(query.kind)
+    T = index.T
+    starts = index._offsets[rows]
+    for k, pos in _rank_groups(index._offsets[rows + 1] - starts):
+        if k > T:  # more columns than dimensions: rank-deficient, WORST_ANGLE
+            continue
+        missing = pos[ranks[rows[pos]] < 0]
+        if missing.size:
+            block = stacked[:, _columns(starts[missing], np.full(missing.size, k))]
+            qb, rank = _bases(block.reshape(T, missing.size, k).transpose(1, 0, 2))
+            bases[_columns(T * starts[missing], np.full(missing.size, T * k))] = qb.ravel()
+            ranks[rows[missing]] = rank  # after the bases: publishes them
+        qb = bases[_columns(T * starts[pos], np.full(pos.size, T * k))].reshape(-1, T, k)
+        keys[pos] = np.where(ranks[rows[pos]] == k, _angles(qa, qb), WORST_ANGLE)
     return keys
 
 
@@ -282,12 +322,12 @@ def rank_database(
     rows = index._rows(candidates)
     if rows.size == 0:
         raise ValueError("no candidate images to rank")
-    stacked = index._pca if query.kind == KIND_PCA else index._nmf
-    starts = index._offsets[rows]
-    ks = index._offsets[rows + 1] - starts
     if metric == METRIC_ANGLE:
-        keys = _angle_keys(query, stacked, starts, ks)
+        keys = _angle_keys(query, index, rows)
     else:
+        stacked = index._stack(query.kind)
+        starts = index._offsets[rows]
+        ks = index._offsets[rows + 1] - starts
         columns = stacked if candidates is None else stacked[:, _columns(starts, ks)]
         keys = -_correlations(query.columns, columns, ks)
     # best-first by (key, image id); each object's first row is its best view

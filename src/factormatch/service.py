@@ -329,7 +329,8 @@ def read_index(path: str | Path) -> ObjectIndex:
 
 
 def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
-    """Process one query payload into a response payload (pure function)."""
+    """Process one query payload into a response payload; the response
+    depends only on the index's loadings and the payload."""
     try:
         version, eta, alpha, pca_blob, nmf_blob = decode_query(payload)
         query_pca = codec.dequantize(codec.decode(pca_blob))

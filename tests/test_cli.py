@@ -90,6 +90,21 @@ def test_build_index_rejects_an_object_id_too_long_to_store(tmp_path):
     assert not out.exists()
 
 
+def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch):
+    # a corpus directory is indexed in memory, never through write_index
+    corpus = generate_corpus(SynthCorpusSpec.from_string(SPEC))
+    corpus[0] = dataclasses.replace(corpus[0], object_id="o" * 70_000)
+    save_corpus(corpus, tmp_path / "corpus")
+
+    def serve_forever(self, poll_interval=0.5):
+        raise AssertionError("served an index it cannot answer from")
+
+    monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
+    with pytest.raises(ValueError, match="object id of 70000 bytes exceeds"):
+        main(["serve", "--index", str(tmp_path / "corpus"), "--k-max", "8",
+              "--listen", "127.0.0.1:0"])
+
+
 @pytest.mark.parametrize("argv", [
     ["build-index", "--corpus", "c", "--out", "o", "--eta", "3"],
     ["build-index", "--corpus", "c", "--out", "o", "--alpha", "1"],

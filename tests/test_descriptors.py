@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormatch.descriptors import (
     DescriptorFormatError,
@@ -95,6 +99,71 @@ class TestCsvFormat:
     def test_non_numeric_rejected(self):
         with pytest.raises(DescriptorFormatError):
             load_descriptors(b"1,spam\n0,1\n", "csv")
+
+
+FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+VALID_DMT = save_descriptors(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]), "binary")
+VALID_CSV = save_descriptors(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]), "csv")
+
+
+def _load_or_format_error(data: bytes, fmt: str) -> None:
+    """A payload loads into a matrix that round-trips, or raises
+    DescriptorFormatError; any other exception fails the test."""
+    try:
+        m = load_descriptors(data, fmt, image_id="fallback", object_id="fallback")
+    except DescriptorFormatError:
+        return
+    assert isinstance(m, DescriptorMatrix)
+    assert load_descriptors(save_descriptors(m, fmt), fmt, m.image_id, m.object_id) == m
+
+
+def _mutated(valid: bytes, edits, cut, tail) -> bytes:
+    data = bytearray(valid)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    return bytes(data[:cut]) + tail
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=4)
+
+
+class TestLoadDescriptorsFuzz:
+    """Any bytes load into a valid matrix or raise DescriptorFormatError."""
+
+    @FUZZ
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_after_the_magic(self, data):
+        _load_or_format_error(b"DMT1" + data, "binary")
+
+    @FUZZ
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_declared_shape_with_arbitrary_values_and_trailer(self, T, N, data):
+        body = data.draw(st.binary(min_size=4 * T * N, max_size=4 * T * N))
+        trailer = data.draw(st.one_of(
+            st.binary(max_size=24),
+            st.builds(lambda img, obj: b"\nID:" + img + b";OBJ:" + obj + b"\n",
+                      st.binary(max_size=8), st.binary(max_size=8))))
+        _load_or_format_error(b"DMT1" + struct.pack("<II", T, N) + body + trailer, "binary")
+
+    @FUZZ
+    @given(EDITS, st.integers(0, len(VALID_DMT)), st.binary(max_size=8))
+    def test_mutated_valid_binary(self, edits, cut, tail):
+        _load_or_format_error(_mutated(VALID_DMT, edits, cut, tail), "binary")
+
+    @FUZZ
+    @given(st.text(alphabet="0123456789.,-+e_naif \n\r", max_size=48))
+    def test_csv_of_number_like_text(self, text):
+        _load_or_format_error(text.encode("utf-8"), "csv")
+
+    @FUZZ
+    @given(st.binary(max_size=48))
+    def test_csv_of_arbitrary_bytes(self, data):
+        _load_or_format_error(data, "csv")
+
+    @FUZZ
+    @given(EDITS, st.integers(0, len(VALID_CSV)), st.binary(max_size=8))
+    def test_mutated_valid_csv(self, edits, cut, tail):
+        _load_or_format_error(_mutated(VALID_CSV, edits, cut, tail), "csv")
 
 
 class TestSynthCorpus:

@@ -14,6 +14,7 @@ from factormatch.matcher import (
     ObjectIndex,
     RankedEntry,
     RankedList,
+    _angle_keys,
     combined_hypotheses,
     correlation_score,
     rank_database,
@@ -415,6 +416,99 @@ class TestColumnarRanking:
         wanted = ["o1", "o3", "nobody"]
         assert index.images_of_objects(wanted) == {e[0] for e in entries if e[1] in wanted}
         assert index.num_objects == len({e[1] for e in entries})
+
+
+def cache_case(seed, T=12):
+    """mixed_case plus an all-zero image and one with more columns than T."""
+    rng, entries = mixed_case(seed, T)
+    entries.append(("z_zero", "zero", random_unit_columns(rng, T, 2), np.zeros((T, 2))))
+    entries.append(("z_wide", "wide", random_unit_columns(rng, T, T + 1),
+                    random_nmf_columns(rng, T, T + 1)))
+    return rng, entries
+
+
+class TestBasisCache:
+    """Angles from cached database bases equal those of a cold index, bit for bit."""
+
+    @staticmethod
+    def angles(index, query, candidates):
+        rows = index._rows(candidates)
+        return (_angle_keys(query, index, rows),
+                rank_database(query, index, "angle", eta=50, candidates=candidates))
+
+    def queries(self, rng, kind):
+        make, cols = ((pca_of, random_unit_columns) if kind == "pca"
+                      else (nmf_of, random_nmf_columns))
+        return [make(cols(rng, 12, k)) for k in (1, 2, 3, 5)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("warm_up", ["subset", "full", "other_kind", "subset_then_full"])
+    def test_warm_index_scores_like_a_cold_one(self, seed, warm_up):
+        rng, entries = cache_case(seed)
+        ids = [e[0] for e in entries]
+        subset = set(rng.choice(ids, size=len(ids) // 3, replace=False)) | {"z_zero"}
+        for kind in ("pca", "nmf"):
+            other = "nmf" if kind == "pca" else "pca"
+            warmed = toy_index(entries)
+            warmer = self.queries(rng, other if warm_up == "other_kind" else kind)[2]
+            if warm_up in ("subset", "subset_then_full"):
+                rank_database(warmer, warmed, "angle", candidates=subset)
+            if warm_up in ("full", "subset_then_full", "other_kind"):
+                rank_database(warmer, warmed, "angle")
+            for query in self.queries(rng, kind):
+                for candidates in (None, subset):
+                    cold_keys, cold_ranked = self.angles(toy_index(entries), query, candidates)
+                    keys, ranked = self.angles(warmed, query, candidates)
+                    assert np.array_equal(keys, cold_keys)
+                    assert ranked == cold_ranked
+            assert set(warmed._basis_caches) == (
+                {kind, other} if warm_up == "other_kind" else {kind})
+
+    def test_degenerate_images_keep_worst_angle_once_cached(self):
+        rng, entries = cache_case(1)
+        index = toy_index(entries)
+        dead = next(e[0] for e in entries if e[0] != "z_zero" and not e[3].any(axis=0).all())
+        query = nmf_of(random_nmf_columns(rng, 12, 2))
+        for _ in range(2):  # the first scan fills the cache, the second reads it
+            keys, _ = self.angles(index, query, None)
+            by_id = dict(zip(index.images, keys))
+            assert by_id["z_zero"] == by_id[dead] == by_id["z_wide"] == WORST_ANGLE
+        _, ranks = index._basis_cache("nmf")
+        rank_of = dict(zip(index.images, ranks))
+        assert rank_of["z_zero"] == 0
+        assert 0 < rank_of[dead] < index.images[dead].nmf.k
+        assert rank_of["z_wide"] == -1  # never needs a basis
+        assert all(r > 0 for i, r in rank_of.items() if i not in ("z_zero", "z_wide"))
+
+    def test_duplicate_loadings_share_cached_bases(self):
+        rng, entries = cache_case(0)
+        index = toy_index(entries)
+        (_, _, _, nmf_cols), = [e for e in entries if e[0] == "a_dup"]
+        twin = next(e[0] for e in entries if e[0] != "a_dup" and e[3] is nmf_cols)
+        query = nmf_of(random_nmf_columns(rng, 12, 3))
+        rank_database(query, index, "angle")
+        bases, _ = index._basis_cache("nmf")
+        T, offsets = index.T, index._offsets
+        dup, tw = index._row["a_dup"], index._row[twin]
+        assert np.array_equal(bases[T * offsets[dup]:T * offsets[dup + 1]],
+                              bases[T * offsets[tw]:T * offsets[tw + 1]])
+        ranked = rank_database(query, index, "angle", eta=2, candidates={twin, "a_dup"})
+        assert [e.image_id for e in ranked.entries] == ["a_dup", twin]
+        assert ranked.entries[0].score == ranked.entries[1].score
+
+    def test_cache_allocated_at_the_first_angle_query_of_a_kind(self):
+        rng, entries = cache_case(2)
+        index = toy_index(entries)
+        assert index._basis_caches == {}
+        rank_database(pca_of(random_unit_columns(rng, 12, 2)), index, "correlation")
+        rank_database(nmf_of(np.zeros((12, 2))), index, "angle")  # degenerate query
+        assert index._basis_caches == {}
+        rank_database(nmf_of(random_nmf_columns(rng, 12, 2)), index, "angle")
+        bases, ranks = index._basis_caches["nmf"]
+        # at most one mirror of the kind's loadings stack
+        assert bases.nbytes == index._nmf.nbytes
+        assert ranks.shape == (index.num_images,)
+        assert list(index._basis_caches) == ["nmf"]
 
 
 class TestOneDimensionPerIndex:

@@ -3,6 +3,8 @@ import io
 import math
 import socket
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +95,15 @@ class TestBuildIndex:
     def test_duplicate_image_id_rejected(self, corpus):
         with pytest.raises(ValueError, match=f"duplicate image id '{corpus[0].image_id}'"):
             build_index([corpus[0], corpus[1], corpus[0]], k_max=K_MAX)
+
+    @pytest.mark.parametrize("field", ["object_id", "image_id"])
+    def test_id_too_long_to_send_rejected(self, corpus, field):
+        # 40,000 two-byte characters: the limit counts UTF-8 bytes
+        long_id = dataclasses.replace(corpus[0], **{field: "\u00e9" * 40_000})
+        with pytest.raises(ValueError, match=f"{field[:-3]} id of 80000 bytes exceeds"):
+            build_index([long_id, *corpus[1:3]], k_max=K_MAX)
+        longest = dataclasses.replace(corpus[0], **{field: "x" * 0xFFFF})
+        assert build_index([longest, *corpus[1:3]], k_max=K_MAX).num_images == 3
 
     def test_unquantized_mode(self, corpus):
         index = build_index(corpus[:3], k_max=K_MAX, bits=None)
@@ -468,6 +479,47 @@ class TestAnswerQuery:
         assert status in (STATUS_OK, STATUS_MALFORMED, STATUS_INVALID_PARAMS, STATUS_QUERY_FAILED)
 
 
+def _payloads(corpus):
+    """One query per corpus image; eta 6 reranks every view of the 6 objects."""
+    return [encode_query(eta, 2, *(codec.encode(b) for b in client_blobs(m, bits=5, k_max=K_MAX)))
+            for m, eta in zip(corpus, [3, 6] * len(corpus))]
+
+
+def _run_threads(targets, timeout=60.0):
+    """Start every target at once, with a short switch interval so that
+    their basis-cache fills interleave; join each with a timeout."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+
+
+class TestConcurrentFills:
+    def test_threads_on_one_cold_index_answer_as_one_thread(self, corpus):
+        payloads = _payloads(corpus)
+        serial_index = build_index(corpus, k_max=K_MAX, bits=5)
+        serial = [answer_query(serial_index, p) for p in payloads]
+        cold = build_index(corpus, k_max=K_MAX, bits=5)
+        start = threading.Barrier(6)
+        answers: dict[int, list[bytes]] = {}
+
+        def client(t):
+            order = payloads[t:] + payloads[:t]
+            start.wait(timeout=30)
+            answers[t] = [answer_query(cold, p) for p in order]
+
+        _run_threads([lambda t=t: client(t) for t in range(6)])
+        for t in range(6):
+            assert answers[t] == serial[t:] + serial[:t]
+
+
 class TestLiveServer:
     def test_self_match_round_trip(self, corpus, server):
         ranked = query_remote(server.address, corpus[0], eta=4, alpha=1,
@@ -534,6 +586,26 @@ class TestLiveServer:
             assert status == STATUS_OK
             assert entries[0][0] == corpus[0].object_id
             stream.close()
+
+    def test_two_connections_on_a_fresh_server(self, corpus):
+        payloads = _payloads(corpus)
+        serial = [answer_query(build_index(corpus, k_max=K_MAX, bits=5), p) for p in payloads]
+        answers: dict[int, list[bytes]] = {}
+
+        def client(address, t):
+            order = payloads[t::2] + payloads[1 - t::2]
+            with (socket.create_connection(address, timeout=30) as sock,
+                  sock.makefile("rwb") as stream):
+                got = []
+                for p in order:
+                    write_frame(stream, p)
+                    got.append(read_frame(stream))
+            answers[t] = got
+
+        with serve(build_index(corpus, k_max=K_MAX, bits=5)) as fresh:
+            _run_threads([lambda t=t: client(fresh.address, t) for t in range(2)])
+        for t in range(2):
+            assert answers[t] == serial[t::2] + serial[1 - t::2]
 
     def test_server_status_raises_client_side(self, corpus, server):
         q_pca, q_nmf = client_blobs(corpus[0], bits=5, k_max=K_MAX)
