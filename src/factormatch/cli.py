@@ -138,7 +138,16 @@ def main(argv: list[str] | None = None) -> int:
                    help="comma-separated fixed ranks")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ValueError, OSError, service.ServerReportedError) as exc:
+        # bad arguments or inputs (ValueError covers ProtocolError,
+        # CodecError and DescriptorFormatError), files and the network
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen-corpus":
         corpus = generate_corpus(SynthCorpusSpec.from_string(args.spec))
         save_corpus(corpus, args.out)
@@ -197,13 +206,10 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "sweep-bits":
         grid = [int(b) for b in args.grid.split(",")]
         report = sweep_bits(corpus, bit_grid=grid, alpha=args.alpha, **common)
-    elif args.command == "sweep-rank":
+    else:  # sweep-rank
         ranks = [int(k) for k in args.ranks.split(",")]
         report = sweep_rank(corpus, fixed_ranks=ranks, alpha=args.alpha,
                             bits=args.bits, **common)
-    else:  # pragma: no cover
-        parser.error(f"unknown command {args.command}")
-        return 2
     return _emit_report(report, args.out)
 
 

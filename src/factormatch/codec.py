@@ -122,20 +122,18 @@ def lattice_values(q: QuantizedLoadings) -> np.ndarray:
     return q.lo + q.levels.astype(np.float64) * q.step
 
 
-def dequantize(q: QuantizedLoadings, renormalize: bool = True) -> FactorLoadings:
-    """Reconstruct loadings from levels.
-
-    By default columns are rescaled back to unit norm (downstream metrics
-    assume it). An all-zero column (possible for coarse NMF quantization)
-    has no norm to restore and is left as zeros; the matcher flags it when
-    the loadings are actually used. With ``renormalize=False`` the exact
-    lattice values are returned, for which ``quantize`` is the exact inverse.
+def dequantize(q: QuantizedLoadings) -> FactorLoadings:
+    """Reconstruct loadings from levels, each column rescaled back to unit
+    norm (downstream metrics assume it). An all-zero column (possible for
+    coarse NMF quantization) has no norm to restore and is left as zeros;
+    the matcher flags it when the loadings are actually used.
+    :func:`lattice_values` gives the exact lattice values, for which
+    ``quantize`` is the exact inverse.
     """
     x = lattice_values(q)
-    if renormalize:
-        norms = np.linalg.norm(x, axis=0)
-        safe = np.where(norms > 0, norms, 1.0)
-        x = x / safe
+    norms = np.linalg.norm(x, axis=0)
+    safe = np.where(norms > 0, norms, 1.0)
+    x = x / safe
     return FactorLoadings(image_id=q.image_id, kind=q.kind, columns=x)
 
 

@@ -180,6 +180,11 @@ def _sweep(
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
         raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
+    # before any image is factorized
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
+    if any(not 0 <= a <= eta for a in alphas):
+        raise ValueError(f"alphas must lie in [0, {eta}]")
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
@@ -257,8 +262,6 @@ def sweep_alpha(
     """
     if alphas is None:
         alphas = range(eta + 1)
-    if any(not 0 <= a <= eta for a in alphas):
-        raise ValueError(f"alphas must lie in [0, {eta}]")
     return _sweep(corpus, [None], [bits], alphas, ("combined", "nmf_angle"), eta, top,
                   k_max, query_view, base_seed, corpus_label)
 

@@ -30,6 +30,11 @@ KIND_NMF = "nmf"
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
 
+# sparse NMF stopping rule: at most this many iterations, or a relative
+# objective decrease below this tolerance
+_NMF_MAX_ITERS = 100
+_NMF_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FactorLoadings:
@@ -102,12 +107,6 @@ class FactorAssignment:
     def N(self) -> int:
         return self.cluster_of.size
 
-    def to_matrix(self) -> np.ndarray:
-        """Densify to the ``k x N`` factor matrix (one nonzero per column)."""
-        R = np.zeros((self.k, self.N))
-        R[self.cluster_of, np.arange(self.N)] = self.scale_of
-        return R
-
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -169,25 +168,18 @@ def _farthest_point_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def nmf_loadings(
-    m: DescriptorMatrix,
-    k: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    seed: int = 0,
+    m: DescriptorMatrix, k: int, seed: int = 0
 ) -> tuple[FactorLoadings, FactorAssignment, np.ndarray]:
     """Sparse NMF via alternating assignment/update; returns the objective trace.
 
     The trace holds ``0.5 * ||M - L R||_F^2`` once per iteration (measured
     after the assignment step) and is non-increasing. Iteration stops when
-    the relative decrease falls below ``tol``, when a step yields no measured
-    improvement (the previous iterate is kept), or at ``max_iters``.
+    the relative decrease falls below ``_NMF_TOL``, when a step yields no
+    measured improvement (the previous iterate is kept), or at
+    ``_NMF_MAX_ITERS``.
     """
     if not 1 <= k <= m.N:
         raise ValueError(f"k={k} out of range [1, N={m.N}]")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     values = m.values.astype(np.float64)
     N = m.N
     col_idx = np.arange(N)
@@ -207,7 +199,7 @@ def nmf_loadings(
     cluster, scale = assign(L)
     trace = [objective(L, cluster, scale)]
 
-    for _ in range(max_iters - 1):
+    for _ in range(_NMF_MAX_ITERS - 1):
         # Exact minimizer of the objective over unit-norm columns for the
         # frozen assignment: scale-weighted sum of each cluster's members,
         # one bincount over (cluster, descriptor row) bins, each summed in
@@ -238,7 +230,7 @@ def nmf_loadings(
         if obj >= trace[-1]:
             break  # no measurable progress; keep the better iterate
         L, cluster, scale = L_new, cluster_new, scale_new
-        converged = (trace[-1] - obj) < tol * trace[-1]
+        converged = (trace[-1] - obj) < _NMF_TOL * trace[-1]
         trace.append(obj)
         if converged:
             break
@@ -247,15 +239,3 @@ def nmf_loadings(
     assignment = FactorAssignment(k=k, cluster_of=cluster, scale_of=scale)
     return loadings, assignment, np.array(trace)
 
-
-def nmf_objective(
-    m: DescriptorMatrix, loadings: FactorLoadings, assign: FactorAssignment
-) -> float:
-    """``0.5 * ||M - L R||_F^2`` with R densified from the assignment."""
-    if loadings.T != m.T or assign.N != m.N or assign.k != loadings.k:
-        raise ValueError(
-            f"shape mismatch: M is {m.T}x{m.N}, L is {loadings.T}x{loadings.k}, "
-            f"R is {assign.k}x{assign.N}"
-        )
-    residual = m.values.astype(np.float64) - loadings.columns @ assign.to_matrix()
-    return 0.5 * float(np.sum(residual * residual))

@@ -63,6 +63,8 @@ def _check_dims(a_T: int, b_T: int) -> None:
 
 @dataclass(frozen=True)
 class IndexedImage:
+    """One image as :attr:`ObjectIndex.images` shows it."""
+
     image_id: str
     object_id: str
     pca: FactorLoadings
@@ -90,50 +92,69 @@ class ObjectIndex:
     """Server-side database of one descriptor dimension T, stored by column:
     immutable loadings plus a derived basis cache.
 
+    Built from ``(object_id, pca, nmf)`` triples, consumed one at a time;
+    the constructor is the one place that checks an image: its image id
+    (the PCA loadings' own, equal to the NMF one's, and not seen before),
+    the kinds of its two loadings, one rank ``k`` for both, the index's one
+    ``T``, and ids that fit the u16 lengths they travel with.
+
     Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
     ``T x Σk`` PCA and NMF loading matrices, which hold the only copy of the
-    loadings; ``images`` maps image ids to records rebuilt on access. The
-    angle metric fills, per kind and on first use of each image, its
-    orthonormal basis and numerical rank (:meth:`_basis_cache`); those are a
-    function of the loadings alone, so no answer depends on what was cached.
+    loadings; ``images`` is a read-only image id -> :class:`IndexedImage`
+    view that rebuilds each record on access. The angle metric fills, per
+    kind and on first use of each image, its orthonormal basis and numerical
+    rank (:meth:`_basis_cache`); those are a function of the loadings alone,
+    so no answer depends on what was cached.
     """
 
-    def __init__(self, images: Mapping[str, IndexedImage]):
-        if not images:
-            raise ValueError("index must contain at least one image")
-        T = next(iter(images.values())).pca.T
-        for image_id, rec in images.items():
-            if rec.image_id != image_id:
-                raise ValueError(f"key {image_id!r} != record id {rec.image_id!r}")
-            if rec.pca.kind != KIND_PCA or rec.nmf.kind != KIND_NMF:
-                raise ValueError(f"image {image_id!r} has mistagged loadings")
-            if rec.pca.k != rec.nmf.k:
+    def __init__(self, images: Iterable[tuple[str, FactorLoadings, FactorLoadings]]):
+        row: dict[str, int] = {}  # image id -> row, in insertion order
+        object_ids: list[str] = []
+        pca_columns: list[np.ndarray] = []
+        nmf_columns: list[np.ndarray] = []
+        rows_of: dict[str, list[int]] = {}
+        T: int | None = None
+        for object_id, pca, nmf in images:
+            image_id = pca.image_id
+            if image_id in row:
+                raise ValueError(f"duplicate image id {image_id!r}")
+            if nmf.image_id != image_id:
                 raise ValueError(
-                    f"image {image_id!r}: loadings ranks ({rec.pca.k}, {rec.nmf.k}) differ"
+                    f"image {image_id!r}: NMF loadings are of image {nmf.image_id!r}")
+            if pca.kind != KIND_PCA or nmf.kind != KIND_NMF:
+                raise ValueError(f"image {image_id!r} has mistagged loadings")
+            if pca.k != nmf.k:
+                raise ValueError(
+                    f"image {image_id!r}: loadings ranks ({pca.k}, {nmf.k}) differ"
                 )
-            for what, text in (("image", image_id), ("object", rec.object_id)):
+            for what, text in (("image", image_id), ("object", object_id)):
                 size = len(text.encode("utf-8"))
                 if size > _MAX_ID_BYTES:
                     raise ValueError(
                         f"{what} id of {size} bytes exceeds the {_MAX_ID_BYTES}-byte limit")
-            if rec.pca.T != T or rec.nmf.T != T:
+            if T is None:
+                T = pca.T
+            if pca.T != T or nmf.T != T:
                 raise DimensionMismatchError(
-                    f"image {image_id!r}: descriptor dims ({rec.pca.T}, {rec.nmf.T}) "
+                    f"image {image_id!r}: descriptor dims ({pca.T}, {nmf.T}) "
                     f"differ from the index's {T}"
                 )
-        records = images.values()
-        n = len(images)
-        self._image_ids = tuple(images)
-        self._object_ids = tuple(rec.object_id for rec in records)
-        self._offsets = np.cumsum([0, *(rec.pca.k for rec in records)])
-        self._pca = np.concatenate([rec.pca.columns for rec in records], axis=1)
-        self._nmf = np.concatenate([rec.nmf.columns for rec in records], axis=1)
+            rows_of.setdefault(object_id, []).append(len(row))
+            row[image_id] = len(row)
+            object_ids.append(object_id)
+            pca_columns.append(pca.columns)
+            nmf_columns.append(nmf.columns)
+        if not row:
+            raise ValueError("index must contain at least one image")
+        n = len(row)
+        self._image_ids = tuple(row)
+        self._object_ids = tuple(object_ids)
+        self._offsets = np.cumsum([0, *(columns.shape[1] for columns in pca_columns)])
+        self._pca = np.concatenate(pca_columns, axis=1)
+        self._nmf = np.concatenate(nmf_columns, axis=1)
         for array in (self._offsets, self._pca, self._nmf):
             array.setflags(write=False)
-        self._row = {image_id: r for r, image_id in enumerate(self._image_ids)}
-        rows_of: dict[str, list[int]] = {}
-        for r, object_id in enumerate(self._object_ids):
-            rows_of.setdefault(object_id, []).append(r)
+        self._row = row
         self._rows_of_object = rows_of
         # per row: its object's code (for the dedup) and its image id's
         # lexicographic rank (for the tie-break)

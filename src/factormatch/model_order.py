@@ -48,24 +48,6 @@ class ModelOrderProfile:
     k_star: int
 
 
-def residual_variance(m: DescriptorMatrix, svd: SvdResult, k: int) -> float:
-    """Mean squared residual of the rank-k PCA model: tail energy over T*N."""
-    limit = min(m.T, m.N)
-    if not 1 <= k <= limit:
-        raise ValueError(f"k={k} out of range [1, {limit}]")
-    s = svd.singular_values
-    tail = float(np.sum(s[k:] ** 2))
-    return max(tail / (m.T * m.N), RESIDUAL_FLOOR)
-
-
-def information_content(V_k: float, k: int, T: int, N: int) -> float:
-    """Evaluate the information-content criterion at one candidate rank."""
-    if V_k <= 0:
-        raise ValueError("V_k must be positive (apply the residual floor first)")
-    penalty = k * ((T + N) / (T * N)) * math.log((T * N) / (T + N))
-    return math.log(V_k) + penalty
-
-
 def estimate_order(
     m: DescriptorMatrix,
     k_max: int | None = None,

@@ -13,8 +13,8 @@ and ships the blobs. Transport is a plain TCP stream of frames:
                 | u16 err_len | error_text
 
 Status 0 = ok, 1 = malformed frame, 2 = invalid parameters (including blobs
-that are not PCA then NMF of one rank, or of another descriptor dimension T
-than the index's), 3 = query failed.
+that are not PCA then NMF of one rank, of another descriptor dimension T
+than the index's, or of a rank above T), 3 = query failed.
 A bad query never kills the connection; only an oversized declared frame
 closes it (the stream can no longer be trusted).
 """
@@ -35,7 +35,7 @@ from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
 from .fusion import RankedEntry, RankedList
-from .matcher import IndexedImage, ObjectIndex, retrieve_combined
+from .matcher import ObjectIndex, retrieve_combined
 from .model_order import estimate_order
 
 QUERY_MAGIC = b"QRY1"
@@ -147,17 +147,10 @@ def index_from_loadings(
     images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
 ) -> ObjectIndex:
     """Index of ``(object_id, pca, nmf)`` triples as the server holds them
-    after ``bits``-bit uploads (``bits=None``: full precision); an image id
-    seen twice is a ``ValueError``."""
-    by_id: dict[str, IndexedImage] = {}
-    for object_id, pca, nmf in images:
-        if pca.image_id in by_id:
-            raise ValueError(f"duplicate image id {pca.image_id!r}")
-        by_id[pca.image_id] = IndexedImage(
-            image_id=pca.image_id, object_id=object_id,
-            pca=stored_loadings(pca, bits), nmf=stored_loadings(nmf, bits),
-        )
-    return ObjectIndex(images=by_id)
+    after ``bits``-bit uploads (``bits=None``: full precision); the
+    :class:`ObjectIndex` constructor checks each image."""
+    return ObjectIndex((object_id, stored_loadings(pca, bits), stored_loadings(nmf, bits))
+                       for object_id, pca, nmf in images)
 
 
 def build_index(
@@ -165,7 +158,6 @@ def build_index(
     k_max: int | None = None,
     bits: int | None = 5,
     base_seed: int = 0,
-    fixed_k: int | None = None,
 ) -> ObjectIndex:
     """Build the in-memory database from a descriptor corpus.
 
@@ -175,7 +167,7 @@ def build_index(
     """
     if not corpus:
         raise ValueError("corpus is empty")
-    return index_from_loadings(factorized(corpus, k_max, base_seed, fixed_k), bits)
+    return index_from_loadings(factorized(corpus, k_max, base_seed), bits)
 
 
 # --- wire encoding --------------------------------------------------------
@@ -308,7 +300,8 @@ def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
 def read_index(path: str | Path) -> ObjectIndex:
     """Load a :func:`write_index` file; a short, overlong or otherwise
     malformed file, or records that do not form one index (a duplicated
-    image id, mixed descriptor dimensions), raise :class:`ProtocolError` or
+    image id, blobs of two images in one record, mixed descriptor
+    dimensions), raise :class:`ProtocolError` or
     ``codec.CodecError``."""
     r = _Reader(Path(path).read_bytes(), INDEX_MAGIC, "index file")
     (count,) = r.unpack("I", "image count")
@@ -317,10 +310,8 @@ def read_index(path: str | Path) -> ObjectIndex:
                for _ in range(count)]
     r.end(f"{count} index records")
     try:
-        return index_from_loadings(
-            (rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
-            for rec in records
-        )
+        return ObjectIndex((rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
+                           for rec in records)
     except ValueError as exc:  # records that do not form one index
         raise ProtocolError(f"invalid index file: {exc}") from None
 
@@ -348,6 +339,8 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
     elif (query_pca.kind, query_nmf.kind) != (KIND_PCA, KIND_NMF) or query_pca.k != query_nmf.k:
         invalid = (f"blobs must be pca then nmf of one rank, got {query_pca.kind} "
                    f"k={query_pca.k} and {query_nmf.kind} k={query_nmf.k}")
+    elif query_pca.k > index.T:  # bounds the k x Σk correlation matrix
+        invalid = f"query rank {query_pca.k} exceeds the descriptor dim {index.T}"
     else:
         invalid = ""
     if invalid:

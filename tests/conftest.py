@@ -1,9 +1,13 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from factormatch import SynthCorpusSpec, generate_corpus
+from factormatch.descriptors import DescriptorMatrix
+from factormatch.factorization import FactorAssignment, FactorLoadings, SvdResult
+from factormatch.model_order import RESIDUAL_FLOOR
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +40,44 @@ def blob_header_bytes(image_id: str) -> int:
     """Size of everything before the packed levels in a QFL1 blob: magic,
     the ``<BBHHffH`` kind/bits/T/k/lo/hi/id-length header and the image id."""
     return 4 + struct.calcsize("<BBHHffH") + len(image_id.encode("utf-8"))
+
+
+# --- oracles: one-value forms of what the package computes in bulk -----------
+
+
+def residual_variance(m: DescriptorMatrix, svd: SvdResult, k: int) -> float:
+    """Mean squared residual of the rank-k PCA model: tail energy over T*N."""
+    limit = min(m.T, m.N)
+    if not 1 <= k <= limit:
+        raise ValueError(f"k={k} out of range [1, {limit}]")
+    s = svd.singular_values
+    tail = float(np.sum(s[k:] ** 2))
+    return max(tail / (m.T * m.N), RESIDUAL_FLOOR)
+
+
+def information_content(V_k: float, k: int, T: int, N: int) -> float:
+    """Evaluate the information-content criterion at one candidate rank."""
+    if V_k <= 0:
+        raise ValueError("V_k must be positive (apply the residual floor first)")
+    penalty = k * ((T + N) / (T * N)) * math.log((T * N) / (T + N))
+    return math.log(V_k) + penalty
+
+
+def to_matrix(assign: FactorAssignment) -> np.ndarray:
+    """Densify an assignment to the ``k x N`` factor matrix (one nonzero per column)."""
+    R = np.zeros((assign.k, assign.N))
+    R[assign.cluster_of, np.arange(assign.N)] = assign.scale_of
+    return R
+
+
+def nmf_objective(
+    m: DescriptorMatrix, loadings: FactorLoadings, assign: FactorAssignment
+) -> float:
+    """``0.5 * ||M - L R||_F^2`` with R densified from the assignment."""
+    if loadings.T != m.T or assign.N != m.N or assign.k != loadings.k:
+        raise ValueError(
+            f"shape mismatch: M is {m.T}x{m.N}, L is {loadings.T}x{loadings.k}, "
+            f"R is {assign.k}x{assign.N}"
+        )
+    residual = m.values.astype(np.float64) - loadings.columns @ to_matrix(assign)
+    return 0.5 * float(np.sum(residual * residual))

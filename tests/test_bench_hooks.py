@@ -1,7 +1,9 @@
 """The benchmark's tracer finds the layer functions by name on the package's
-modules; these tests fail when a refactor moves a name it wraps."""
+modules, and its workloads check outputs through the package's public API;
+these tests fail when a refactor moves a name either of them uses."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,25 +11,30 @@ import pytest
 import factormatch
 from factormatch import SynthCorpusSpec, generate_corpus
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench(name, monkeypatch):
+    """bench/<name>.py as a module until the test ends, with bench/ on the
+    path (workloads imports reference) and the module registered (a
+    dataclass looks its module up)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
 @pytest.fixture
-def tracer():
+def tracer(monkeypatch):
     """A tracer installed on the package; every wrapped attribute is put
     back afterwards so later tests run unwrapped code."""
     owners = [module for module in vars(factormatch).values()
               if type(module) is type(factormatch)]
     owners.append(factormatch.matcher.ObjectIndex)
     saved = [(owner, dict(vars(owner))) for owner in owners]
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing", monkeypatch)
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer, factormatch)
@@ -85,3 +92,25 @@ def test_answer_query_spans(tracer):
         kept = factormatch.matcher.rank_database(codec.dequantize(q_pca), index, eta=3)
         rerank = index.images_of_objects(kept.object_ids())
     assert tracer.counts["matcher.rerank_candidates"] == [len(rerank)]
+
+
+def test_workload_checks_pass_on_the_package(tmp_path, monkeypatch):
+    """The workloads' own checks of uploads, a read-back index and fresh
+    loadings accept the package's outputs on a small corpus."""
+    workloads = _load_bench("workloads", monkeypatch)
+    spec = SynthCorpusSpec(3, 2, T=16, descriptors_per_view=60,
+                           planted_rank=3, view_noise_sigma=0.02, seed=3)
+    corpus = generate_corpus(spec)
+    out = workloads.Outcome()
+    uploads = [workloads._client_upload(m) for m in corpus]
+    for upload in uploads:
+        workloads._check_upload(upload, out, k_star=None)
+    records = workloads._records(uploads)
+    path = tmp_path / "bench.idx"
+    factormatch.service.write_index(path, records)
+    index, _, _ = workloads._load_index(path, records, out, measure=False)
+    assert index.num_images == len(corpus) == 6
+    for m, (_, _, q_pca, q_nmf, _, _) in zip(corpus, uploads):
+        workloads._check_fresh(m, q_pca, q_nmf, out)
+    assert out.problems == []
+    assert out.correct

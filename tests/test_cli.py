@@ -79,18 +79,18 @@ def test_bad_corpus_argument(tmp_path):
         main(["evaluate", "--corpus", str(tmp_path / "missing"), "--eta", "3"])
 
 
-def test_build_index_rejects_an_object_id_too_long_to_store(tmp_path):
+def test_build_index_rejects_an_object_id_too_long_to_store(tmp_path, capsys):
     corpus = generate_corpus(SynthCorpusSpec.from_string(SPEC))
     corpus[0] = dataclasses.replace(corpus[0], object_id="o" * 70_000)
     save_corpus(corpus, tmp_path / "corpus")
     out = tmp_path / "db.idx"
-    with pytest.raises(ValueError, match="70000 bytes"):
-        main(["build-index", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
-              "--k-max", "8"])
+    assert main(["build-index", "--corpus", str(tmp_path / "corpus"), "--out", str(out),
+                 "--k-max", "8"]) == 2
+    assert "70000 bytes" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch):
+def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch, capsys):
     # a corpus directory is indexed in memory, never through write_index
     corpus = generate_corpus(SynthCorpusSpec.from_string(SPEC))
     corpus[0] = dataclasses.replace(corpus[0], object_id="o" * 70_000)
@@ -100,9 +100,33 @@ def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch):
         raise AssertionError("served an index it cannot answer from")
 
     monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
-    with pytest.raises(ValueError, match="object id of 70000 bytes exceeds"):
-        main(["serve", "--index", str(tmp_path / "corpus"), "--k-max", "8",
-              "--listen", "127.0.0.1:0"])
+    assert main(["serve", "--index", str(tmp_path / "corpus"), "--k-max", "8",
+                 "--listen", "127.0.0.1:0"]) == 2
+    assert "object id of 70000 bytes exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-bits", "--grid", "1,x"], "invalid literal for int()"),
+    (["sweep-rank", "--ranks", "0"], "fixed ranks must be positive"),
+    (["evaluate", "--eta", "0"], "eta must be >= 1"),
+    (["evaluate", "--bits", "0"], "bits must lie in 1..16"),
+    (["evaluate", "--alpha", "30"], "alphas must lie in [0, 20]"),
+    (["evaluate", "--query-view", "9"], "no image has view index 9"),
+    (["evaluate", "--corpus", "synthetic:objects=4,views=3"], "corpus spec missing"),
+    (["evaluate", "--corpus", "synthetic:objects=2,views=2,T=8,N=20,r=2,sigma=0.01,seed=1",
+      "--k-max", "99"], "k_max=99 out of range [1, 8]"),
+    (["serve", "--index", "{not_an_index}"], "bad index file magic"),
+], ids=["grid", "ranks", "eta", "bits", "alpha", "query_view", "spec", "k_max", "index"])
+def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path, capsys):
+    not_an_index = tmp_path / "db.txt"
+    not_an_index.write_text("not an index\n")
+    if argv[0] != "serve" and "--corpus" not in argv:
+        argv = [*argv, "--corpus", f"synthetic:{SPEC}", "--k-max", "8"]
+    argv = [arg.format(not_an_index=not_an_index) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("factormatch: error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -80,7 +80,9 @@ class TestDequantize:
         rng = np.random.default_rng(13)
         for bits in (1, 2, 5, 8):
             q = quantize(random_pca(rng, 24, 5), bits)
-            again = quantize(dequantize(q, renormalize=False), bits)
+            lattice = FactorLoadings(image_id=q.image_id, kind=q.kind,
+                                     columns=lattice_values(q))
+            again = quantize(lattice, bits)
             assert again == q
 
     def test_renormalized_columns_are_unit(self):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from factormatch import evaluation
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.evaluation import (
     EvalRecord,
@@ -29,6 +30,25 @@ def noiseless_corpus():
     spec = SynthCorpusSpec(8, 3, T=16, descriptors_per_view=120,
                            planted_rank=3, view_noise_sigma=0.0, seed=17)
     return generate_corpus(spec)
+
+
+@pytest.mark.parametrize("sweep, alpha", [
+    (evaluate, {"alpha": 5}),
+    (sweep_alpha, {"alphas": (0, 5)}),
+    (sweep_bits, {"alpha": 5}),
+    (sweep_rank, {"alpha": 5}),
+], ids=["evaluate", "sweep_alpha", "sweep_bits", "sweep_rank"])
+@pytest.mark.parametrize("eta, message", [(4, r"alphas must lie in \[0, 4\]"),
+                                          (0, "eta must be >= 1")],
+                         ids=["alpha_above_eta", "eta_zero"])
+def test_eta_and_alpha_checked_before_factorizing(noisy_corpus, monkeypatch, sweep, alpha,
+                                                  eta, message):
+    def factorized(*_args):
+        pytest.fail("factorized the corpus before checking eta and alpha")
+
+    monkeypatch.setattr(evaluation, "factorized", factorized)
+    with pytest.raises(ValueError, match=message):
+        sweep(noisy_corpus, eta=eta, k_max=K_MAX, **alpha)
 
 
 class TestEvaluate:

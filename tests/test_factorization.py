@@ -7,9 +7,10 @@ from factormatch.factorization import (
     FactorLoadings,
     compute_svd,
     nmf_loadings,
-    nmf_objective,
     pca_loadings,
 )
+
+from conftest import nmf_objective, to_matrix
 
 
 def matrix_of(values, image_id="m"):
@@ -99,7 +100,7 @@ class TestNmfLoadings:
         rng = np.random.default_rng(4)
         m = random_matrix(rng, 6, 30)
         _, assign, _ = nmf_loadings(m, 4, seed=0)
-        R = assign.to_matrix()
+        R = to_matrix(assign)
         assert R.shape == (4, 30)
         assert np.all(np.count_nonzero(R, axis=0) <= 1)
         assert assign.cluster_of.shape == (30,)

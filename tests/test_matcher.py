@@ -10,7 +10,6 @@ from factormatch.matcher import (
     WORST_ANGLE,
     DegenerateLoadingsError,
     DimensionMismatchError,
-    IndexedImage,
     ObjectIndex,
     RankedEntry,
     RankedList,
@@ -43,14 +42,8 @@ def projection_angle(A: np.ndarray, B: np.ndarray) -> float:
 
 def toy_index(entries):
     """entries: list of (image_id, object_id, pca_cols, nmf_cols)."""
-    images = {}
-    for image_id, object_id, pca_cols, nmf_cols in entries:
-        pca = pca_of(pca_cols, image_id)
-        nmf = nmf_of(nmf_cols, image_id)
-        images[image_id] = IndexedImage(
-            image_id=image_id, object_id=object_id, pca=pca, nmf=nmf
-        )
-    return ObjectIndex(images=images)
+    return ObjectIndex((object_id, pca_of(pca_cols, image_id), nmf_of(nmf_cols, image_id))
+                       for image_id, object_id, pca_cols, nmf_cols in entries)
 
 
 def unit(vec):
@@ -270,7 +263,7 @@ class TestRankDatabase:
 
     def test_empty_index_rejected(self):
         with pytest.raises(ValueError, match="at least one image"):
-            ObjectIndex(images={})
+            ObjectIndex([])
 
 
 def per_pair_ranking(query, entries, metric, eta, candidates=None):
@@ -401,10 +394,9 @@ class TestColumnarRanking:
 
     def test_index_keeps_no_record(self):
         _, entries = mixed_case(4)
-        images = {e[0]: IndexedImage(e[0], e[1], pca_of(e[2], e[0]), nmf_of(e[3], e[0]))
-                  for e in entries}
-        refs = [weakref.ref(rec.pca) for rec in images.values()]
-        index = ObjectIndex(images=images)
+        images = [(e[1], pca_of(e[2], e[0]), nmf_of(e[3], e[0])) for e in entries]
+        refs = [weakref.ref(pca) for _, pca, _ in images]
+        index = ObjectIndex(images)
         del images
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -528,6 +520,27 @@ class TestOneDimensionPerIndex:
         for metric in ("correlation", "angle"):
             with pytest.raises(DimensionMismatchError, match="dims differ: 5 vs 6"):
                 rank_database(pca_of(random_unit_columns(rng, 5, 2)), index, metric)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("duplicate", "duplicate image id 'a_v1'"),
+    ("nmf_of_another_image", "image 'b_v1': NMF loadings are of image 'a_v1'"),
+    ("mistagged", "image 'b_v1' has mistagged loadings"),
+    ("ranks_differ", r"image 'b_v1': loadings ranks \(2, 3\) differ"),
+], ids=["duplicate", "nmf_of_another_image", "mistagged", "ranks_differ"])
+def test_index_rejects_a_bad_image(case, message):
+    rng = np.random.default_rng(13)
+    cols, nmf_cols = random_unit_columns(rng, 6, 2), random_nmf_columns(rng, 6, 2)
+    first = ("a", pca_of(cols, "a_v1"), nmf_of(nmf_cols, "a_v1"))
+    second = {
+        "duplicate": ("b", pca_of(cols, "a_v1"), nmf_of(nmf_cols, "a_v1")),
+        "nmf_of_another_image": ("b", pca_of(cols, "b_v1"), nmf_of(nmf_cols, "a_v1")),
+        "mistagged": ("b", nmf_of(nmf_cols, "b_v1"), pca_of(cols, "b_v1")),
+        "ranks_differ": ("b", pca_of(cols, "b_v1"),
+                         nmf_of(random_nmf_columns(rng, 6, 3), "b_v1")),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        ObjectIndex([first, second])
 
 
 class TestRetrieveCombined:

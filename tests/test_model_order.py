@@ -7,9 +7,9 @@ from factormatch.model_order import (
     RESIDUAL_FLOOR,
     default_k_max,
     estimate_order,
-    information_content,
-    residual_variance,
 )
+
+from conftest import information_content, residual_variance
 
 
 def planted_view(T, N, r, sigma, seed):

@@ -49,6 +49,15 @@ def corpus():
     return generate_corpus(spec)
 
 
+def blobs_of_rank(T, k, seed=0):
+    """PCA and NMF blobs of a random T x k query at 5 bits; no client sends
+    k > T, since pca_loadings requires k <= min(T, N)."""
+    rng = np.random.default_rng(seed)
+    return tuple(codec.encode(codec.QuantizedLoadings(
+        "q", kind, T, k, 5, *codec.kind_range(kind), rng.integers(0, 32, size=(T, k))))
+        for kind in ("pca", "nmf"))
+
+
 def other_T_corpus():
     """Two images of descriptor dimension T=8, against the T=16 corpus."""
     return generate_corpus(SynthCorpusSpec(
@@ -205,6 +214,15 @@ class TestIndexFile:
         write_index(path, [*four_records[:2], four_records[0]])
         duplicate = four_records[0].pca.image_id
         with pytest.raises(ProtocolError, match=f"duplicate image id '{duplicate}'"):
+            read_index(path)
+
+    def test_blobs_of_two_images_rejected(self, four_records, tmp_path):
+        path = tmp_path / "two.idx"
+        first, second = four_records[:2]
+        write_index(path, [first, dataclasses.replace(second, nmf=first.nmf)])
+        with pytest.raises(ProtocolError, match=(
+                f"image '{second.pca.image_id}': NMF loadings are of image "
+                f"'{first.pca.image_id}'")):
             read_index(path)
 
     def test_object_id_too_long_to_store_rejected(self, four_records, tmp_path):
@@ -468,6 +486,18 @@ class TestAnswerQuery:
         assert entries == []
         assert "descriptor dim 8 differs from the index's 16" in err
 
+    @pytest.mark.parametrize("extra, status", [(0, STATUS_OK), (1, STATUS_INVALID_PARAMS)])
+    def test_query_rank_at_most_T(self, index, extra, status):
+        k = index.T + extra
+        got, entries, err = decode_response(
+            answer_query(index, encode_query(4, 1, *blobs_of_rank(index.T, k))))
+        assert got == status
+        if status == STATUS_OK:
+            assert entries
+        else:
+            assert entries == []
+            assert f"query rank {k} exceeds the descriptor dim {index.T}" in err
+
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(st.data())
     def test_mutated_query_gets_a_status(self, corpus, index, data):
@@ -586,6 +616,20 @@ class TestLiveServer:
             assert status == STATUS_OK
             assert entries[0][0] == corpus[0].object_id
             stream.close()
+
+    def test_connection_survives_query_rank_above_T(self, corpus, index, server):
+        pca_blob, nmf_blob = (codec.encode(b) for b in
+                              client_blobs(corpus[0], bits=5, k_max=K_MAX))
+        with (socket.create_connection(server.address, timeout=10) as sock,
+              sock.makefile("rwb") as stream):
+            write_frame(stream, encode_query(3, 1, *blobs_of_rank(index.T, index.T + 1)))
+            status, entries, err = decode_response(read_frame(stream))
+            assert (status, entries) == (STATUS_INVALID_PARAMS, [])
+            assert "exceeds the descriptor dim" in err
+            write_frame(stream, encode_query(3, 1, pca_blob, nmf_blob))
+            status, entries, _ = decode_response(read_frame(stream))
+            assert status == STATUS_OK
+            assert entries[0][0] == corpus[0].object_id
 
     def test_two_connections_on_a_fresh_server(self, corpus):
         payloads = _payloads(corpus)
