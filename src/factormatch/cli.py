@@ -27,7 +27,7 @@ def load_corpus_arg(text: str):
         return generate_corpus(SynthCorpusSpec.from_string(text[len(SYNTH_PREFIX):]))
     path = Path(text)
     if not path.is_dir():
-        raise SystemExit(f"corpus {text!r} is not a directory or synthetic spec")
+        raise ValueError(f"corpus {text!r} is not a directory or synthetic spec")
     return load_corpus(path)
 
 
@@ -43,7 +43,7 @@ def load_index_arg(text: str, k_max: int | None, bits: int, base_seed: int) -> O
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
-        raise SystemExit(f"endpoint must be host:port, got {text!r}")
+        raise ValueError(f"endpoint must be host:port, got {text!r}")
     return host, int(port)
 
 
@@ -167,8 +167,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "serve":
+        endpoint = parse_endpoint(args.listen)
         index = load_index_arg(args.index, args.k_max, args.bits, args.seed)
-        with service.RetrievalServer(index, parse_endpoint(args.listen)) as server:
+        with service.RetrievalServer(index, endpoint) as server:
             host, port = server.address
             print(f"serving {index.num_images} images / {index.num_objects} objects "
                   f"on {host}:{port}")
@@ -179,12 +180,13 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "query":
+        endpoint = parse_endpoint(args.server)
         data = Path(args.descriptors).read_bytes()
         fmt = "csv" if args.descriptors.endswith(".csv") else "binary"
         stem = Path(args.descriptors).stem
         m = load_descriptors(data, fmt, image_id=stem, object_id=stem)
         ranked = service.query_remote(
-            parse_endpoint(args.server), m, eta=args.eta, alpha=args.alpha,
+            endpoint, m, eta=args.eta, alpha=args.alpha,
             bits=args.bits, k_max=args.k_max, base_seed=args.seed,
             timeout=args.timeout,
         )

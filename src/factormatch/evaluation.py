@@ -185,6 +185,11 @@ def _sweep(
         raise ValueError("eta must be >= 1")
     if any(not 0 <= a <= eta for a in alphas):
         raise ValueError(f"alphas must lie in [0, {eta}]")
+    for bits in rates:
+        if bits is not None and not (isinstance(bits, int) and 1 <= bits <= 16):
+            raise ValueError(f"bits must lie in 1..16, got {bits!r}")
+    if top < 1:
+        raise ValueError("top must be >= 1")
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]

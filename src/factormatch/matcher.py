@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
+from .codec import QuantizedLoadings
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
 from .fusion import FusionParams, RankedEntry, RankedList, fuse
 
@@ -96,24 +98,33 @@ class ObjectIndex:
     the constructor is the one place that checks an image: its image id
     (the PCA loadings' own, equal to the NMF one's, and not seen before),
     the kinds of its two loadings, one rank ``k`` for both, the index's one
-    ``T``, and ids that fit the u16 lengths they travel with.
+    ``T``, ids that fit the u16 lengths they travel with, and NMF loadings
+    that are all quantized or all float.
 
     Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
-    ``T x Σk`` PCA and NMF loading matrices, which hold the only copy of the
-    loadings; ``images`` is a read-only image id -> :class:`IndexedImage`
-    view that rebuilds each record on access. The angle metric fills, per
-    kind and on first use of each image, its orthonormal basis and numerical
-    rank (:meth:`_basis_cache`); those are a function of the loadings alone,
-    so no answer depends on what was cached.
+    ``T x Σk`` PCA loading matrix (float64, which every correlation query
+    reads whole) and of the NMF one. Quantized NMF loadings are stacked as
+    their levels (uint8 up to 8 bits, uint16 above) with each image's
+    ``bits``; an image's float64 NMF columns are rebuilt from them by
+    ``codec.dequantize`` where they are needed: for its angle basis, for
+    the whole float64 stack the NMF correlation builds once, and in
+    ``images``, a read-only image id -> :class:`IndexedImage` view that
+    rebuilds each record on access. The angle metric fills, per kind and on
+    first use of each image, its orthonormal basis and numerical rank
+    (:meth:`_basis_cache`); those are a function of the loadings alone, so
+    no answer depends on what was cached.
     """
 
-    def __init__(self, images: Iterable[tuple[str, FactorLoadings, FactorLoadings]]):
+    def __init__(self, images: Iterable[
+            tuple[str, FactorLoadings, FactorLoadings | QuantizedLoadings]]):
         row: dict[str, int] = {}  # image id -> row, in insertion order
         object_ids: list[str] = []
         pca_columns: list[np.ndarray] = []
-        nmf_columns: list[np.ndarray] = []
+        nmf_columns: list[np.ndarray] = []  # float columns, or levels
+        nmf_bits: list[int] = []
         rows_of: dict[str, list[int]] = {}
         T: int | None = None
+        quantized: bool | None = None
         for object_id, pca, nmf in images:
             image_id = pca.image_id
             if image_id in row:
@@ -134,16 +145,24 @@ class ObjectIndex:
                         f"{what} id of {size} bytes exceeds the {_MAX_ID_BYTES}-byte limit")
             if T is None:
                 T = pca.T
+                quantized = isinstance(nmf, QuantizedLoadings)
             if pca.T != T or nmf.T != T:
                 raise DimensionMismatchError(
                     f"image {image_id!r}: descriptor dims ({pca.T}, {nmf.T}) "
                     f"differ from the index's {T}"
                 )
+            if isinstance(nmf, QuantizedLoadings) != quantized:
+                raise ValueError(
+                    f"image {image_id!r}: an index holds quantized or float NMF loadings, not both")
             rows_of.setdefault(object_id, []).append(len(row))
             row[image_id] = len(row)
             object_ids.append(object_id)
             pca_columns.append(pca.columns)
-            nmf_columns.append(nmf.columns)
+            if quantized:
+                nmf_columns.append(nmf.levels)
+                nmf_bits.append(nmf.bits)
+            else:
+                nmf_columns.append(nmf.columns)
         if not row:
             raise ValueError("index must contain at least one image")
         n = len(row)
@@ -151,9 +170,18 @@ class ObjectIndex:
         self._object_ids = tuple(object_ids)
         self._offsets = np.cumsum([0, *(columns.shape[1] for columns in pca_columns)])
         self._pca = np.concatenate(pca_columns, axis=1)
-        self._nmf = np.concatenate(nmf_columns, axis=1)
-        for array in (self._offsets, self._pca, self._nmf):
-            array.setflags(write=False)
+        # the float64 NMF stack; with levels, built on first use by _stack
+        self._nmf: np.ndarray | None = None
+        self._nmf_levels: np.ndarray | None = None
+        if quantized:
+            self._nmf_levels = np.concatenate(
+                nmf_columns, axis=1, dtype=np.uint8 if max(nmf_bits) <= 8 else np.uint16)
+            self._nmf_bits = np.array(nmf_bits, dtype=np.uint8)
+        else:
+            self._nmf = np.concatenate(nmf_columns, axis=1)
+        for array in (self._offsets, self._pca, self._nmf, self._nmf_levels):
+            if array is not None:
+                array.setflags(write=False)
         self._row = row
         self._rows_of_object = rows_of
         # per row: its object's code (for the dedup) and its image id's
@@ -184,13 +212,22 @@ class ObjectIndex:
                 for r in rows_of[obj]}
 
     def _record(self, row: int) -> IndexedImage:
-        cols = slice(self._offsets[row], self._offsets[row + 1])
+        rows = np.array([row])
         image_id = self._image_ids[row]
         return IndexedImage(
             image_id=image_id, object_id=self._object_ids[row],
-            pca=FactorLoadings(image_id=image_id, kind=KIND_PCA, columns=self._pca[:, cols]),
-            nmf=FactorLoadings(image_id=image_id, kind=KIND_NMF, columns=self._nmf[:, cols]),
+            pca=FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows)),
+            nmf=FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows)),
         )
+
+    def _dequantized(self, row: int) -> FactorLoadings:
+        """Image ``row``'s NMF loadings rebuilt from its levels, by the
+        ``codec.dequantize`` of one image that reading its blob would run."""
+        lo, hi = codec.kind_range(KIND_NMF)
+        levels = self._nmf_levels[:, self._offsets[row]:self._offsets[row + 1]]
+        return codec.dequantize(QuantizedLoadings(
+            image_id=self._image_ids[row], kind=KIND_NMF, T=self.T, k=levels.shape[1],
+            bits=int(self._nmf_bits[row]), lo=lo, hi=hi, levels=levels))
 
     def _rows(self, candidates: set[str] | None) -> np.ndarray:
         """Row numbers of the candidate images (all rows for ``None``) in
@@ -202,7 +239,25 @@ class ObjectIndex:
         return np.array(sorted(row[i] for i in candidates if i in row), dtype=np.intp)
 
     def _stack(self, kind: str) -> np.ndarray:
-        return self._pca if kind == KIND_PCA else self._nmf
+        """This kind's float64 ``T x Σk`` loadings. NMF levels are rebuilt
+        into it on first use, one image at a time: a batched dequantize sums
+        a ``k = 1`` column's norm in another order. Threads that race here
+        publish identical stacks, each by one assignment."""
+        if kind == KIND_PCA:
+            return self._pca
+        if self._nmf is None:
+            stack = self._gather(KIND_NMF, np.arange(self.num_images))
+            stack.setflags(write=False)
+            self._nmf = stack
+        return self._nmf
+
+    def _gather(self, kind: str, rows: np.ndarray) -> np.ndarray:
+        """The float64 loadings of ``rows`` side by side, ``T x Σk``; NMF
+        held only as levels is rebuilt for these rows alone."""
+        if kind == KIND_NMF and self._nmf is None:
+            return np.concatenate([self._dequantized(r).columns for r in rows], axis=1)
+        starts = self._offsets[rows]
+        return self._stack(kind)[:, _columns(starts, self._offsets[rows + 1] - starts)]
 
     def _basis_cache(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """``(bases, ranks)`` of this kind's images, allocated on first use:
@@ -300,7 +355,6 @@ def _angle_keys(query: FactorLoadings, index: ObjectIndex, rows: np.ndarray) -> 
         qa = _basis(query)
     except DegenerateLoadingsError:
         return keys
-    stacked = index._stack(query.kind)
     bases, ranks = index._basis_cache(query.kind)
     T = index.T
     starts = index._offsets[rows]
@@ -309,7 +363,7 @@ def _angle_keys(query: FactorLoadings, index: ObjectIndex, rows: np.ndarray) -> 
             continue
         missing = pos[ranks[rows[pos]] < 0]
         if missing.size:
-            block = stacked[:, _columns(starts[missing], np.full(missing.size, k))]
+            block = index._gather(query.kind, rows[missing])
             qb, rank = _bases(block.reshape(T, missing.size, k).transpose(1, 0, 2))
             bases[_columns(T * starts[missing], np.full(missing.size, T * k))] = qb.ravel()
             ranks[rows[missing]] = rank  # after the bases: publishes them

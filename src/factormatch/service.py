@@ -147,10 +147,12 @@ def index_from_loadings(
     images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
 ) -> ObjectIndex:
     """Index of ``(object_id, pca, nmf)`` triples as the server holds them
-    after ``bits``-bit uploads (``bits=None``: full precision); the
-    :class:`ObjectIndex` constructor checks each image."""
-    return ObjectIndex((object_id, stored_loadings(pca, bits), stored_loadings(nmf, bits))
-                       for object_id, pca, nmf in images)
+    after ``bits``-bit uploads (``bits=None``: full precision), the NMF
+    loadings kept quantized; the :class:`ObjectIndex` constructor checks
+    each image."""
+    return ObjectIndex(
+        (object_id, stored_loadings(pca, bits), nmf if bits is None else codec.quantize(nmf, bits))
+        for object_id, pca, nmf in images)
 
 
 def build_index(
@@ -310,7 +312,7 @@ def read_index(path: str | Path) -> ObjectIndex:
                for _ in range(count)]
     r.end(f"{count} index records")
     try:
-        return ObjectIndex((rec.object_id, codec.dequantize(rec.pca), codec.dequantize(rec.nmf))
+        return ObjectIndex((rec.object_id, codec.dequantize(rec.pca), rec.nmf)
                            for rec in records)
     except ValueError as exc:  # records that do not form one index
         raise ProtocolError(f"invalid index file: {exc}") from None

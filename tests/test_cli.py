@@ -74,9 +74,23 @@ def test_sweep_subcommands(tmp_path):
     assert main(["sweep-rank", *args, "--ranks", "1,3"]) == 0
 
 
-def test_bad_corpus_argument(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["evaluate", "--corpus", str(tmp_path / "missing"), "--eta", "3"])
+def test_bad_corpus_argument(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["evaluate", "--corpus", str(missing), "--eta", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"factormatch: error: corpus {str(missing)!r} is not a directory or synthetic spec\n")
+
+
+@pytest.mark.parametrize("argv, endpoint", [
+    (["serve", "--index", "{missing}", "--listen", "localhost"], "localhost"),
+    (["query", "--server", "nohost", "--descriptors", "{missing}"], "nohost"),
+    (["query", "--server", "host:port", "--descriptors", "{missing}"], "host:port"),
+], ids=["listen", "server", "port"])
+def test_bad_endpoint_argument(argv, endpoint, tmp_path, capsys):
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"factormatch: error: endpoint must be host:port, got {endpoint!r}\n")
 
 
 def test_build_index_rejects_an_object_id_too_long_to_store(tmp_path, capsys):

@@ -51,6 +51,30 @@ def test_eta_and_alpha_checked_before_factorizing(noisy_corpus, monkeypatch, swe
         sweep(noisy_corpus, eta=eta, k_max=K_MAX, **alpha)
 
 
+@pytest.mark.parametrize("sweep, kwargs, message", [
+    (evaluate, {"bits": 0}, "bits must lie in 1..16, got 0"),
+    (evaluate, {"bits": 17}, "bits must lie in 1..16, got 17"),
+    (evaluate, {"bits": 5.0}, "bits must lie in 1..16, got 5.0"),
+    (sweep_alpha, {"bits": 0}, "bits must lie in 1..16"),
+    (sweep_bits, {"bit_grid": (5, 0)}, "bits must lie in 1..16, got 0"),
+    (sweep_rank, {"bits": -1}, "bits must lie in 1..16, got -1"),
+    (evaluate, {"top": 0}, "top must be >= 1"),
+    (sweep_alpha, {"top": -3}, "top must be >= 1"),
+    (sweep_bits, {"top": 0}, "top must be >= 1"),
+    (sweep_rank, {"top": 0}, "top must be >= 1"),
+], ids=["evaluate_bits_0", "evaluate_bits_17", "evaluate_bits_float", "sweep_alpha_bits",
+        "sweep_bits_grid", "sweep_rank_bits", "evaluate_top", "sweep_alpha_top",
+        "sweep_bits_top", "sweep_rank_top"])
+def test_rates_and_top_checked_before_factorizing(noisy_corpus, monkeypatch, sweep, kwargs,
+                                                  message):
+    def factorized(*_args):
+        pytest.fail("factorized the corpus before checking the rates and top")
+
+    monkeypatch.setattr(evaluation, "factorized", factorized)
+    with pytest.raises(ValueError, match=message):
+        sweep(noisy_corpus, eta=ETA, k_max=K_MAX, **kwargs)
+
+
 class TestEvaluate:
     def test_noiseless_corpus_is_perfect_everywhere(self, noiseless_corpus):
         report = evaluate(noiseless_corpus, eta=ETA, alpha=2, bits=5,

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from factormatch import codec
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
     WORST_ANGLE,
@@ -502,6 +503,104 @@ class TestBasisCache:
         assert ranks.shape == (index.num_images,)
         assert list(index._basis_caches) == ["nmf"]
 
+
+LEVEL_BITS = (2, 5, 8, 12)
+
+
+def levels_case(seed, T=12):
+    """mixed_case's images with their NMF loadings quantized at 2, 5, 8 and
+    12 bits in turn, plus a k = 1 image and a 1-bit image with an all-zero
+    NMF column: ``(object_id, pca, quantized nmf)`` triples."""
+    rng, entries = mixed_case(seed, T)
+    entries.append(("k_one", "single", random_unit_columns(rng, T, 1),
+                    random_nmf_columns(rng, T, 1)))
+    images = [(obj, pca_of(pca_cols, image_id),
+               codec.quantize(nmf_of(nmf_cols, image_id), LEVEL_BITS[i % len(LEVEL_BITS)]))
+              for i, (image_id, obj, pca_cols, nmf_cols) in enumerate(entries)]
+    zeroed = random_nmf_columns(rng, T, 3)
+    zeroed[:, 1] = 0.0
+    images.append(("one_bit", pca_of(random_unit_columns(rng, T, 3), "z_one_bit"),
+                   codec.quantize(nmf_of(zeroed, "z_one_bit"), 1)))
+    return rng, images
+
+
+def dequantized(images):
+    """The same images with their NMF loadings dequantized to float64."""
+    return [(obj, pca, codec.dequantize(nmf)) for obj, pca, nmf in images]
+
+
+class TestLevelsBackedNmf:
+    """An index that keeps NMF loadings as levels answers bit for bit like
+    one given the same loadings dequantized to float64."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scores_like_the_float_index(self, seed):
+        rng, images = levels_case(seed)
+        levels, floats = ObjectIndex(images), ObjectIndex(dequantized(images))
+        ids = [pca.image_id for _, pca, _ in images]
+        subset = set(rng.choice(ids, size=len(ids) // 2, replace=False)) | {"z_one_bit"}
+        queries = [nmf_of(random_nmf_columns(rng, 12, k)) for k in (1, 2, 3, 5)]
+        for query in queries:
+            for candidates in (subset, None):
+                rows = levels._rows(candidates)
+                assert np.array_equal(_angle_keys(query, levels, rows),
+                                      _angle_keys(query, floats, rows))
+                assert (rank_database(query, levels, "angle", eta=50, candidates=candidates)
+                        == rank_database(query, floats, "angle", eta=50, candidates=candidates))
+        assert levels._nmf is None  # angle bases are filled without the float stack
+        for got, want in zip(levels._basis_cache("nmf"), floats._basis_cache("nmf")):
+            assert np.array_equal(got, want)
+        _, ranks = levels._basis_cache("nmf")
+        assert not images[-1][2].levels[:, 1].any()
+        assert ranks[levels._row["z_one_bit"]] < 3
+        for query in queries:
+            for candidates in (None, subset):
+                assert (rank_database(query, levels, "correlation", eta=50,
+                                      candidates=candidates)
+                        == rank_database(query, floats, "correlation", eta=50,
+                                         candidates=candidates))
+        assert np.array_equal(levels._stack("nmf"), floats._stack("nmf"))
+        for image_id in ids:
+            assert np.array_equal(levels.images[image_id].nmf.columns,
+                                  floats.images[image_id].nmf.columns)
+            assert np.array_equal(levels.images[image_id].pca.columns,
+                                  floats.images[image_id].pca.columns)
+        q_pca = pca_of(random_unit_columns(rng, 12, 3))
+        assert (retrieve_combined(q_pca, queries[2], levels, eta=4, alpha=1)
+                == retrieve_combined(q_pca, queries[2], floats, eta=4, alpha=1))
+
+    @pytest.mark.parametrize("bits, dtype", [((1, 5, 8), np.uint8), ((8, 9), np.uint16),
+                                             ((2, 12, 16), np.uint16)])
+    def test_levels_in_the_narrowest_dtype(self, bits, dtype):
+        rng = np.random.default_rng(21)
+        images = [(f"o{i}", pca_of(random_unit_columns(rng, 12, 2), f"o{i}_v1"),
+                   codec.quantize(nmf_of(random_nmf_columns(rng, 12, 2), f"o{i}_v1"), b))
+                  for i, b in enumerate(bits)]
+        index = ObjectIndex(images)
+        assert index._nmf_levels.dtype == dtype
+        for _, pca, nmf in images:
+            assert np.array_equal(index.images[pca.image_id].nmf.columns,
+                                  codec.dequantize(nmf).columns)
+
+    @pytest.mark.parametrize("first_quantized", [True, False])
+    def test_quantized_and_float_nmf_rejected(self, first_quantized):
+        _, images = levels_case(0)
+        mixed = [images[0], *dequantized(images[1:3])]
+        if not first_quantized:
+            mixed = [*dequantized(images[:1]), *images[1:3]]
+        with pytest.raises(ValueError, match="quantized or float NMF loadings, not both"):
+            ObjectIndex(mixed)
+
+    def test_index_keeps_no_quantized_record(self):
+        _, images = levels_case(4)
+        refs = [weakref.ref(nmf) for _, _, nmf in images]
+        refs += [weakref.ref(nmf.levels) for _, _, nmf in images]
+        index = ObjectIndex(images)
+        n = len(images)
+        del images
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert index.num_images == n
 
 class TestOneDimensionPerIndex:
     def test_mixed_T_rejected(self):

@@ -5,6 +5,7 @@ import socket
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 from factormatch import codec
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
-from factormatch.matcher import retrieve_combined
+from factormatch.matcher import ObjectIndex, rank_database, retrieve_combined
 from factormatch.service import (
     STATUS_INVALID_PARAMS,
     STATUS_MALFORMED,
     STATUS_OK,
     STATUS_QUERY_FAILED,
+    IndexRecord,
     ProtocolError,
     ServerReportedError,
     answer_query,
@@ -176,6 +178,47 @@ class TestIndexFile:
             assert other.object_id == rec.object_id
             assert np.array_equal(other.pca.columns, rec.pca.columns)
             assert np.array_equal(other.nmf.columns, rec.nmf.columns)
+
+    def test_round_trip_of_mixed_bit_widths(self, corpus, tmp_path):
+        records = [IndexRecord(m.object_id, *client_blobs(m, bits, k_max=K_MAX))
+                   for m, bits in zip(corpus, [2, 5, 8, 12] * len(corpus))]
+        path = tmp_path / "mixed_bits.idx"
+        write_index(path, records)
+        loaded = read_index(path)
+        floats = ObjectIndex((rec.object_id, codec.dequantize(rec.pca),
+                              codec.dequantize(rec.nmf)) for rec in records)
+        assert loaded._nmf_levels.dtype == np.uint16
+        for image_id, rec in floats.images.items():
+            other = loaded.images[image_id]
+            assert other.object_id == rec.object_id
+            assert np.array_equal(other.pca.columns, rec.pca.columns)
+            assert np.array_equal(other.nmf.columns, rec.nmf.columns)
+        payloads = _payloads(corpus)
+        assert ([answer_query(loaded, p) for p in payloads]
+                == [answer_query(floats, p) for p in payloads])
+
+    def test_memory_of_a_loaded_index(self, tmp_path):
+        """An index holds each image's PCA loadings as float64 and its NMF
+        loadings as 5-bit levels in one byte each: about 24.6 + 3.1 kB per
+        image at T=128, k=24, where float64 NMF would add 24.6 kB more."""
+        T, k, n = 128, 24, 40
+        rng = np.random.default_rng(40)
+        records = [IndexRecord(f"o{i}", *(
+            codec.QuantizedLoadings(f"o{i}_v1", kind, T, k, 5, *codec.kind_range(kind),
+                                    rng.integers(1, 32, size=(T, k)))
+            for kind in ("pca", "nmf"))) for i in range(n)]
+        path = tmp_path / "paper_scale.idx"
+        write_index(path, records)
+        del records
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = read_index(path)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.num_images == n
+        assert grown / n < 30_000
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.idx"
@@ -548,6 +591,23 @@ class TestConcurrentFills:
         _run_threads([lambda t=t: client(t) for t in range(6)])
         for t in range(6):
             assert answers[t] == serial[t:] + serial[:t]
+
+    def test_threads_building_the_nmf_stack_agree(self, corpus):
+        """NMF correlation rebuilds the float64 stack from the levels once;
+        threads that race to build it rank as one thread does."""
+        queries = [factorize_image(m, K_MAX)[1] for m in corpus]
+        serial_index = build_index(corpus, k_max=K_MAX, bits=5)
+        serial = [rank_database(q, serial_index, "correlation", eta=6) for q in queries]
+        cold = build_index(corpus, k_max=K_MAX, bits=5)
+        start = threading.Barrier(6)
+        answers: dict[int, list] = {}
+
+        def client(t):
+            start.wait(timeout=30)
+            answers[t] = [rank_database(q, cold, "correlation", eta=6) for q in queries]
+
+        _run_threads([lambda t=t: client(t) for t in range(6)])
+        assert [answers[t] for t in range(6)] == [serial] * 6
 
 
 class TestLiveServer:
