@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binary import Reader, text
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
 
 BLOB_MAGIC = b"QFL1"
@@ -79,9 +80,6 @@ class QuantizedLoadings:
     def step(self) -> float:
         return (self.hi - self.lo) / ((1 << self.bits) - 1)
 
-    def payload_bytes(self) -> int:
-        return (self.T * self.k * self.bits + 7) // 8
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantizedLoadings):
             return NotImplemented
@@ -139,13 +137,8 @@ def dequantize(q: QuantizedLoadings) -> FactorLoadings:
 
 def encode(q: QuantizedLoadings) -> bytes:
     """Serialize to the QFL1 blob format (bit-exact inverse of :func:`decode`)."""
-    image_id = q.image_id.encode("utf-8")
-    if len(image_id) > 0xFFFF:
-        raise ValueError("image id too long to encode")
     header = BLOB_MAGIC + struct.pack(
-        "<BBHHffH",
-        _KIND_CODE[q.kind], q.bits, q.T, q.k, q.lo, q.hi, len(image_id),
-    ) + image_id
+        "<BBHHff", _KIND_CODE[q.kind], q.bits, q.T, q.k, q.lo, q.hi) + text(q.image_id)
     # column-major level stream, each level contributing `bits` bits LSB-first
     flat = q.levels.flatten(order="F").astype(np.uint32)
     bit_matrix = ((flat[:, None] >> np.arange(q.bits)) & 1).astype(np.uint8)
@@ -156,35 +149,18 @@ def encode(q: QuantizedLoadings) -> bytes:
 def decode(data: bytes) -> QuantizedLoadings:
     """Parse a QFL1 blob back into :class:`QuantizedLoadings`; any blob that
     is not exactly one well-formed QFL1 blob raises :class:`CodecError`."""
-    if len(data) < 4 or data[:4] != BLOB_MAGIC:
-        raise CodecError(f"bad magic {data[:4]!r}, expected {BLOB_MAGIC!r}")
-    header_fmt = "<BBHHffH"
-    header_end = 4 + struct.calcsize(header_fmt)
-    if len(data) < header_end:
-        raise CodecError("truncated blob header")
-    kind_code, bits, T, k, lo, hi, id_len = struct.unpack(
-        header_fmt, data[4:header_end]
-    )
+    r = Reader(data, BLOB_MAGIC, "blob", CodecError)
+    kind_code, bits, T, k, lo, hi = r.unpack("BBHHff", "header")
     if kind_code not in _CODE_KIND:
         raise CodecError(f"unknown kind code {kind_code}")
     if not 1 <= bits <= 16:
         raise CodecError(f"bits out of range: {bits}")
     if T < 1 or k < 1:
         raise CodecError(f"invalid shape {T}x{k}")
-    id_end = header_end + id_len
-    body_len = (T * k * bits + 7) // 8
-    if len(data) < id_end + body_len:
-        raise CodecError(
-            f"truncated blob: need {id_end + body_len} bytes, have {len(data)}"
-        )
-    if len(data) > id_end + body_len:
-        raise CodecError(f"{len(data) - id_end - body_len} trailing bytes after the levels")
-    try:
-        image_id = data[header_end:id_end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"image id is not UTF-8: {exc}") from None
+    image_id = r.text("image id")
     n_bits = T * k * bits
-    body = np.frombuffer(data, dtype=np.uint8, offset=id_end)
+    body = np.frombuffer(r.take((n_bits + 7) // 8, "levels"), dtype=np.uint8)
+    r.end("the levels")
     if n_bits % 8 and body[-1] >> (n_bits % 8):
         raise CodecError("nonzero padding bits after the levels")
     # level i occupies bits [i * bits, (i + 1) * bits) of the body, LSB-first;

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .binary import Reader
+
 BINARY_MAGIC = b"DMT1"
 _TRAILER_RE = re.compile(rb"\nID:(?P<img>[^;]*);OBJ:(?P<obj>[^;\n]*)\n\Z")
 
@@ -123,20 +125,12 @@ def load_descriptors(
 
 
 def _load_binary(data: bytes, image_id: str, object_id: str) -> DescriptorMatrix:
-    if len(data) < 12:
-        raise DescriptorFormatError("truncated descriptor file (missing header)")
-    if data[:4] != BINARY_MAGIC:
-        raise DescriptorFormatError(f"bad magic {data[:4]!r}, expected {BINARY_MAGIC!r}")
-    T, N = struct.unpack("<II", data[4:12])
+    r = Reader(data, BINARY_MAGIC, "descriptor file", DescriptorFormatError)
+    T, N = r.unpack("II", "header")
     if T < 2 or N < 1:
         raise DescriptorFormatError(f"invalid dimensions T={T}, N={N}")
-    body_end = 12 + 4 * T * N
-    if len(data) < body_end:
-        raise DescriptorFormatError(
-            f"dimension mismatch: header declares {T}x{N} float32 values "
-            f"({4 * T * N} bytes) but only {len(data) - 12} payload bytes present"
-        )
-    trailer = data[body_end:]
+    raw = r.take(4 * T * N, "values")
+    trailer = r.rest()
     if trailer:
         match = _TRAILER_RE.match(trailer)
         if match is None:
@@ -146,7 +140,7 @@ def _load_binary(data: bytes, image_id: str, object_id: str) -> DescriptorMatrix
             )
         image_id = match.group("img").decode("utf-8")
         object_id = match.group("obj").decode("utf-8")
-    values = np.frombuffer(data[12:body_end], dtype="<f4").reshape((T, N), order="F")
+    values = np.frombuffer(raw, dtype="<f4").reshape((T, N), order="F")
     return DescriptorMatrix(image_id=image_id, object_id=object_id, values=values)
 
 
@@ -249,11 +243,6 @@ class SynthCorpusSpec:
         if missing:
             raise ValueError(f"corpus spec missing {sorted(missing)}")
         return cls(**kwargs)
-
-    def label(self) -> str:
-        return (f"synthetic:objects={self.num_objects},views={self.views_per_object},"
-                f"T={self.T},N={self.descriptors_per_view},r={self.planted_rank},"
-                f"sigma={self.view_noise_sigma},seed={self.seed}")
 
 
 def generate_corpus(spec: SynthCorpusSpec) -> list[DescriptorMatrix]:

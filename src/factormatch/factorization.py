@@ -27,9 +27,6 @@ from .descriptors import DescriptorMatrix
 KIND_PCA = "pca"
 KIND_NMF = "nmf"
 
-UNIT_NORM_TOL = 1e-9
-ORTHONORMAL_TOL = 1e-8
-
 # sparse NMF stopping rule: at most this many iterations, or a relative
 # objective decrease below this tolerance
 _NMF_MAX_ITERS = 100
@@ -60,24 +57,6 @@ class FactorLoadings:
     @property
     def k(self) -> int:
         return self.columns.shape[1]
-
-    def validate(self) -> None:
-        """Check the loading invariants (unit columns; orthonormal/non-negative).
-
-        Freshly factorized loadings satisfy these exactly; dequantized ones do
-        not (quantization perturbs the lattice), so validation is explicit
-        rather than run at construction.
-        """
-        norms = np.linalg.norm(self.columns, axis=0)
-        if not np.allclose(norms, 1.0, atol=UNIT_NORM_TOL, rtol=0):
-            raise ValueError(f"columns are not unit-norm (norms {norms})")
-        if self.kind == KIND_PCA:
-            gram = self.columns.T @ self.columns
-            if not np.allclose(gram, np.eye(self.k), atol=ORTHONORMAL_TOL, rtol=0):
-                raise ValueError("PCA loadings are not orthonormal")
-        else:
-            if (self.columns < 0).any():
-                raise ValueError("NMF loadings contain negative entries")
 
 
 @dataclass(frozen=True)

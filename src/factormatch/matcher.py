@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
+from .binary import MAX_TEXT_BYTES
 from .codec import QuantizedLoadings
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
 from .fusion import FusionParams, RankedEntry, RankedList, fuse
@@ -45,9 +46,6 @@ METRIC_CORRELATION = "correlation"
 DEFAULT_METRIC = {KIND_PCA: METRIC_CORRELATION, KIND_NMF: METRIC_ANGLE}
 
 WORST_ANGLE = math.pi / 2
-
-# Ids travel with a u16 length in blobs, index files and responses.
-_MAX_ID_BYTES = 0xFFFF
 
 
 class DegenerateLoadingsError(ValueError):
@@ -140,9 +138,9 @@ class ObjectIndex:
                 )
             for what, text in (("image", image_id), ("object", object_id)):
                 size = len(text.encode("utf-8"))
-                if size > _MAX_ID_BYTES:
+                if size > MAX_TEXT_BYTES:
                     raise ValueError(
-                        f"{what} id of {size} bytes exceeds the {_MAX_ID_BYTES}-byte limit")
+                        f"{what} id of {size} bytes exceeds the {MAX_TEXT_BYTES}-byte limit")
             if T is None:
                 T = pca.T
                 quantized = isinstance(nmf, QuantizedLoadings)

@@ -24,13 +24,13 @@ from __future__ import annotations
 import socket
 import socketserver
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from . import codec, factorization
+from .binary import Reader, blob, text
 from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
@@ -175,63 +175,14 @@ def build_index(
 # --- wire encoding --------------------------------------------------------
 
 
-class _Reader:
-    """Bounded little-endian reads over one payload: every field that does
-    not fit, does not decode or is followed by stray bytes raises
-    :class:`ProtocolError`."""
-
-    def __init__(self, data: bytes, magic: bytes, what: str):
-        if data[:len(magic)] != magic:
-            raise ProtocolError(f"bad {what} magic {data[:len(magic)]!r}")
-        self.data, self.pos, self.what = data, len(magic), what
-
-    def take(self, n: int, field: str) -> bytes:
-        if len(self.data) < self.pos + n:
-            raise ProtocolError(f"{self.what} truncated in {field} at byte {self.pos}")
-        self.pos += n
-        return self.data[self.pos - n:self.pos]
-
-    def unpack(self, fmt: str, field: str) -> tuple:
-        fmt = "<" + fmt
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
-
-    def text(self, field: str) -> str:
-        """u16 length + UTF-8."""
-        (n,) = self.unpack("H", f"{field} length")
-        try:
-            return self.take(n, field).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"{field} is not UTF-8: {exc}") from None
-
-    def blob(self, field: str) -> bytes:
-        """u32 length + bytes."""
-        (n,) = self.unpack("I", f"{field} length")
-        return self.take(n, field)
-
-    def end(self, what: str) -> None:
-        if self.pos != len(self.data):
-            raise ProtocolError(f"{len(self.data) - self.pos} trailing bytes after {what}")
-
-
-def _text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError(f"text of {len(raw)} bytes exceeds the u16 length limit")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _blob(blob: bytes) -> bytes:
-    return struct.pack("<I", len(blob)) + blob
-
-
 def encode_query(eta: int, alpha: int, pca_blob: bytes, nmf_blob: bytes) -> bytes:
     return (QUERY_MAGIC + struct.pack("<BHH", PROTOCOL_VERSION, eta, alpha)
-            + _blob(pca_blob) + _blob(nmf_blob))
+            + blob(pca_blob) + blob(nmf_blob))
 
 
 def decode_query(payload: bytes) -> tuple[int, int, int, bytes, bytes]:
     """Split a query payload into (version, eta, alpha, pca_blob, nmf_blob)."""
-    r = _Reader(payload, QUERY_MAGIC, "query")
+    r = Reader(payload, QUERY_MAGIC, "query", ProtocolError)
     version, eta, alpha = r.unpack("BHH", "header")
     pca_blob, nmf_blob = r.blob("pca blob"), r.blob("nmf blob")
     r.end("query")
@@ -245,14 +196,14 @@ def encode_response(
 ) -> bytes:
     out = bytearray(RESPONSE_MAGIC + struct.pack("<BH", status, len(entries)))
     for rank, (object_id, score) in enumerate(entries, start=1):
-        out += _text(object_id) + struct.pack("<fH", score, rank)
-    out += _text(error_text)
+        out += text(object_id) + struct.pack("<fH", score, rank)
+    out += text(error_text)
     return bytes(out)
 
 
 def decode_response(payload: bytes) -> tuple[int, list[tuple[str, float, int]], str]:
     """Split a response payload into (status, [(object_id, score, rank)], error)."""
-    r = _Reader(payload, RESPONSE_MAGIC, "response")
+    r = Reader(payload, RESPONSE_MAGIC, "response", ProtocolError)
     status, count = r.unpack("BH", "header")
     entries = []
     for _ in range(count):
@@ -265,7 +216,7 @@ def decode_response(payload: bytes) -> tuple[int, list[tuple[str, float, int]], 
 
 
 def write_frame(stream: BinaryIO, payload: bytes) -> None:
-    stream.write(struct.pack("<I", len(payload)) + payload)
+    stream.write(blob(payload))
     stream.flush()
 
 
@@ -295,7 +246,7 @@ def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
     (u16 obj_len | object_id | u32 len | pca blob | u32 len | nmf blob)."""
     out = bytearray(INDEX_MAGIC + struct.pack("<I", len(records)))
     for rec in records:
-        out += _text(rec.object_id) + _blob(codec.encode(rec.pca)) + _blob(codec.encode(rec.nmf))
+        out += text(rec.object_id) + blob(codec.encode(rec.pca)) + blob(codec.encode(rec.nmf))
     Path(path).write_bytes(out)
 
 
@@ -305,7 +256,7 @@ def read_index(path: str | Path) -> ObjectIndex:
     image id, blobs of two images in one record, mixed descriptor
     dimensions), raise :class:`ProtocolError` or
     ``codec.CodecError``."""
-    r = _Reader(Path(path).read_bytes(), INDEX_MAGIC, "index file")
+    r = Reader(Path(path).read_bytes(), INDEX_MAGIC, "index file", ProtocolError)
     (count,) = r.unpack("I", "image count")
     records = [IndexRecord(r.text("object id"), codec.decode(r.blob("pca blob")),
                            codec.decode(r.blob("nmf blob")))
@@ -382,9 +333,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
 class RetrievalServer(socketserver.ThreadingTCPServer):
     """TCP server answering framed queries against ``index``, one daemon
-    thread per connection. ``serve_forever()`` blocks the calling thread;
-    :func:`serve` runs it in a background thread instead. Use as a context
-    manager or call close()."""
+    thread per connection, until ``shutdown()``; ``serve_forever()`` blocks
+    the calling thread. Use as a context manager or call
+    ``server_close()``."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -398,38 +349,11 @@ class RetrievalServer(socketserver.ThreadingTCPServer):
         super().__init__(endpoint, _Handler)
         self.index = index
         self.max_frame = max_frame
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> RetrievalServer:
-        """Serve in a background thread until close()."""
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="factormatch-server", daemon=True
-        )
-        self._thread.start()
-        return self
 
     @property
     def address(self) -> tuple[str, int]:
         host, port = self.server_address[:2]
         return str(host), int(port)
-
-    def close(self) -> None:
-        if self._thread is not None:
-            self.shutdown()
-            self._thread.join(timeout=5)
-        self.server_close()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def serve(
-    index: ObjectIndex,
-    endpoint: tuple[str, int] = ("127.0.0.1", 0),
-    max_frame: int = DEFAULT_MAX_FRAME,
-) -> RetrievalServer:
-    """Bind and start serving in a background thread; returns the running server."""
-    return RetrievalServer(index, endpoint, max_frame).start()
 
 
 # --- client ---------------------------------------------------------------

@@ -1,13 +1,26 @@
+import contextlib
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from factormatch import SynthCorpusSpec, generate_corpus
+from factormatch.codec import QuantizedLoadings
 from factormatch.descriptors import DescriptorMatrix
-from factormatch.factorization import FactorAssignment, FactorLoadings, SvdResult
+from factormatch.factorization import (
+    KIND_PCA,
+    FactorAssignment,
+    FactorLoadings,
+    SvdResult,
+)
+from factormatch.matcher import ObjectIndex
 from factormatch.model_order import RESIDUAL_FLOOR
+from factormatch.service import RetrievalServer
+
+UNIT_NORM_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-8
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +55,49 @@ def blob_header_bytes(image_id: str) -> int:
     return 4 + struct.calcsize("<BBHHffH") + len(image_id.encode("utf-8"))
 
 
+@contextlib.contextmanager
+def serve(index: ObjectIndex, **kw):
+    """A :class:`RetrievalServer` on an ephemeral loopback port, its accept
+    loop in a daemon thread; shut down, joined and closed on exit."""
+    server = RetrievalServer(index, **kw)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
 # --- oracles: one-value forms of what the package computes in bulk -----------
+
+
+def payload_bytes(q: QuantizedLoadings) -> int:
+    """Size of the packed levels of a QFL1 blob: ``ceil(T*k*bits/8)``."""
+    return (q.T * q.k * q.bits + 7) // 8
+
+
+def spec_label(spec: SynthCorpusSpec) -> str:
+    """The ``synthetic:<spec>`` corpus argument that describes ``spec``."""
+    return (f"synthetic:objects={spec.num_objects},views={spec.views_per_object},"
+            f"T={spec.T},N={spec.descriptors_per_view},r={spec.planted_rank},"
+            f"sigma={spec.view_noise_sigma},seed={spec.seed}")
+
+
+def validate_loadings(f: FactorLoadings) -> None:
+    """Check the loading invariants that fresh factorizations satisfy:
+    unit-norm columns, orthonormal for PCA and non-negative for NMF (not
+    dequantized ones, which the quantization lattice perturbs)."""
+    norms = np.linalg.norm(f.columns, axis=0)
+    if not np.allclose(norms, 1.0, atol=UNIT_NORM_TOL, rtol=0):
+        raise ValueError(f"columns are not unit-norm (norms {norms})")
+    if f.kind == KIND_PCA:
+        gram = f.columns.T @ f.columns
+        if not np.allclose(gram, np.eye(f.k), atol=ORTHONORMAL_TOL, rtol=0):
+            raise ValueError("PCA loadings are not orthonormal")
+    elif (f.columns < 0).any():
+        raise ValueError("NMF loadings contain negative entries")
 
 
 def residual_variance(m: DescriptorMatrix, svd: SvdResult, k: int) -> float:

@@ -30,9 +30,9 @@ from factormatch.matcher import (
     subspace_angle,
 )
 from factormatch.model_order import estimate_order
-from factormatch.service import answer_query, build_index, client_blobs, read_frame, serve, write_frame
+from factormatch.service import answer_query, build_index, client_blobs, read_frame, write_frame
 
-from conftest import blob_header_bytes, random_unit_columns
+from conftest import blob_header_bytes, payload_bytes, random_unit_columns, serve
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 
@@ -167,7 +167,7 @@ def test_quantizer_round_trip_and_payload():
             cols /= np.linalg.norm(cols, axis=0)
         pair.append(codec.quantize(
             FactorLoadings(image_id="img", kind=kind, columns=cols), 5))
-    body = sum(q.payload_bytes() for q in pair)
+    body = sum(payload_bytes(q) for q in pair)
     total = sum(len(codec.encode(q)) for q in pair)
     headers = 2 * blob_header_bytes("img")
     report(

@@ -7,7 +7,9 @@ import pytest
 from factormatch import cli
 from factormatch.cli import main
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus, save_corpus
-from factormatch.service import read_index, serve
+from factormatch.service import read_index
+
+from conftest import serve
 
 SPEC = "objects=4,views=3,T=16,N=80,r=3,sigma=0.02,seed=13"
 
@@ -168,8 +170,6 @@ def test_serve_runs_one_accept_loop(monkeypatch, capsys):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
-    # shutdown() would wait for a loop that the stub never runs
-    monkeypatch.setattr(socketserver.BaseServer, "shutdown", lambda self: None)
     assert main(["serve", "--index", f"synthetic:{SPEC}", "--k-max", "8",
                  "--listen", "127.0.0.1:0"]) == 0
     assert len(loops) == 1

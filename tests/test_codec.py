@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from factormatch.codec import (
 )
 from factormatch.factorization import FactorLoadings
 
-from conftest import blob_header_bytes, random_unit_columns
+from conftest import blob_header_bytes, payload_bytes, random_unit_columns
 
 
 def pca_loadings_of(columns, image_id="img"):
@@ -114,8 +117,8 @@ class TestBlobFormat:
         cols = np.abs(random_unit_columns(rng, 128, 24))
         cols /= np.linalg.norm(cols, axis=0)
         q_nmf = quantize(nmf_loadings_of(cols, image_id="img"), 5)
-        assert q_pca.payload_bytes() == 1920
-        body_pair = q_pca.payload_bytes() + q_nmf.payload_bytes()
+        assert payload_bytes(q_pca) == 1920
+        body_pair = payload_bytes(q_pca) + payload_bytes(q_nmf)
         assert body_pair == 3840
         blob_pair = len(encode(q_pca)) + len(encode(q_nmf))
         assert blob_pair == 3840 + 2 * blob_header_bytes("img")
@@ -125,9 +128,9 @@ class TestBlobFormat:
         sizes = {}
         for T, k, b in [(8, 2, 3), (16, 2, 3), (8, 4, 3), (8, 2, 7)]:
             q = quantize(random_pca(rng, T, k), b)
-            assert q.payload_bytes() == (T * k * b + 7) // 8
-            assert len(encode(q)) == blob_header_bytes("img") + q.payload_bytes()
-            sizes[(T, k, b)] = q.payload_bytes()
+            assert payload_bytes(q) == (T * k * b + 7) // 8
+            assert len(encode(q)) == blob_header_bytes("img") + payload_bytes(q)
+            sizes[(T, k, b)] = payload_bytes(q)
         assert sizes[(16, 2, 3)] > sizes[(8, 2, 3)]
         assert sizes[(8, 4, 3)] > sizes[(8, 2, 3)]
         assert sizes[(8, 2, 7)] > sizes[(8, 2, 3)]
@@ -172,6 +175,29 @@ class TestBlobFormat:
         blob[blob.index(b"img")] = 0xFF
         with pytest.raises(CodecError, match="UTF-8"):
             decode(bytes(blob))
+
+    @pytest.mark.parametrize("T, k", [(0, 3), (12, 0)])
+    def test_empty_shape_is_codec_error(self, T, k):
+        blob = b"QFL1" + struct.pack("<BBHHffH", 0, 5, T, k, -1.0, 1.0, 0)
+        with pytest.raises(CodecError, match=f"invalid shape {T}x{k}"):
+            decode(blob)
+
+    def test_largest_declared_shape_rejected_without_allocating(self):
+        # T = k = 65535 at 16 bits declares about 8.6 GB of levels
+        blob = b"QFL1" + struct.pack("<BBHHffH", 0, 16, 0xFFFF, 0xFFFF, -1.0, 1.0, 0) + bytes(64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError, match="truncated in levels"):
+                decode(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_image_id_too_long_to_encode(self):
+        q = quantize(random_pca(np.random.default_rng(21), 4, 1, image_id="x" * 70_000), 5)
+        with pytest.raises(ValueError, match="70000 bytes"):
+            encode(q)
 
     def test_empty_k_rejected_at_construction(self):
         with pytest.raises(ValueError, match="k >= 1"):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from factormatch.descriptors import (
     save_descriptors,
     view_index,
 )
+
+from conftest import spec_label
 
 
 def make_matrix(values, image_id="img", object_id="obj"):
@@ -61,8 +64,20 @@ class TestBinaryFormat:
         values = np.random.default_rng(0).random((128, 5)).astype(np.float32)
         data = save_descriptors(make_matrix(values), "binary")
         truncated = data[: 12 + 4 * 127 * 5]
-        with pytest.raises(DescriptorFormatError, match="dimension mismatch"):
+        with pytest.raises(DescriptorFormatError, match="truncated in values"):
             load_descriptors(truncated, "binary")
+
+    def test_largest_declared_shape_rejected_without_allocating(self):
+        # 2^32-1 x 2^32-1 float32 values would be 2^66 bytes
+        data = b"DMT1" + struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF) + b"\0" * 16
+        tracemalloc.start()
+        try:
+            with pytest.raises(DescriptorFormatError, match="truncated in values at byte 12"):
+                load_descriptors(data, "binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_magic(self):
         with pytest.raises(DescriptorFormatError, match="magic"):
@@ -215,7 +230,7 @@ class TestSynthCorpus:
         assert spec.num_objects == 50
         assert spec.descriptors_per_view == 400
         assert spec.view_noise_sigma == 0.05
-        assert spec.label() == f"synthetic:{text}"
+        assert spec_label(spec) == f"synthetic:{text}"
 
 
 def test_corpus_directory_round_trip(tmp_path):

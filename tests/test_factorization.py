@@ -10,7 +10,7 @@ from factormatch.factorization import (
     pca_loadings,
 )
 
-from conftest import nmf_objective, to_matrix
+from conftest import nmf_objective, to_matrix, validate_loadings
 
 
 def matrix_of(values, image_id="m"):
@@ -35,7 +35,7 @@ class TestPcaLoadings:
             loadings, _ = pca_loadings(m, k)
             gram = loadings.columns.T @ loadings.columns
             assert np.allclose(gram, np.eye(k), atol=1e-8)
-            loadings.validate()
+            validate_loadings(loadings)
 
     def test_matches_eigendecomposition_oracle(self):
         # top-2 eigenvectors of M M^T computed independently must span the
@@ -118,7 +118,7 @@ class TestNmfLoadings:
         for seed in range(4):
             m = random_matrix(rng, 8, 25)
             loadings, _, _ = nmf_loadings(m, 5, seed=seed)
-            loadings.validate()
+            validate_loadings(loadings)
             assert (loadings.columns >= 0).all()
             assert np.allclose(np.linalg.norm(loadings.columns, axis=0), 1.0)
 
@@ -172,6 +172,34 @@ class TestNmfObjective:
             for i in range(m.T):
                 total += (float(m.values[i, j]) - approx[i]) ** 2
         assert nmf_objective(m, loadings, assign) == pytest.approx(0.5 * total, abs=1e-10)
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_dead_cluster_reseed(self, k):
+        """Three distinct descriptors, each repeated 20 times: k > 3 leaves
+        a cluster with no members, which the update step re-seeds."""
+        base = np.random.default_rng(8).random((16, 3)) + 1e-3
+        m = matrix_of(np.repeat(base, 20, axis=1))
+        loadings, assign, trace = nmf_loadings(m, k, seed=0)
+        assert np.unique(assign.cluster_of).size < k
+        assert np.all(np.diff(trace) <= 0)
+        assert nmf_objective(m, loadings, assign) == pytest.approx(trace[-1], abs=1e-10)
+        assert np.allclose(np.linalg.norm(loadings.columns, axis=0), 1.0, atol=1e-12)
+        assert (loadings.columns >= 0).all()
+
+    def test_reseeded_iterates_kept(self):
+        """Seven distinct descriptors for eight clusters: every update
+        re-seeds a dead cluster, and the objective still falls."""
+        rng = np.random.default_rng(22)
+        base = rng.random((16, 3)) + 1e-3
+        clumps = np.repeat(base, rng.integers(1, 30, size=3), axis=1)
+        near = rng.random((16, 4)) * 0.05 + base[:, [0]]
+        m = matrix_of(np.concatenate([clumps, near], axis=1))
+        loadings, assign, trace = nmf_loadings(m, 8, seed=22)
+        assert len(trace) > 1
+        assert np.all(np.diff(trace) <= 0)
+        assert nmf_objective(m, loadings, assign) == pytest.approx(trace[-1], abs=1e-10)
+        assert np.allclose(np.linalg.norm(loadings.columns, axis=0), 1.0, atol=1e-12)
+        assert (loadings.columns >= 0).all()
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(10)

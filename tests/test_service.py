@@ -16,6 +16,7 @@ from factormatch import codec
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.matcher import ObjectIndex, rank_database, retrieve_combined
 from factormatch.service import (
+    DEFAULT_MAX_FRAME,
     STATUS_INVALID_PARAMS,
     STATUS_MALFORMED,
     STATUS_OK,
@@ -36,10 +37,11 @@ from factormatch.service import (
     read_frame,
     read_index,
     send_query,
-    serve,
     write_frame,
     write_index,
 )
+
+from conftest import payload_bytes, serve, validate_loadings
 
 K_MAX = 8  # toy corpora here are T=16 with planted rank <= 3
 
@@ -74,9 +76,8 @@ def index(corpus):
 
 @pytest.fixture(scope="module")
 def server(index):
-    handle = serve(index)
-    yield handle
-    handle.close()
+    with serve(index) as handle:
+        yield handle
 
 
 class TestBuildIndex:
@@ -119,7 +120,7 @@ class TestBuildIndex:
     def test_unquantized_mode(self, corpus):
         index = build_index(corpus[:3], k_max=K_MAX, bits=None)
         for rec in index.images.values():
-            rec.pca.validate()  # full-precision loadings stay orthonormal
+            validate_loadings(rec.pca)  # full-precision loadings stay orthonormal
 
     def test_paper_scale_payload(self):
         # T=128 descriptors with 24 planted factors: the stored pair should
@@ -129,7 +130,7 @@ class TestBuildIndex:
         records = quantized_records(generate_corpus(spec), k_max=64, bits=5)
         ks = [rec.pca.k for rec in records]
         assert all(k == 24 for k in ks)
-        bodies = [rec.pca.payload_bytes() + rec.nmf.payload_bytes() for rec in records]
+        bodies = [payload_bytes(rec.pca) + payload_bytes(rec.nmf) for rec in records]
         assert all(body == 3840 for body in bodies)
 
 
@@ -712,10 +713,49 @@ class TestLiveServer:
             assert answers[t] == serial[t::2] + serial[1 - t::2]
 
     def test_server_status_raises_client_side(self, corpus, server):
-        q_pca, q_nmf = client_blobs(corpus[0], bits=5, k_max=K_MAX)
         with pytest.raises(ServerReportedError, match="status 2"):
-            send_query_raise(server.address, codec.encode(q_pca),
-                             codec.encode(q_nmf))
+            query_remote(server.address, corpus[0], eta=0, alpha=0, bits=5, k_max=K_MAX)
+
+    def test_oversized_frame_closes_the_connection(self, corpus, server):
+        """A declared frame over the limit is answered with status 1 naming
+        the limit, then the connection ends; the server keeps serving."""
+        with (socket.create_connection(server.address, timeout=10) as sock,
+              sock.makefile("rwb") as stream):
+            stream.write(struct.pack("<I", DEFAULT_MAX_FRAME + 1))
+            stream.flush()
+            status, entries, err = decode_response(read_frame(stream))
+            assert (status, entries) == (STATUS_MALFORMED, [])
+            assert f"exceeds limit {DEFAULT_MAX_FRAME}" in err
+            assert read_frame(stream) is None
+        ranked = query_remote(server.address, corpus[0], eta=4, alpha=1, bits=5, k_max=K_MAX)
+        assert ranked.entries[0].object_id == corpus[0].object_id
+
+    def test_stream_ending_inside_a_frame_header(self, server):
+        with (socket.create_connection(server.address, timeout=10) as sock,
+              sock.makefile("rb") as stream):
+            sock.sendall(b"\x05\x00")
+            sock.shutdown(socket.SHUT_WR)
+            status, _, err = decode_response(read_frame(stream))
+            assert status == STATUS_MALFORMED
+            assert "stream ended inside a frame header" in err
+            assert read_frame(stream) is None
+
+    def test_server_closing_without_a_response(self, corpus):
+        """A listener that reads the query and closes: the client raises
+        ProtocolError, not a bare socket error."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def accept_and_close():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as stream:
+                    read_frame(stream)
+
+            thread = threading.Thread(target=accept_and_close, daemon=True)
+            thread.start()
+            blobs = (codec.encode(b) for b in client_blobs(corpus[0], bits=5, k_max=K_MAX))
+            with pytest.raises(ProtocolError, match="closed the connection without responding"):
+                send_query(listener.getsockname()[:2], *blobs, eta=4, alpha=1, timeout=10)
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
     def test_uploaded_bytes_at_paper_scale(self):
         # frame = 4-byte length + query header + two blobs; the blob bodies
@@ -726,12 +766,6 @@ class TestLiveServer:
         q_pca, q_nmf = client_blobs(m, bits=5, k_max=64)
         payload = encode_query(20, 2, codec.encode(q_pca), codec.encode(q_nmf))
         overhead = len(payload) + 4 - 2 * 1920
-        assert q_pca.payload_bytes() == q_nmf.payload_bytes() == 1920
+        assert payload_bytes(q_pca) == payload_bytes(q_nmf) == 1920
         assert 0 < overhead < 120
 
-
-def send_query_raise(address, pca_blob, nmf_blob):
-    status, entries, err = send_query(address, pca_blob, nmf_blob, eta=0, alpha=0)
-    if status != STATUS_OK:
-        raise ServerReportedError(status, err)
-    return entries
