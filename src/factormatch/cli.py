@@ -7,7 +7,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import service
+from . import codec, service
 from .descriptors import (
     SynthCorpusSpec,
     generate_corpus,
@@ -147,7 +147,7 @@ def _run(args: argparse.Namespace) -> int:
             corpus, k_max=args.k_max, bits=args.bits, base_seed=args.seed
         )
         service.write_index(args.out, records)
-        stored = sum(r.stored_bytes() for r in records)
+        stored = sum(codec.blob_size(r.pca) + codec.blob_size(r.nmf) for r in records)
         print(f"indexed {len(records)} images "
               f"({stored} stored loading bytes, {stored / len(records):.0f}/image) "
               f"to {args.out}")

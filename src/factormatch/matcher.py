@@ -96,33 +96,35 @@ class ObjectIndex:
     the constructor is the one place that checks an image: its image id
     (the PCA loadings' own, equal to the NMF one's, and not seen before),
     the kinds of its two loadings, one rank ``k`` for both, the index's one
-    ``T``, ids that fit the u16 lengths they travel with, and NMF loadings
-    that are all quantized or all float.
+    ``T``, ids that fit the u16 lengths they travel with, and, per kind,
+    loadings that are all quantized or all float.
 
     Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
     ``T x Σk`` PCA loading matrix (float64, which every correlation query
-    reads whole) and of the NMF one. Quantized NMF loadings are stacked as
-    their levels (uint8 up to 8 bits, uint16 above) with each image's
-    ``bits``; an image's float64 NMF columns are rebuilt from them by
-    ``codec.dequantize`` where they are needed: for its angle basis, for
-    the whole float64 stack the NMF correlation builds once, and in
-    ``images``, a read-only image id -> :class:`IndexedImage` view that
-    rebuilds each record on access. The angle metric fills, per kind and on
+    reads whole) and of the NMF one. Quantized loadings are kept as their
+    levels (uint8 up to 8 bits, uint16 above) with each image's ``bits``
+    until every image is in, so the constructor never holds a second
+    float64 copy of a stack. The PCA stack is then dequantized, one rank
+    and bit width at a time (:func:`_dequantized`); NMF stays as levels,
+    and an image's float64 NMF columns are rebuilt from them where they are
+    needed: for its angle basis, for the whole float64 stack the NMF
+    correlation builds once, and in ``images``, a read-only image id ->
+    :class:`IndexedImage` view that rebuilds each record on access. Each
+    image's float64 columns are those of its own ``codec.dequantize``.
+    The angle metric fills, per kind and on
     first use of each image, its orthonormal basis and numerical rank
     (:meth:`_basis_cache`); those are a function of the loadings alone, so
     no answer depends on what was cached.
     """
 
     def __init__(self, images: Iterable[
-            tuple[str, FactorLoadings, FactorLoadings | QuantizedLoadings]]):
+            tuple[str, FactorLoadings | QuantizedLoadings, FactorLoadings | QuantizedLoadings]]):
         row: dict[str, int] = {}  # image id -> row, in insertion order
         object_ids: list[str] = []
-        pca_columns: list[np.ndarray] = []
-        nmf_columns: list[np.ndarray] = []  # float columns, or levels
-        nmf_bits: list[int] = []
+        ks: list[int] = []
+        pca_given, nmf_given = _Given(KIND_PCA), _Given(KIND_NMF)
         rows_of: dict[str, list[int]] = {}
         T: int | None = None
-        quantized: bool | None = None
         for object_id, pca, nmf in images:
             image_id = pca.image_id
             if image_id in row:
@@ -143,40 +145,31 @@ class ObjectIndex:
                         f"{what} id of {size} bytes exceeds the {MAX_TEXT_BYTES}-byte limit")
             if T is None:
                 T = pca.T
-                quantized = isinstance(nmf, QuantizedLoadings)
             if pca.T != T or nmf.T != T:
                 raise DimensionMismatchError(
                     f"image {image_id!r}: descriptor dims ({pca.T}, {nmf.T}) "
                     f"differ from the index's {T}"
                 )
-            if isinstance(nmf, QuantizedLoadings) != quantized:
-                raise ValueError(
-                    f"image {image_id!r}: an index holds quantized or float NMF loadings, not both")
+            nmf_given.add(image_id, nmf)
+            pca_given.add(image_id, pca)
             rows_of.setdefault(object_id, []).append(len(row))
             row[image_id] = len(row)
             object_ids.append(object_id)
-            pca_columns.append(pca.columns)
-            if quantized:
-                nmf_columns.append(nmf.levels)
-                nmf_bits.append(nmf.bits)
-            else:
-                nmf_columns.append(nmf.columns)
+            ks.append(pca.k)
         if not row:
             raise ValueError("index must contain at least one image")
         n = len(row)
         self._image_ids = tuple(row)
         self._object_ids = tuple(object_ids)
-        self._offsets = np.cumsum([0, *(columns.shape[1] for columns in pca_columns)])
-        self._pca = np.concatenate(pca_columns, axis=1)
+        self._offsets = np.cumsum([0, *ks])
+        self._pca = pca_given.floats()
         # the float64 NMF stack; with levels, built on first use by _stack
         self._nmf: np.ndarray | None = None
         self._nmf_levels: np.ndarray | None = None
-        if quantized:
-            self._nmf_levels = np.concatenate(
-                nmf_columns, axis=1, dtype=np.uint8 if max(nmf_bits) <= 8 else np.uint16)
-            self._nmf_bits = np.array(nmf_bits, dtype=np.uint8)
+        if nmf_given.bits:
+            self._nmf_levels, self._nmf_bits = nmf_given.levels()
         else:
-            self._nmf = np.concatenate(nmf_columns, axis=1)
+            self._nmf = nmf_given.floats()
         for array in (self._offsets, self._pca, self._nmf, self._nmf_levels):
             if array is not None:
                 array.setflags(write=False)
@@ -218,15 +211,6 @@ class ObjectIndex:
             nmf=FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows)),
         )
 
-    def _dequantized(self, row: int) -> FactorLoadings:
-        """Image ``row``'s NMF loadings rebuilt from its levels, by the
-        ``codec.dequantize`` of one image that reading its blob would run."""
-        lo, hi = codec.kind_range(KIND_NMF)
-        levels = self._nmf_levels[:, self._offsets[row]:self._offsets[row + 1]]
-        return codec.dequantize(QuantizedLoadings(
-            image_id=self._image_ids[row], kind=KIND_NMF, T=self.T, k=levels.shape[1],
-            bits=int(self._nmf_bits[row]), lo=lo, hi=hi, levels=levels))
-
     def _rows(self, candidates: set[str] | None) -> np.ndarray:
         """Row numbers of the candidate images (all rows for ``None``) in
         index order, so that no score depends on the set's iteration order;
@@ -238,9 +222,8 @@ class ObjectIndex:
 
     def _stack(self, kind: str) -> np.ndarray:
         """This kind's float64 ``T x Σk`` loadings. NMF levels are rebuilt
-        into it on first use, one image at a time: a batched dequantize sums
-        a ``k = 1`` column's norm in another order. Threads that race here
-        publish identical stacks, each by one assignment."""
+        into it on first use. Threads that race here publish identical
+        stacks, each by one assignment."""
         if kind == KIND_PCA:
             return self._pca
         if self._nmf is None:
@@ -253,7 +236,9 @@ class ObjectIndex:
         """The float64 loadings of ``rows`` side by side, ``T x Σk``; NMF
         held only as levels is rebuilt for these rows alone."""
         if kind == KIND_NMF and self._nmf is None:
-            return np.concatenate([self._dequantized(r).columns for r in rows], axis=1)
+            offsets = self._offsets
+            return _dequantized([self._nmf_levels[:, offsets[r]:offsets[r + 1]]
+                                 for r in rows.tolist()], self._nmf_bits[rows].tolist(), KIND_NMF)
         starts = self._offsets[rows]
         return self._stack(kind)[:, _columns(starts, self._offsets[rows + 1] - starts)]
 
@@ -270,6 +255,76 @@ class ObjectIndex:
                 np.empty(self.T * int(self._offsets[-1])),
                 np.full(self.num_images, -1, dtype=np.intp)))
         return cache
+
+
+class _Given:
+    """One kind's loadings of each image as the :class:`ObjectIndex`
+    constructor receives them: all float64 columns, or all levels (kept in
+    the narrowest dtype) with each image's ``bits``. Stacking them drops
+    them."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.parts: list[np.ndarray] = []
+        self.bits: list[int] = []
+
+    def add(self, image_id: str, f: FactorLoadings | QuantizedLoadings) -> None:
+        quantized = isinstance(f, QuantizedLoadings)
+        if self.parts and quantized != bool(self.bits):
+            raise ValueError(f"image {image_id!r}: an index holds quantized or float "
+                             f"{self.kind.upper()} loadings, not both")
+        if quantized:
+            self.parts.append(f.levels.astype(_levels_dtype([f.bits])))
+            self.bits.append(f.bits)
+        else:
+            self.parts.append(f.columns)
+
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``T x Σk`` levels and each image's bits."""
+        parts, self.parts = self.parts, []
+        return (np.concatenate(parts, axis=1, dtype=_levels_dtype(self.bits)),
+                np.array(self.bits, dtype=np.uint8))
+
+    def floats(self) -> np.ndarray:
+        """The ``T x Σk`` float64 loadings, levels dequantized."""
+        parts, self.parts = self.parts, []
+        if self.bits:
+            return _dequantized(parts, self.bits, self.kind)
+        return np.concatenate(parts, axis=1)
+
+
+def _levels_dtype(bits: list[int]) -> type:
+    return np.uint8 if max(bits) <= 8 else np.uint16
+
+
+def _dequantized(levels: list[np.ndarray], bits: list[int], kind: str) -> np.ndarray:
+    """The float64 loadings of images with these ``T x k`` levels and
+    ``bits``, side by side, ``T x Σk``: those of one rank and bit width by
+    ``codec.dequantize_levels`` of one ``(n, T, k)`` stack, at most
+    ``codec.CHUNK_LEVELS`` levels at a time, which gives each image the
+    bits of its own ``codec.dequantize``."""
+    T = levels[0].shape[0]
+    starts: list[int] = []
+    members: dict[tuple[int, int], list[int]] = {}  # (k, bits) -> images
+    total = 0
+    for i, (matrix, b) in enumerate(zip(levels, bits)):
+        starts.append(total)
+        total += matrix.shape[1]
+        members.setdefault((matrix.shape[1], b), []).append(i)
+    out = np.empty((T, total))
+    for (k, b), same in members.items():
+        step = max(1, codec.CHUNK_LEVELS // (T * k))
+        for part in (same[i:i + step] for i in range(0, len(same), step)):
+            x = codec.dequantize_levels(np.stack([levels[j] for j in part]), kind, b)
+            # one copy per run of images that sit side by side in out
+            first = 0
+            for j in range(1, len(part) + 1):
+                if j == len(part) or part[j] != part[j - 1] + 1:
+                    start = starts[part[first]]
+                    out[:, start:start + (j - first) * k] = (
+                        x[first:j].transpose(1, 0, 2).reshape(T, -1))
+                    first = j
+    return out
 
 
 # --- scoring kernels ------------------------------------------------------

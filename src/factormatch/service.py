@@ -25,9 +25,12 @@ import socket
 import socketserver
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import codec, factorization
 from .binary import Reader, blob, text
@@ -116,9 +119,6 @@ class IndexRecord:
     pca: QuantizedLoadings
     nmf: QuantizedLoadings
 
-    def stored_bytes(self) -> int:
-        return len(codec.encode(self.pca)) + len(codec.encode(self.nmf))
-
 
 def quantized_records(
     corpus: Sequence[DescriptorMatrix],
@@ -147,12 +147,12 @@ def index_from_loadings(
     images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
 ) -> ObjectIndex:
     """Index of ``(object_id, pca, nmf)`` triples as the server holds them
-    after ``bits``-bit uploads (``bits=None``: full precision), the NMF
-    loadings kept quantized; the :class:`ObjectIndex` constructor checks
-    each image."""
-    return ObjectIndex(
-        (object_id, stored_loadings(pca, bits), nmf if bits is None else codec.quantize(nmf, bits))
-        for object_id, pca, nmf in images)
+    after ``bits``-bit uploads (``bits=None``: full precision), handed to
+    the :class:`ObjectIndex` constructor quantized; it checks each image."""
+    if bits is None:
+        return ObjectIndex(images)
+    return ObjectIndex((object_id, codec.quantize(pca, bits), codec.quantize(nmf, bits))
+                       for object_id, pca, nmf in images)
 
 
 def build_index(
@@ -245,8 +245,9 @@ def write_index(path: str | Path, records: Sequence[IndexRecord]) -> None:
     """Persist quantized records: ``IDX1`` | u32 count | per image
     (u16 obj_len | object_id | u32 len | pca blob | u32 len | nmf blob)."""
     out = bytearray(INDEX_MAGIC + struct.pack("<I", len(records)))
+    blobs = codec.encode_many([q for rec in records for q in (rec.pca, rec.nmf)])
     for rec in records:
-        out += text(rec.object_id) + blob(codec.encode(rec.pca)) + blob(codec.encode(rec.nmf))
+        out += text(rec.object_id) + blob(next(blobs)) + blob(next(blobs))
     Path(path).write_bytes(out)
 
 
@@ -255,16 +256,40 @@ def read_index(path: str | Path) -> ObjectIndex:
     malformed file, or records that do not form one index (a duplicated
     image id, blobs of two images in one record, mixed descriptor
     dimensions), raise :class:`ProtocolError` or
-    ``codec.CodecError``."""
-    r = Reader(Path(path).read_bytes(), INDEX_MAGIC, "index file", ProtocolError)
+    ``codec.CodecError``.
+
+    Every record and blob is checked, in file order, before any image is
+    handed to the index; ``codec.unpack_many`` then unpacks the levels."""
+    data = Path(path).read_bytes()
+    r = Reader(data, INDEX_MAGIC, "index file", ProtocolError)
     (count,) = r.unpack("I", "image count")
-    records = [IndexRecord(r.text("object id"), codec.decode(r.blob("pca blob")),
-                           codec.decode(r.blob("nmf blob")))
-               for _ in range(count)]
+    object_ids: list[str] = []
+    image_ids: list[str] = []  # per blob; an NMF blob of its PCA blob's image shares its str
+    kinds: list[str] = []
+    blobs = array("q")  # per blob: bits, T, k, offset of its packed levels
+    for _ in range(count):
+        object_ids.append(r.text("object id"))
+        for field in ("pca blob", "nmf blob"):
+            kind, bits, T, k, image_id, body = codec.parse(r.blob(field))
+            image_ids.append(image_ids[-1] if field == "nmf blob" and image_id == image_ids[-1]
+                             else image_id)
+            kinds.append(kind)
+            blobs.extend((bits, T, k, r.pos - len(body)))
     r.end(f"{count} index records")
+    table = np.frombuffer(blobs, dtype=np.int64).reshape(-1, 4)
+    levels = codec.unpack_many(data, table)
+    del r, data  # the unpacker drops the file once it is exhausted
+
+    def loadings() -> Iterator[QuantizedLoadings]:
+        for matrix, image_id, kind, row in zip(levels, image_ids, kinds, table):
+            bits, T, k, _ = row.tolist()
+            yield QuantizedLoadings(image_id, kind, T, k, bits, *codec.kind_range(kind), matrix)
+
+    blob_loadings = loadings()
     try:
-        return ObjectIndex((rec.object_id, codec.dequantize(rec.pca), rec.nmf)
-                           for rec in records)
+        # the loadings first, so zip exhausts them, and the unpacker, at the end
+        return ObjectIndex((object_id, pca, nmf) for pca, nmf, object_id
+                           in zip(blob_loadings, blob_loadings, object_ids))
     except ValueError as exc:  # records that do not form one index
         raise ProtocolError(f"invalid index file: {exc}") from None
 

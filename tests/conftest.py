@@ -73,9 +73,57 @@ def serve(index: ObjectIndex, **kw):
 # --- oracles: one-value forms of what the package computes in bulk -----------
 
 
+def lattice_values(q: QuantizedLoadings) -> np.ndarray:
+    """Raw reconstruction ``lo + level * step`` (no renormalization)."""
+    return q.lo + q.levels.astype(np.float64) * q.step
+
+
 def payload_bytes(q: QuantizedLoadings) -> int:
     """Size of the packed levels of a QFL1 blob: ``ceil(T*k*bits/8)``."""
     return (q.T * q.k * q.bits + 7) // 8
+
+
+def reference_levels(blob: bytes) -> tuple[tuple, np.ndarray]:
+    """Bit-by-bit QFL1 decoder that shares no code with the codec: the
+    header fields ``(kind code, bits, T, k, lo, hi, image id)`` and the
+    ``T x k`` levels. Level ``i`` of the column-major stream sits at body
+    bit ``i * bits``, LSB-first (body bit ``p`` is bit ``p % 8`` of body
+    byte ``p // 8``); the body is ``ceil(T*k*bits/8)`` bytes and every
+    padding bit after the levels is zero."""
+    assert blob[:4] == b"QFL1"
+    kind_code, bits, T, k, lo, hi, id_len = struct.unpack_from("<BBHHffH", blob, 4)
+    image_id = blob[20:20 + id_len].decode("utf-8")
+    body = blob[blob_header_bytes(image_id):]
+    n = T * k
+    assert len(body) == (n * bits + 7) // 8
+
+    def bit(p):
+        return body[p // 8] >> (p % 8) & 1
+
+    assert not any(bit(p) for p in range(n * bits, 8 * len(body)))
+    stream = [sum(bit(i * bits + j) << j for j in range(bits)) for i in range(n)]
+    levels = np.array(stream, dtype=np.int64).reshape(k, T).T
+    return (kind_code, bits, T, k, lo, hi, image_id), levels
+
+
+def reference_index_blobs(data: bytes) -> list[tuple[str, bytes, bytes]]:
+    """``(object_id, pca blob, nmf blob)`` of each record of an ``IDX1``
+    file, split with ``struct`` alone."""
+    assert data[:4] == b"IDX1"
+    (count,) = struct.unpack_from("<I", data, 4)
+    pos, records = 8, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", data, pos)
+        object_id = data[pos + 2:pos + 2 + n].decode("utf-8")
+        pos += 2 + n
+        blobs = []
+        for _ in range(2):
+            (n,) = struct.unpack_from("<I", data, pos)
+            blobs.append(data[pos + 4:pos + 4 + n])
+            pos += 4 + n
+        records.append((object_id, *blobs))
+    assert pos == len(data)
+    return records
 
 
 def spec_label(spec: SynthCorpusSpec) -> str:

@@ -32,7 +32,7 @@ from factormatch.matcher import (
 from factormatch.model_order import estimate_order
 from factormatch.service import answer_query, build_index, client_blobs, read_frame, write_frame
 
-from conftest import blob_header_bytes, payload_bytes, random_unit_columns, serve
+from conftest import blob_header_bytes, lattice_values, payload_bytes, random_unit_columns, serve
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 
@@ -157,7 +157,7 @@ def test_quantizer_round_trip_and_payload():
         f = FactorLoadings(image_id="samples", kind=kind, columns=samples)
         for bits in (1, 5, 12):
             q = codec.quantize(f, bits)
-            err = np.abs(codec.lattice_values(q) - samples).max()
+            err = np.abs(lattice_values(q) - samples).max()
             worst_excess = max(worst_excess, err - q.step / 2)
     pair = []
     for kind in ("pca", "nmf"):

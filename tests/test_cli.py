@@ -68,6 +68,18 @@ def test_build_index_and_query_round_trip(tmp_path, capsys):
     assert "obj0000" in out  # self view ranks its own object first
 
 
+def test_build_index_reports_the_stored_loading_bytes(tmp_path, capsys):
+    idx_path = tmp_path / "db.idx"
+    assert main(["build-index", "--corpus", f"synthetic:{SPEC}", "--out", str(idx_path),
+                 "--bits", "5", "--k-max", "8"]) == 0
+    assert capsys.readouterr().out == (
+        f"indexed 12 images (1440 stored loading bytes, 120/image) to {idx_path}\n")
+    # the file is the blobs plus the IDX1 framing: magic, count, and per
+    # record the object id with its u16 length and two u32 blob lengths
+    ids = sum(len(obj.encode("utf-8")) for obj in read_index(idx_path)._object_ids)
+    assert idx_path.stat().st_size == 1440 + 8 + ids + 12 * (2 + 4 + 4)
+
+
 def test_sweep_subcommands(tmp_path):
     args = ["--corpus", f"synthetic:{SPEC}", "--eta", "3", "--top", "2",
             "--k-max", "8"]

@@ -9,15 +9,25 @@ from hypothesis import strategies as st
 from factormatch.codec import (
     CodecError,
     QuantizedLoadings,
+    blob_size,
     decode,
     dequantize,
+    dequantize_levels,
     encode,
-    lattice_values,
+    kind_range,
     quantize,
 )
 from factormatch.factorization import FactorLoadings
+from factormatch.service import IndexRecord, write_index
 
-from conftest import blob_header_bytes, payload_bytes, random_unit_columns
+from conftest import (
+    blob_header_bytes,
+    lattice_values,
+    payload_bytes,
+    random_unit_columns,
+    reference_index_blobs,
+    reference_levels,
+)
 
 
 def pca_loadings_of(columns, image_id="img"):
@@ -93,6 +103,29 @@ class TestDequantize:
         f = dequantize(quantize(random_pca(rng, 32, 6), 5))
         assert np.allclose(np.linalg.norm(f.columns, axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["pca", "nmf"])
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("k", [1, 2, 4, 24])
+    @pytest.mark.parametrize("T", [7, 32, 128])
+    def test_a_stack_dequantizes_bit_for_bit_like_each_matrix(self, T, k, bits, kind):
+        """One ``(n, T, k)`` stack gives each matrix the float64 bits that
+        dequantizing it alone gives; the reference is the one-matrix
+        formula, written out. ``k = 1`` is the case where a reduction over
+        the whole stack would sum each column's norm in another order."""
+        rng = np.random.default_rng(T * 1000 + k * 20 + bits)
+        stack = rng.integers(0, 1 << bits, size=(9, T, k)).astype(np.uint32)
+        stack[3] = 0  # all-zero columns stay zero
+        stack[5, :, 0] = 0
+        lo, hi = kind_range(kind)
+        got = dequantize_levels(stack, kind, bits)
+        for levels, matrix in zip(stack, got):
+            x = lo + levels.astype(np.float64) * ((hi - lo) / ((1 << bits) - 1))
+            norms = np.linalg.norm(x, axis=0)
+            want = x / np.where(norms > 0, norms, 1.0)
+            assert np.array_equal(matrix, want)
+            q = QuantizedLoadings("s", kind, T, k, bits, lo, hi, levels)
+            assert np.array_equal(matrix, dequantize(q).columns)
+
     def test_all_zero_nmf_block_stays_zero(self):
         q = QuantizedLoadings(image_id="z", kind="nmf", T=4, k=2, bits=3,
                               lo=0.0, hi=1.0, levels=np.zeros((4, 2), dtype=np.uint32))
@@ -129,7 +162,7 @@ class TestBlobFormat:
         for T, k, b in [(8, 2, 3), (16, 2, 3), (8, 4, 3), (8, 2, 7)]:
             q = quantize(random_pca(rng, T, k), b)
             assert payload_bytes(q) == (T * k * b + 7) // 8
-            assert len(encode(q)) == blob_header_bytes("img") + payload_bytes(q)
+            assert len(encode(q)) == blob_header_bytes("img") + payload_bytes(q) == blob_size(q)
             sizes[(T, k, b)] = payload_bytes(q)
         assert sizes[(16, 2, 3)] > sizes[(8, 2, 3)]
         assert sizes[(8, 4, 3)] > sizes[(8, 2, 3)]
@@ -215,6 +248,60 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match="range"):
             QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
                               lo=-1.0, hi=1.0, levels=np.zeros((2, 1), dtype=np.uint32))
+
+
+def random_levels(rng, T, k, bits, kind, image_id="img"):
+    return QuantizedLoadings(image_id, kind, T, k, bits, *kind_range(kind),
+                             rng.integers(0, 1 << bits, size=(T, k)))
+
+
+def assert_matches_the_oracle(blob: bytes, q: QuantizedLoadings) -> None:
+    header, levels = reference_levels(blob)
+    assert header == ({"pca": 0, "nmf": 1}[q.kind], q.bits, q.T, q.k, q.lo, q.hi, q.image_id)
+    assert np.array_equal(levels, q.levels)
+
+
+class TestBitLayout:
+    """``encode``, ``decode`` and the blobs of a ``write_index`` file put
+    every level where the bit-by-bit oracle in conftest reads it."""
+
+    # T*k and T*k*bits not multiples of 8, k = 1, and the paper's shape
+    SHAPES = [(1, 1), (7, 1), (3, 5), (13, 3), (128, 24)]
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_every_width(self, bits, tmp_path):
+        rng = np.random.default_rng(bits)
+        qs = [random_levels(rng, T, k, bits, kind, f"i{T}x{k}")
+              for T, k in self.SHAPES for kind in ("pca", "nmf")]
+        for q in qs:
+            blob = encode(q)
+            assert_matches_the_oracle(blob, q)
+            assert decode(blob) == q
+        records = [IndexRecord("o", pca, nmf) for pca, nmf in zip(qs[::2], qs[1::2])]
+        write_index(tmp_path / "widths.idx", records)
+        blobs = reference_index_blobs((tmp_path / "widths.idx").read_bytes())
+        for (object_id, pca_blob, nmf_blob), rec in zip(blobs, records, strict=True):
+            assert object_id == rec.object_id
+            assert_matches_the_oracle(pca_blob, rec.pca)
+            assert_matches_the_oracle(nmf_blob, rec.nmf)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 16), st.integers(1, 24),
+                                     st.integers(1, 6)), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_shapes_and_widths(self, tmp_path_factory, shapes, seed):
+        rng = np.random.default_rng(seed)
+        records = [IndexRecord(f"o{i}", *(random_levels(rng, T, k, bits, kind, f"o{i}_v1")
+                                          for kind in ("pca", "nmf")))
+                   for i, (bits, T, k) in enumerate(shapes)]
+        path = tmp_path_factory.mktemp("layout") / "random.idx"
+        write_index(path, records)
+        for (_, pca_blob, nmf_blob), rec in zip(reference_index_blobs(path.read_bytes()),
+                                                records, strict=True):
+            for blob, q in ((pca_blob, rec.pca), (nmf_blob, rec.nmf)):
+                assert_matches_the_oracle(blob, q)
+                assert blob == encode(q)
+                assert decode(blob) == q
 
 
 FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 import socket
 import struct
 import sys
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factormatch import codec
+from factormatch.binary import Reader, blob, text
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.matcher import ObjectIndex, rank_database, retrieve_combined
 from factormatch.service import (
@@ -41,7 +43,7 @@ from factormatch.service import (
     write_index,
 )
 
-from conftest import payload_bytes, serve, validate_loadings
+from conftest import payload_bytes, reference_index_blobs, serve, validate_loadings
 
 K_MAX = 8  # toy corpora here are T=16 with planted rank <= 3
 
@@ -282,6 +284,135 @@ class TestIndexFile:
         write_index(path, [*four_records[1:3], *other])
         with pytest.raises(ProtocolError, match="descriptor dims"):
             read_index(path)
+
+
+def random_record(rng, object_id, image_id, T, k, pca_bits, nmf_bits):
+    return IndexRecord(object_id, *(
+        codec.QuantizedLoadings(image_id, kind, T, k, bits, *codec.kind_range(kind),
+                                rng.integers(0, 1 << bits, size=(T, k)))
+        for kind, bits in (("pca", pca_bits), ("nmf", nmf_bits))))
+
+
+def blob_by_blob(data: bytes) -> ObjectIndex:
+    """``read_index`` as a reference: each blob decoded and dequantized on
+    its own, records checked in file order, then the index built."""
+    r = Reader(data, b"IDX1", "index file", ProtocolError)
+    (count,) = r.unpack("I", "image count")
+    records = [(r.text("object id"), codec.decode(r.blob("pca blob")),
+                codec.decode(r.blob("nmf blob"))) for _ in range(count)]
+    r.end(f"{count} index records")
+    try:
+        return ObjectIndex((obj, codec.dequantize(pca), nmf) for obj, pca, nmf in records)
+    except ValueError as exc:
+        raise ProtocolError(f"invalid index file: {exc}") from None
+
+
+class TestIndexFileOfManyShapes:
+    """``read_index`` unpacks the blobs of each shape together and
+    dequantizes each rank's PCA loadings as one stack; the index it builds
+    is the one that decoding and dequantizing blob by blob builds."""
+
+    @pytest.mark.parametrize("T, ks", [(7, (1, 2, 3, 5, 7)), (128, (1, 2, 4, 24, 7))])
+    def test_mixed_ranks_and_widths(self, T, ks, tmp_path):
+        rng = np.random.default_rng(T)
+        records = [random_record(rng, f"o{i // 3}", f"o{i // 3}_v{i % 3}", T, ks[i % len(ks)],
+                                 1 + i % 16, 1 + (5 * i) % 16) for i in range(48)]
+        path = tmp_path / "shapes.idx"
+        write_index(path, records)
+        loaded, reference = read_index(path), blob_by_blob(path.read_bytes())
+        assert loaded._nmf_levels.dtype == np.uint16
+        for got, want in ((loaded._pca, reference._pca),
+                          (loaded._nmf_levels, reference._nmf_levels),
+                          (loaded._nmf_bits, reference._nmf_bits),
+                          (loaded._stack("nmf"), reference._stack("nmf"))):
+            assert np.array_equal(got, want)
+        payloads = [encode_query(5, 2, *blobs_of_rank(T, k, seed)) for seed, k in enumerate(ks)]
+        assert ([answer_query(loaded, p) for p in payloads]
+                == [answer_query(reference, p) for p in payloads])
+        for kind in ("pca", "nmf"):  # fill every image's basis, then compare the caches
+            query = codec.dequantize(codec.decode(blobs_of_rank(T, 1)[kind == "nmf"]))
+            assert (rank_database(query, loaded, "angle", eta=5)
+                    == rank_database(query, reference, "angle", eta=5))
+            for got, want in zip(loaded._basis_cache(kind), reference._basis_cache(kind)):
+                assert np.array_equal(got, want)
+
+    @staticmethod
+    def thousand_records(duplicate_at=None):
+        rng = np.random.default_rng(70)
+        return [random_record(rng, f"o{i}", f"o{3 if i == duplicate_at else i}_v1",
+                              7, 3, 5, 5) for i in range(1000)]
+
+    @staticmethod
+    def file_of(records, bad_pca_blob=None):
+        """The IDX1 bytes of ``records``, built field by field, with record
+        700's PCA blob replaced by ``bad_pca_blob`` of its blob."""
+        parts = [b"IDX1", struct.pack("<I", len(records))]
+        for i, rec in enumerate(records):
+            pca_blob = codec.encode(rec.pca)
+            if i == 700 and bad_pca_blob:
+                pca_blob = bad_pca_blob(pca_blob)
+            parts += [text(rec.object_id), blob(pca_blob), blob(codec.encode(rec.nmf))]
+        return b"".join(parts)
+
+    # 7 x 3 levels of 5 bits: 105 bits, so the last body byte has 7 padding bits
+    BAD_BLOBS = {
+        "padding": (lambda b: b[:-1] + bytes([b[-1] | 0x80]),
+                    "nonzero padding bits after the levels"),
+        "kind": (lambda b: b[:4] + bytes([7]) + b[5:], "unknown kind code 7"),
+        "range": (lambda b: b[:10] + struct.pack("<f", 0.5) + b[14:],
+                  "pca quantizer range must be (-1.0, 1.0), got [0.5, 1.0]"),
+        "short body": (lambda b: b[:-1], "blob truncated in levels at byte 27"),
+        "trailing": (lambda b: b + b"\0", "1 trailing bytes after the levels"),
+    }
+
+    @pytest.mark.parametrize("case", [*BAD_BLOBS, "duplicate id"])
+    def test_a_bad_record_700_fails_as_blob_by_blob(self, case, tmp_path):
+        if case == "duplicate id":
+            data = self.file_of(self.thousand_records(duplicate_at=700))
+            message = "invalid index file: duplicate image id 'o3_v1'"
+        else:
+            bad_blob, message = self.BAD_BLOBS[case]
+            data = self.file_of(self.thousand_records(), bad_blob)
+        path = tmp_path / "bad.idx"
+        # the same failure, also with a later fault: the last byte cut off,
+        # which a record check reports before any check of the whole index
+        for variant in (data, data[:-1]):
+            with pytest.raises((ProtocolError, codec.CodecError)) as want:
+                blob_by_blob(variant)
+            path.write_bytes(variant)
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                read_index(path)
+            if variant is data:
+                assert str(want.value) == message
+
+    def test_the_field_by_field_file_is_write_index_s(self, tmp_path):
+        records = self.thousand_records()[:20]
+        write_index(tmp_path / "twenty.idx", records)
+        assert (tmp_path / "twenty.idx").read_bytes() == self.file_of(records)
+
+    def test_bounded_temporaries(self, tmp_path):
+        """At 1000 random 5-bit images at T=128, k=24, neither
+        ``write_index`` nor ``read_index`` allocates at its peak more than
+        the loaded index holds plus a fixed 8 MiB: both work in chunks."""
+        rng = np.random.default_rng(71)
+        records = [random_record(rng, f"o{i}", f"o{i}_v1", 128, 24, 5, 5) for i in range(1000)]
+        path = tmp_path / "paper_scale.idx"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_index(path, records)
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+            del records
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            index = read_index(path)
+            size, read_peak = (memory - before for memory in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert index.num_images == 1000
+        assert size > index._pca.nbytes + index._nmf_levels.nbytes
+        assert write_peak < size + (8 << 20)
+        assert read_peak < size + (8 << 20)
 
 
 class TestIndexFileFuzz:
