@@ -37,8 +37,8 @@ BLOB_MAGIC = b"QFL1"
 _KIND_CODE = {KIND_PCA: 0, KIND_NMF: 1}
 _CODE_KIND = {0: KIND_PCA, 1: KIND_NMF}
 RANGE_SLACK = 1e-9
-# levels per chunk of whole blobs that encode_many, unpack_many and the
-# index's dequantization work on at once; bounds their temporaries
+# levels per chunk of whole blobs that encode_many and unpack_many work on at
+# once, and per chunk of the index's basis fills; bounds their temporaries
 CHUNK_LEVELS = 1 << 16
 _HEADER = struct.Struct("<BBHHff")
 

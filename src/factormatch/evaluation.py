@@ -15,10 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from . import codec
 from .descriptors import DescriptorMatrix, view_index
 from .fusion import FusionParams, RankedList, fuse
 from .matcher import METRIC_ANGLE, METRIC_CORRELATION, combined_hypotheses, rank_database
-from .service import factorized, index_from_loadings, stored_loadings
+from .service import factorized, index_from_loadings
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
 from .factorization import nmf_loadings, pca_loadings  # noqa: F401
@@ -207,7 +208,8 @@ def _sweep(
             t1 = time.perf_counter()
             positions: list[list[int | None]] = [[] for _ in points]
             for object_id, pca, nmf in query_loadings:
-                q_pca, q_nmf = stored_loadings(pca, bits), stored_loadings(nmf, bits)
+                q_pca, q_nmf = ((pca, nmf) if bits is None
+                                else (codec.quantize(pca, bits), codec.quantize(nmf, bits)))
                 if "combined" in pipelines:
                     v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
                 for (pipeline, alpha), found in zip(points, positions):

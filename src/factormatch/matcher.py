@@ -3,26 +3,25 @@
 Two metrics compare a query loading matrix ``A`` against a database loading
 matrix ``B`` sharing the descriptor dimension T:
 
-* ``subspace_angle`` — the angle between the column spans, equal to
-  ``arccos`` of the largest singular value of ``Qa^T Qb`` for orthonormal
-  bases ``Qa, Qb`` (Björck & Golub, Math. Comp. 27, 1973), here each side's
-  left singular vectors. This matches the projection-matrix form
-  ``arccos(||P_A P_B||_2)`` exactly while costing ``O(T k^2 + k^3)`` per
-  pair instead of ``O(T^3)``; the projection form survives in the tests as
-  the oracle. Smaller is better.
-* ``correlation_score`` — sum over B's columns of the best correlation with
-  any column of A. Larger is better.
+* the angle between the column spans: ``arccos`` of the largest singular
+  value of ``Qa^T Qb`` for orthonormal bases ``Qa, Qb`` (Björck & Golub,
+  Math. Comp. 27, 1973), each side's left singular vectors; it equals the
+  projection-matrix form ``arccos(||P_A P_B||_2)`` at ``O(T k^2 + k^3)`` per
+  pair instead of ``O(T^3)``. Smaller is better.
+* the correlation score: the sum over B's columns of the best correlation
+  with any column of A. Larger is better.
 
-The index is columnar: each kind's loadings of every image sit side by side
-in one ``T x Σk`` matrix. ``rank_database`` scores the whole database (or a
-candidate subset) at once — one GEMM for the correlation; for the angle,
-database bases cached in the index (each image's computed once, by one
-batched SVD per rank ``k`` of the images not yet cached) — dedups images to objects
-keeping each object's best view, and truncates to the top eta. The two
-pairwise metrics are the same kernels applied to one database image.
-``retrieve_combined`` runs the full pipeline: cheap PCA-correlation
-prefilter, NMF-angle rerank on the surviving objects' views, then the
-rank-fusion pass.
+A quantized column is an integer vector in disguise: ``codec.dequantize``
+gives ``M / ||M||`` for ``M = 2L - (2^b - 1)`` (PCA levels ``L`` at ``b``
+bits) or ``M = L`` (NMF). The columnar index keeps each kind in that one
+form (:class:`_Lattice`), so a correlation is one GEMM of integer vectors,
+exact in any blocking, and no score depends on the rows or queries that
+share it. The angle reads database bases cached in the index, each image's
+computed once from its loadings dequantized bit for bit like its own
+``codec.dequantize``. ``rank_database`` scores the whole database or a
+candidate subset at once, keeps each object's best view and truncates to
+the top eta; ``retrieve_combined`` runs the full pipeline: PCA-correlation
+prefilter, NMF-angle rerank on the surviving objects' views, rank fusion.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ from .fusion import FusionParams, RankedEntry, RankedList, fuse
 METRIC_ANGLE = "angle"
 METRIC_CORRELATION = "correlation"
 
-# Default metric per loadings kind: correlation for PCA, angle for NMF.
-DEFAULT_METRIC = {KIND_PCA: METRIC_CORRELATION, KIND_NMF: METRIC_ANGLE}
-
 WORST_ANGLE = math.pi / 2
+
+# database rows per step of the correlation kernel
+_CHUNK_ROWS = 4096
 
 
 class DegenerateLoadingsError(ValueError):
@@ -88,6 +87,58 @@ class _ImageView(Mapping[str, IndexedImage]):
         return len(self._index._image_ids)
 
 
+@dataclass(frozen=True)
+class _Lattice:
+    """Loadings of one kind as they are scored: row ``j`` of ``vectors``
+    is column ``j``'s lattice vector (float loadings: the column itself),
+    ``norms[j]`` its norm (1 for float loadings and for an all-zero
+    vector), ``bits`` each image's bit width (None for float loadings)."""
+
+    vectors: np.ndarray
+    norms: np.ndarray
+    bits: np.ndarray | None
+
+
+def _lattice(kind: str, parts: list[np.ndarray], bits: list[int | None]) -> _Lattice:
+    """The read-only :class:`_Lattice` of images given as ``k x T`` parts:
+    each image's levels at its ``bits``, or, where its bits are None, its
+    float columns. The stack is float32 where every GEMM among its vectors
+    is exact in it (:func:`_gemm_dtype`), float64 otherwise; each norm is
+    the square root of an exact sum of squares."""
+    if bits[0] is None:
+        lattice = _Lattice(np.concatenate(parts), np.ones(sum(map(len, parts))), None)
+    else:
+        image_bits = np.array(bits, dtype=np.uint8)
+        vectors = np.concatenate(parts, dtype=_gemm_dtype(parts[0].shape[1], image_bits,
+                                                          image_bits))
+        if kind == KIND_PCA:  # M = 2L - (2^b - 1)
+            vectors *= 2
+            vectors -= np.repeat((1 << image_bits.astype(np.int64)) - 1,
+                                 [len(part) for part in parts]).astype(vectors.dtype)[:, None]
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors), dtype=np.float64)
+        lattice = _Lattice(vectors, np.where(norms > 0, norms, 1.0), image_bits)
+    lattice.vectors.setflags(write=False)
+    lattice.norms.setflags(write=False)
+    return lattice
+
+
+def _query_lattice(query: FactorLoadings | QuantizedLoadings) -> _Lattice:
+    if isinstance(query, QuantizedLoadings):
+        return _lattice(query.kind, [query.levels.T], [query.bits])
+    return _lattice(query.kind, [query.columns.T], [None])
+
+
+def _gemm_dtype(T: int, bits_a: np.ndarray | None, bits_b: np.ndarray | None) -> type:
+    """float32 where a GEMM of ``T``-long lattice vectors of these bit widths
+    is exact in it: every product sum is an integer below 2^24. float64
+    otherwise, where it is exact up to T < 2^21 at 16 bits, and for float
+    loadings."""
+    if bits_a is None or bits_b is None:
+        return np.float64
+    largest = ((1 << int(bits_a.max())) - 1) * ((1 << int(bits_b.max())) - 1) * T
+    return np.float32 if largest < 1 << 24 else np.float64
+
+
 class ObjectIndex:
     """Server-side database of one descriptor dimension T, stored by column:
     immutable loadings plus a derived basis cache.
@@ -99,22 +150,16 @@ class ObjectIndex:
     ``T``, ids that fit the u16 lengths they travel with, and, per kind,
     loadings that are all quantized or all float.
 
-    Image ``r`` owns columns ``offsets[r]:offsets[r + 1]`` of the stacked
-    ``T x Σk`` PCA loading matrix (float64, which every correlation query
-    reads whole) and of the NMF one. Quantized loadings are kept as their
-    levels (uint8 up to 8 bits, uint16 above) with each image's ``bits``
-    until every image is in, so the constructor never holds a second
-    float64 copy of a stack. The PCA stack is then dequantized, one rank
-    and bit width at a time (:func:`_dequantized`); NMF stays as levels,
-    and an image's float64 NMF columns are rebuilt from them where they are
-    needed: for its angle basis, for the whole float64 stack the NMF
-    correlation builds once, and in ``images``, a read-only image id ->
-    :class:`IndexedImage` view that rebuilds each record on access. Each
-    image's float64 columns are those of its own ``codec.dequantize``.
-    The angle metric fills, per kind and on
-    first use of each image, its orthonormal basis and numerical rank
-    (:meth:`_basis_cache`); those are a function of the loadings alone, so
-    no answer depends on what was cached.
+    Image ``r`` owns rows ``offsets[r]:offsets[r + 1]`` of each kind's
+    :class:`_Lattice`, the one stored form of that kind. Quantized loadings
+    are kept as levels in the narrowest unsigned dtype until every image is
+    in, so the constructor never holds a second stack. An image's float64
+    columns are rebuilt where they are needed (:meth:`_gather`): for its
+    angle basis and in ``images``, a read-only image id ->
+    :class:`IndexedImage` view that rebuilds each record on access. The
+    angle metric fills, per kind and on first use of each image, its
+    orthonormal basis and numerical rank (:meth:`_basis_cache`); those are a
+    function of the loadings alone, so no answer depends on what was cached.
     """
 
     def __init__(self, images: Iterable[
@@ -122,7 +167,8 @@ class ObjectIndex:
         row: dict[str, int] = {}  # image id -> row, in insertion order
         object_ids: list[str] = []
         ks: list[int] = []
-        pca_given, nmf_given = _Given(KIND_PCA), _Given(KIND_NMF)
+        parts: dict[str, list[np.ndarray]] = {KIND_PCA: [], KIND_NMF: []}
+        bits: dict[str, list[int | None]] = {KIND_PCA: [], KIND_NMF: []}
         rows_of: dict[str, list[int]] = {}
         T: int | None = None
         for object_id, pca, nmf in images:
@@ -150,8 +196,16 @@ class ObjectIndex:
                     f"image {image_id!r}: descriptor dims ({pca.T}, {nmf.T}) "
                     f"differ from the index's {T}"
                 )
-            nmf_given.add(image_id, nmf)
-            pca_given.add(image_id, pca)
+            for f in (nmf, pca):
+                b = f.bits if isinstance(f, QuantizedLoadings) else None
+                seen = bits[f.kind]
+                if seen and (seen[0] is None) != (b is None):
+                    raise ValueError(f"image {image_id!r}: an index holds quantized or float "
+                                     f"{f.kind.upper()} loadings, not both")
+                seen.append(b)
+                # C-order rows, so that the stacks are C-order too
+                parts[f.kind].append(np.ascontiguousarray(f.columns.T) if b is None else
+                                     f.levels.T.astype(np.min_scalar_type((1 << b) - 1), order="C"))
             rows_of.setdefault(object_id, []).append(len(row))
             row[image_id] = len(row)
             object_ids.append(object_id)
@@ -159,20 +213,14 @@ class ObjectIndex:
         if not row:
             raise ValueError("index must contain at least one image")
         n = len(row)
+        self.T = T
         self._image_ids = tuple(row)
         self._object_ids = tuple(object_ids)
         self._offsets = np.cumsum([0, *ks])
-        self._pca = pca_given.floats()
-        # the float64 NMF stack; with levels, built on first use by _stack
-        self._nmf: np.ndarray | None = None
-        self._nmf_levels: np.ndarray | None = None
-        if nmf_given.bits:
-            self._nmf_levels, self._nmf_bits = nmf_given.levels()
-        else:
-            self._nmf = nmf_given.floats()
-        for array in (self._offsets, self._pca, self._nmf, self._nmf_levels):
-            if array is not None:
-                array.setflags(write=False)
+        self._offsets.setflags(write=False)
+        # one kind at a time, each kind's parts dropped once it is stacked
+        self._lattices = {kind: _lattice(kind, parts.pop(kind), bits[kind])
+                          for kind in (KIND_PCA, KIND_NMF)}
         self._row = row
         self._rows_of_object = rows_of
         # per row: its object's code (for the dedup) and its image id's
@@ -184,10 +232,6 @@ class ObjectIndex:
         self._id_rank[sorted(range(n), key=self._image_ids.__getitem__)] = np.arange(n)
         self.images: Mapping[str, IndexedImage] = _ImageView(self)
         self._basis_caches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def T(self) -> int:
-        return self._pca.shape[0]
 
     @property
     def num_images(self) -> int:
@@ -204,11 +248,12 @@ class ObjectIndex:
 
     def _record(self, row: int) -> IndexedImage:
         rows = np.array([row])
+        k = int(self._offsets[row + 1] - self._offsets[row])
         image_id = self._image_ids[row]
         return IndexedImage(
             image_id=image_id, object_id=self._object_ids[row],
-            pca=FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows)),
-            nmf=FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows)),
+            pca=FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows, k)[0]),
+            nmf=FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows, k)[0]),
         )
 
     def _rows(self, candidates: set[str] | None) -> np.ndarray:
@@ -220,27 +265,27 @@ class ObjectIndex:
         row = self._row
         return np.array(sorted(row[i] for i in candidates if i in row), dtype=np.intp)
 
-    def _stack(self, kind: str) -> np.ndarray:
-        """This kind's float64 ``T x Σk`` loadings. NMF levels are rebuilt
-        into it on first use. Threads that race here publish identical
-        stacks, each by one assignment."""
-        if kind == KIND_PCA:
-            return self._pca
-        if self._nmf is None:
-            stack = self._gather(KIND_NMF, np.arange(self.num_images))
-            stack.setflags(write=False)
-            self._nmf = stack
-        return self._nmf
-
-    def _gather(self, kind: str, rows: np.ndarray) -> np.ndarray:
-        """The float64 loadings of ``rows`` side by side, ``T x Σk``; NMF
-        held only as levels is rebuilt for these rows alone."""
-        if kind == KIND_NMF and self._nmf is None:
-            offsets = self._offsets
-            return _dequantized([self._nmf_levels[:, offsets[r]:offsets[r + 1]]
-                                 for r in rows.tolist()], self._nmf_bits[rows].tolist(), KIND_NMF)
-        starts = self._offsets[rows]
-        return self._stack(kind)[:, _columns(starts, self._offsets[rows + 1] - starts)]
+    def _gather(self, kind: str, rows: np.ndarray, k: int) -> np.ndarray:
+        """The float64 loadings of ``rows``, all of rank ``k``, as an
+        ``(n, T, k)`` stack: float loadings as given; quantized ones each
+        bit for bit its own ``codec.dequantize``, from the levels read back
+        from its lattice vectors, one ``codec.dequantize_levels`` per bit
+        width."""
+        lattice = self._lattices[kind]
+        n = rows.size
+        vectors = lattice.vectors[_columns(self._offsets[rows], np.full(n, k))]
+        stack = vectors.reshape(n, k, self.T).transpose(0, 2, 1)
+        if lattice.bits is None:
+            return stack
+        bits = lattice.bits[rows]
+        out = np.empty(stack.shape)
+        for b in np.unique(bits).tolist():
+            same = bits == b
+            levels = stack[same]
+            if kind == KIND_PCA:  # L = (M + 2^b - 1) / 2
+                levels = (levels + ((1 << b) - 1)) / 2
+            out[same] = codec.dequantize_levels(levels, kind, b)
+        return out
 
     def _basis_cache(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
         """``(bases, ranks)`` of this kind's images, allocated on first use:
@@ -255,76 +300,6 @@ class ObjectIndex:
                 np.empty(self.T * int(self._offsets[-1])),
                 np.full(self.num_images, -1, dtype=np.intp)))
         return cache
-
-
-class _Given:
-    """One kind's loadings of each image as the :class:`ObjectIndex`
-    constructor receives them: all float64 columns, or all levels (kept in
-    the narrowest dtype) with each image's ``bits``. Stacking them drops
-    them."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.parts: list[np.ndarray] = []
-        self.bits: list[int] = []
-
-    def add(self, image_id: str, f: FactorLoadings | QuantizedLoadings) -> None:
-        quantized = isinstance(f, QuantizedLoadings)
-        if self.parts and quantized != bool(self.bits):
-            raise ValueError(f"image {image_id!r}: an index holds quantized or float "
-                             f"{self.kind.upper()} loadings, not both")
-        if quantized:
-            self.parts.append(f.levels.astype(_levels_dtype([f.bits])))
-            self.bits.append(f.bits)
-        else:
-            self.parts.append(f.columns)
-
-    def levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``T x Σk`` levels and each image's bits."""
-        parts, self.parts = self.parts, []
-        return (np.concatenate(parts, axis=1, dtype=_levels_dtype(self.bits)),
-                np.array(self.bits, dtype=np.uint8))
-
-    def floats(self) -> np.ndarray:
-        """The ``T x Σk`` float64 loadings, levels dequantized."""
-        parts, self.parts = self.parts, []
-        if self.bits:
-            return _dequantized(parts, self.bits, self.kind)
-        return np.concatenate(parts, axis=1)
-
-
-def _levels_dtype(bits: list[int]) -> type:
-    return np.uint8 if max(bits) <= 8 else np.uint16
-
-
-def _dequantized(levels: list[np.ndarray], bits: list[int], kind: str) -> np.ndarray:
-    """The float64 loadings of images with these ``T x k`` levels and
-    ``bits``, side by side, ``T x Σk``: those of one rank and bit width by
-    ``codec.dequantize_levels`` of one ``(n, T, k)`` stack, at most
-    ``codec.CHUNK_LEVELS`` levels at a time, which gives each image the
-    bits of its own ``codec.dequantize``."""
-    T = levels[0].shape[0]
-    starts: list[int] = []
-    members: dict[tuple[int, int], list[int]] = {}  # (k, bits) -> images
-    total = 0
-    for i, (matrix, b) in enumerate(zip(levels, bits)):
-        starts.append(total)
-        total += matrix.shape[1]
-        members.setdefault((matrix.shape[1], b), []).append(i)
-    out = np.empty((T, total))
-    for (k, b), same in members.items():
-        step = max(1, codec.CHUNK_LEVELS // (T * k))
-        for part in (same[i:i + step] for i in range(0, len(same), step)):
-            x = codec.dequantize_levels(np.stack([levels[j] for j in part]), kind, b)
-            # one copy per run of images that sit side by side in out
-            first = 0
-            for j in range(1, len(part) + 1):
-                if j == len(part) or part[j] != part[j - 1] + 1:
-                    start = starts[part[first]]
-                    out[:, start:start + (j - first) * k] = (
-                        x[first:j].transpose(1, 0, 2).reshape(T, -1))
-                    first = j
-    return out
 
 
 # --- scoring kernels ------------------------------------------------------
@@ -371,39 +346,68 @@ def _columns(starts: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - (ends - ks), ks)
 
 
-def _correlations(q: np.ndarray, columns: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Correlation score of each image laid side by side in ``columns``
-    (image ``i`` owns the next ``ks[i]`` of them): one GEMM, each database
-    column's best query column, then a sum per image in ``np.sum``'s order."""
-    best = (q.T @ columns).max(axis=0)
+def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndarray,
+                  norms: np.ndarray, ks: np.ndarray, dtype: type) -> np.ndarray:
+    """Correlation scores, ``(m, len(ks))``, of ``m`` queries given as
+    ``(m, kq, T)`` lattice vectors with their ``(m, kq)`` norms, against the
+    images whose lattice vectors are the rows of ``vectors`` (image ``i``
+    owns the next ``ks[i]``), with their ``norms``.
+
+    Per chunk of rows, one GEMM in ``dtype`` gives ``G = rows @ queryᵀ``,
+    exact for lattice vectors; then, in float64, each row's best
+    ``G_i / ||q_i||`` over the query's columns, divided by the row's own
+    norm; then a sum per image in ``np.sum``'s order. Every step after the
+    GEMM is elementwise, so no score depends on the other rows or queries."""
+    m, kq, T = queries.shape
+    columns = queries.reshape(m * kq, T).T.astype(dtype, order="C")
+    divisors = query_norms.reshape(m * kq, 1)
+    best = np.empty((m, len(vectors)))
+    for start in range(0, len(vectors), _CHUNK_ROWS):
+        rows = vectors[start:start + _CHUNK_ROWS]
+        # G transposed, one contiguous float64 row per query column, so the
+        # max over a query's columns runs along rows
+        g = (rows.astype(dtype, copy=False) @ columns).T.astype(np.float64, order="C")
+        g /= divisors
+        out = best[:, start:start + len(rows)]
+        np.maximum.reduce(g.reshape(m, kq, -1), axis=1, out=out)
+        out /= norms[start:start + len(rows)]
+    sums = np.empty((m, ks.size))
     starts = np.cumsum(ks) - ks
-    sums = np.empty(ks.size)
     for k, pos in _rank_groups(ks):
-        sums[pos] = best[_columns(starts[pos], np.full(pos.size, k))].reshape(-1, k).sum(axis=1)
+        columns = _columns(starts[pos], np.full(pos.size, k))
+        for query_sums, query_best in zip(sums, best):  # each over a contiguous row
+            query_sums[pos] = query_best[columns].reshape(-1, k).sum(axis=1)
     return sums
 
 
-def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:
-    """Smallest principal angle between the column spans, in [0, pi/2]."""
-    _check_dims(a.T, b.T)
-    qa = _basis(a)
-    qb = _basis(b)
-    return float(_angles(qa, qb[None])[0])
+def _correlation_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIndex,
+                      rows: np.ndarray) -> np.ndarray:
+    """Negated correlation score of the query against each image of
+    ``rows``; all rows read the stored stack in place, a subset gathers its
+    own. A float on either side, or bit widths whose sums could reach
+    2^24, take the GEMM to float64."""
+    stored, query_lattice = index._lattices[query.kind], _query_lattice(query)
+    starts = index._offsets[rows]
+    ks = index._offsets[rows + 1] - starts
+    vectors, norms = stored.vectors, stored.norms
+    if rows.size < index.num_images:
+        columns = _columns(starts, ks)
+        vectors, norms = vectors[columns], norms[columns]
+    dtype = _gemm_dtype(index.T, query_lattice.bits, stored.bits)
+    return -_correlations(query_lattice.vectors[None], query_lattice.norms[None],
+                          vectors, norms, ks, dtype)[0]
 
 
-def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:
-    """Sum over b's columns of their maximum correlation with a's columns."""
-    _check_dims(a.T, b.T)
-    return float(_correlations(a.columns, b.columns, np.array([b.k]))[0])
-
-
-def _angle_keys(query: FactorLoadings, index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
+def _angle_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIndex,
+                rows: np.ndarray) -> np.ndarray:
     """Angle of the query to each image of ``rows``: the query is
-    orthonormalized once; each image's basis comes from the index's cache,
-    where the images not yet cached are first filled by one batched SVD per
-    rank. A degenerate image, and every image for a degenerate query, scores
-    ``WORST_ANGLE``."""
+    dequantized and orthonormalized once; each image's basis comes from the
+    index's cache, where the images not yet cached are first filled by
+    batched SVDs, per rank and chunk of images. A degenerate image, and every image for a
+    degenerate query, scores ``WORST_ANGLE``."""
     keys = np.full(rows.size, WORST_ANGLE)
+    if isinstance(query, QuantizedLoadings):
+        query = codec.dequantize(query)
     try:
         qa = _basis(query)
     except DegenerateLoadingsError:
@@ -415,33 +419,32 @@ def _angle_keys(query: FactorLoadings, index: ObjectIndex, rows: np.ndarray) -> 
         if k > T:  # more columns than dimensions: rank-deficient, WORST_ANGLE
             continue
         missing = pos[ranks[rows[pos]] < 0]
-        if missing.size:
-            block = index._gather(query.kind, rows[missing])
-            qb, rank = _bases(block.reshape(T, missing.size, k).transpose(1, 0, 2))
-            bases[_columns(T * starts[missing], np.full(missing.size, T * k))] = qb.ravel()
-            ranks[rows[missing]] = rank  # after the bases: publishes them
+        step = max(1, codec.CHUNK_LEVELS // (T * k))  # bounds the fill's temporaries
+        for part in (missing[i:i + step] for i in range(0, missing.size, step)):
+            qb, rank = _bases(index._gather(query.kind, rows[part], k))
+            bases[_columns(T * starts[part], np.full(part.size, T * k))] = qb.ravel()
+            ranks[rows[part]] = rank  # after the bases: publishes them
         qb = bases[_columns(T * starts[pos], np.full(pos.size, T * k))].reshape(-1, T, k)
         keys[pos] = np.where(ranks[rows[pos]] == k, _angles(qa, qb), WORST_ANGLE)
     return keys
 
 
 def rank_database(
-    query: FactorLoadings,
+    query: FactorLoadings | QuantizedLoadings,
     index: ObjectIndex,
-    metric: str | None = None,
+    metric: str,
     eta: int = 20,
     candidates: set[str] | None = None,
 ) -> RankedList:
     """Score the query against database images and return the top-eta objects.
 
-    Database loadings of the query's kind are used. Ordering is best-first
-    (ascending angle / descending correlation) with lexicographic image-id
-    tie-breaking; multiple views of one object collapse to the best view.
-    Images whose loadings are degenerate under the angle metric sort last
-    (angle pi/2) rather than aborting the query.
+    The query is quantized loadings as uploaded, or float loadings (full
+    precision); database loadings of its kind are used. Ordering is
+    best-first (ascending angle / descending correlation) with
+    lexicographic image-id tie-breaking; multiple views of one object
+    collapse to the best view. Images whose loadings are degenerate under
+    the angle metric sort last (angle pi/2) rather than aborting the query.
     """
-    if metric is None:
-        metric = DEFAULT_METRIC[query.kind]
     if metric not in (METRIC_ANGLE, METRIC_CORRELATION):
         raise ValueError(f"unknown metric {metric!r}")
     if eta < 1:
@@ -453,11 +456,7 @@ def rank_database(
     if metric == METRIC_ANGLE:
         keys = _angle_keys(query, index, rows)
     else:
-        stacked = index._stack(query.kind)
-        starts = index._offsets[rows]
-        ks = index._offsets[rows + 1] - starts
-        columns = stacked if candidates is None else stacked[:, _columns(starts, ks)]
-        keys = -_correlations(query.columns, columns, ks)
+        keys = _correlation_keys(query, index, rows)
     # best-first by (key, image id); each object's first row is its best view
     order = np.lexsort((index._id_rank[rows], keys))
     _, first = np.unique(index._object_code[rows[order]], return_index=True)
@@ -470,8 +469,8 @@ def rank_database(
 
 
 def combined_hypotheses(
-    query_pca: FactorLoadings,
-    query_nmf: FactorLoadings,
+    query_pca: FactorLoadings | QuantizedLoadings,
+    query_nmf: FactorLoadings | QuantizedLoadings,
     index: ObjectIndex,
     eta: int = 20,
 ) -> tuple[RankedList, RankedList]:
@@ -487,8 +486,8 @@ def combined_hypotheses(
 
 
 def retrieve_combined(
-    query_pca: FactorLoadings,
-    query_nmf: FactorLoadings,
+    query_pca: FactorLoadings | QuantizedLoadings,
+    query_nmf: FactorLoadings | QuantizedLoadings,
     index: ObjectIndex,
     eta: int = 20,
     alpha: int = 2,

@@ -94,12 +94,6 @@ def factorize_image(
     return pca, nmf, k
 
 
-def stored_loadings(f: FactorLoadings, bits: int | None) -> FactorLoadings:
-    """Loadings as the server holds them after a ``bits``-bit upload;
-    ``bits=None`` keeps full precision (reference mode)."""
-    return f if bits is None else codec.dequantize(codec.quantize(f, bits))
-
-
 def client_blobs(
     m: DescriptorMatrix,
     bits: int,
@@ -163,9 +157,8 @@ def build_index(
 ) -> ObjectIndex:
     """Build the in-memory database from a descriptor corpus.
 
-    Stored loadings go through the ``bits``-bit quantize/dequantize round
-    trip, mirroring what a server reading quantized uploads would hold;
-    ``bits=None`` keeps full precision (reference mode).
+    Stored loadings are quantized at ``bits`` bits, as a server holds
+    quantized uploads; ``bits=None`` keeps full precision (reference mode).
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -302,8 +295,7 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
     depends only on the index's loadings and the payload."""
     try:
         version, eta, alpha, pca_blob, nmf_blob = decode_query(payload)
-        query_pca = codec.dequantize(codec.decode(pca_blob))
-        query_nmf = codec.dequantize(codec.decode(nmf_blob))
+        query_pca, query_nmf = codec.decode(pca_blob), codec.decode(nmf_blob)
     except (ProtocolError, codec.CodecError) as exc:
         return encode_response(STATUS_MALFORMED, error_text=f"malformed frame: {exc}")
     if version != PROTOCOL_VERSION:

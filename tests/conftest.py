@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from factormatch import SynthCorpusSpec, generate_corpus
+from factormatch import SynthCorpusSpec, generate_corpus, matcher
 from factormatch.codec import QuantizedLoadings
 from factormatch.descriptors import DescriptorMatrix
 from factormatch.factorization import (
@@ -71,6 +71,20 @@ def serve(index: ObjectIndex, **kw):
 
 
 # --- oracles: one-value forms of what the package computes in bulk -----------
+
+
+def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:
+    """Smallest principal angle between the column spans, in [0, pi/2]: the
+    index's angle kernel on one pair, each side orthonormalized in float64."""
+    matcher._check_dims(a.T, b.T)
+    return float(matcher._angles(matcher._basis(a), matcher._basis(b)[None])[0])
+
+
+def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:
+    """Sum over b's columns of their maximum correlation with a's columns,
+    from one float64 product of the columns as given."""
+    matcher._check_dims(a.T, b.T)
+    return float(np.sum((a.columns.T @ b.columns).max(axis=0)))
 
 
 def lattice_values(q: QuantizedLoadings) -> np.ndarray:

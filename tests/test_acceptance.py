@@ -27,12 +27,12 @@ from factormatch.matcher import (
     RankedEntry,
     RankedList,
     rank_database,
-    subspace_angle,
 )
 from factormatch.model_order import estimate_order
 from factormatch.service import answer_query, build_index, client_blobs, read_frame, write_frame
 
-from conftest import blob_header_bytes, lattice_values, payload_bytes, random_unit_columns, serve
+from conftest import (blob_header_bytes, lattice_values, payload_bytes, random_unit_columns, serve,
+                      subspace_angle)
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 

@@ -89,7 +89,7 @@ def test_answer_query_spans(tracer):
         assert len(tracer.durations(name)) == 1, name
     assert tracer.durations("matcher.angle_full") == []
     with tracer.off():  # every view of the objects the prefilter keeps
-        kept = factormatch.matcher.rank_database(codec.dequantize(q_pca), index, eta=3)
+        kept = factormatch.matcher.rank_database(q_pca, index, "correlation", eta=3)
         rerank = index.images_of_objects(kept.object_ids())
     assert tracer.counts["matcher.rerank_candidates"] == [len(rerank)]
 

@@ -133,7 +133,7 @@ class TestDequantize:
         assert np.array_equal(f.columns, np.zeros((4, 2)))
 
     def test_quantization_preserves_subspace_at_8_bits(self):
-        from factormatch.matcher import subspace_angle
+        from conftest import subspace_angle
 
         rng = np.random.default_rng(15)
         for _ in range(20):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -15,14 +16,16 @@ from factormatch.matcher import (
     RankedEntry,
     RankedList,
     _angle_keys,
+    _correlation_keys,
+    _correlations,
+    _gemm_dtype,
+    _query_lattice,
     combined_hypotheses,
-    correlation_score,
     rank_database,
     retrieve_combined,
-    subspace_angle,
 )
 
-from conftest import random_unit_columns
+from conftest import correlation_score, random_unit_columns, subspace_angle
 
 
 def pca_of(columns, image_id="q"):
@@ -143,16 +146,6 @@ class TestCorrelationScore:
                 best = max(best, float(a.columns[:, i] @ b.columns[:, j]))
             total += best
         assert correlation_score(a, b) == pytest.approx(total, abs=1e-12)
-
-    def test_sums_in_np_sum_order(self):
-        # the per-image sum of the batched kernel is np.sum's pairwise sum,
-        # also past its 8-way unrolling (k >= 8) and 128-element blocks
-        rng = np.random.default_rng(13)
-        for kb in (1, 7, 8, 9, 24, 129, 300):
-            a = pca_of(random_unit_columns(rng, 16, 3))
-            b = pca_of(random_unit_columns(rng, 16, kb))
-            expected = float(np.sum((a.columns.T @ b.columns).max(axis=0)))
-            assert correlation_score(a, b) == expected
 
     def test_bounded_by_database_column_count(self):
         rng = np.random.default_rng(5)
@@ -498,8 +491,8 @@ class TestBasisCache:
         assert index._basis_caches == {}
         rank_database(nmf_of(random_nmf_columns(rng, 12, 2)), index, "angle")
         bases, ranks = index._basis_caches["nmf"]
-        # at most one mirror of the kind's loadings stack
-        assert bases.nbytes == index._nmf.nbytes
+        # at most one mirror of the kind's float64 loadings stack
+        assert bases.nbytes == index._lattices["nmf"].vectors.nbytes
         assert ranks.shape == (index.num_images,)
         assert list(index._basis_caches) == ["nmf"]
 
@@ -524,14 +517,25 @@ def levels_case(seed, T=12):
     return rng, images
 
 
+def assert_same_correlation_ranking(got, want):
+    """The same objects and views in the same order, with correlation keys
+    within 1e-13: lattice cosines and float64 dot products of the
+    dequantized columns differ only by rounding."""
+    assert [(e.object_id, e.image_id) for e in got.entries] == [
+        (e.object_id, e.image_id) for e in want.entries]
+    for ours, theirs in zip(got.entries, want.entries):
+        assert abs(ours.score - theirs.score) <= 1e-13
+
+
 def dequantized(images):
     """The same images with their NMF loadings dequantized to float64."""
     return [(obj, pca, codec.dequantize(nmf)) for obj, pca, nmf in images]
 
 
 class TestLevelsBackedNmf:
-    """An index that keeps NMF loadings as levels answers bit for bit like
-    one given the same loadings dequantized to float64."""
+    """An index that keeps NMF loadings quantized gives the angles, bases and
+    records of one given the same loadings dequantized to float64 bit for
+    bit, and its correlation ranking up to rounding."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scores_like_the_float_index(self, seed):
@@ -547,19 +551,16 @@ class TestLevelsBackedNmf:
                                       _angle_keys(query, floats, rows))
                 assert (rank_database(query, levels, "angle", eta=50, candidates=candidates)
                         == rank_database(query, floats, "angle", eta=50, candidates=candidates))
-        assert levels._nmf is None  # angle bases are filled without the float stack
         for got, want in zip(levels._basis_cache("nmf"), floats._basis_cache("nmf")):
             assert np.array_equal(got, want)
         _, ranks = levels._basis_cache("nmf")
         assert not images[-1][2].levels[:, 1].any()
         assert ranks[levels._row["z_one_bit"]] < 3
-        for query in queries:
+        for query in queries:  # lattice cosines against float64 dot products
             for candidates in (None, subset):
-                assert (rank_database(query, levels, "correlation", eta=50,
-                                      candidates=candidates)
-                        == rank_database(query, floats, "correlation", eta=50,
-                                         candidates=candidates))
-        assert np.array_equal(levels._stack("nmf"), floats._stack("nmf"))
+                assert_same_correlation_ranking(
+                    rank_database(query, levels, "correlation", eta=50, candidates=candidates),
+                    rank_database(query, floats, "correlation", eta=50, candidates=candidates))
         for image_id in ids:
             assert np.array_equal(levels.images[image_id].nmf.columns,
                                   floats.images[image_id].nmf.columns)
@@ -569,15 +570,16 @@ class TestLevelsBackedNmf:
         assert (retrieve_combined(q_pca, queries[2], levels, eta=4, alpha=1)
                 == retrieve_combined(q_pca, queries[2], floats, eta=4, alpha=1))
 
-    @pytest.mark.parametrize("bits, dtype", [((1, 5, 8), np.uint8), ((8, 9), np.uint16),
-                                             ((2, 12, 16), np.uint16)])
-    def test_levels_in_the_narrowest_dtype(self, bits, dtype):
+    # at T = 12, (2^b - 1)^2 * T < 2^24 holds up to b = 10
+    @pytest.mark.parametrize("bits, dtype", [((1, 5, 8), np.float32), ((8, 10), np.float32),
+                                             ((2, 11, 16), np.float64)])
+    def test_stack_in_float32_where_exact(self, bits, dtype):
         rng = np.random.default_rng(21)
         images = [(f"o{i}", pca_of(random_unit_columns(rng, 12, 2), f"o{i}_v1"),
                    codec.quantize(nmf_of(random_nmf_columns(rng, 12, 2), f"o{i}_v1"), b))
                   for i, b in enumerate(bits)]
         index = ObjectIndex(images)
-        assert index._nmf_levels.dtype == dtype
+        assert index._lattices["nmf"].vectors.dtype == dtype
         for _, pca, nmf in images:
             assert np.array_equal(index.images[pca.image_id].nmf.columns,
                                   codec.dequantize(nmf).columns)
@@ -601,6 +603,98 @@ class TestLevelsBackedNmf:
         gc.collect()
         assert all(ref() is None for ref in refs)
         assert index.num_images == n
+
+def lattice_case(seed, n=180, T=128, bits=5):
+    """``n`` images quantized at ``bits``, of ranks 20-28 at T = 128, so that
+    their ``Σk`` rows span more than one 4096-row chunk of the kernel."""
+    rng = np.random.default_rng(seed)
+    images = []
+    for i in range(n):
+        k, image_id = int(rng.integers(20, 29)), f"o{i // 3}_v{i % 3}"
+        images.append((f"o{i // 3}",
+                       codec.quantize(pca_of(random_unit_columns(rng, T, k), image_id), bits),
+                       codec.quantize(nmf_of(random_nmf_columns(rng, T, k), image_id), bits)))
+    return rng, images
+
+
+def random_query(rng, kind, k, bits, T=128):
+    make, cols = (pca_of, random_unit_columns) if kind == "pca" else (nmf_of, random_nmf_columns)
+    return codec.quantize(make(cols(rng, T, k)), bits)
+
+
+class TestLatticeKernel:
+    """Correlation is one GEMM of integer lattice vectors, exact in float32
+    at these widths, so no score depends on the rows or queries it shares
+    the GEMM with."""
+
+    @pytest.mark.parametrize("kind", ["pca", "nmf"])
+    def test_subset_shuffle_and_batch_score_bit_for_bit(self, kind):
+        rng, images = lattice_case(0)
+        index = ObjectIndex(images)
+        stored = index._lattices[kind]
+        assert stored.vectors.dtype == np.float32 and len(stored.vectors) > 4096
+        every = index._rows(None)
+        queries = [random_query(rng, kind, 24, 5) for _ in range(4)]
+        full = np.stack([_correlation_keys(q, index, every) for q in queries])
+        subset = np.sort(rng.choice(every, size=every.size // 3, replace=False))
+        order = rng.permutation(every.size)
+        shuffled = ObjectIndex([images[i] for i in order])
+        for q, keys in zip(queries, full):
+            assert np.array_equal(_correlation_keys(q, index, subset), keys[subset])
+            assert np.array_equal(_correlation_keys(q, shuffled, every), keys[order])
+        lattices = [_query_lattice(q) for q in queries]
+        for dtype in (np.float32, np.float64):
+            batch = _correlations(np.stack([lattice.vectors for lattice in lattices]),
+                                  np.stack([lattice.norms for lattice in lattices]),
+                                  stored.vectors, stored.norms, np.diff(index._offsets), dtype)
+            assert np.array_equal(-batch, full)
+
+    def test_all_zero_nmf_columns_add_zero(self):
+        rng = np.random.default_rng(14)
+        T, k, bits = 16, 4, 3
+
+        def zeroed(f, column):
+            levels = f.levels.copy()
+            levels[:, column] = 0
+            return dataclasses.replace(f, levels=levels)
+
+        pca = codec.quantize(pca_of(random_unit_columns(rng, T, k), "d_v1"), bits)
+        nmf = zeroed(codec.quantize(nmf_of(random_nmf_columns(rng, T, k), "d_v1"), bits), 1)
+        index = ObjectIndex([("d", pca, nmf)])
+        query = zeroed(random_query(rng, "nmf", 3, bits, T), 2)
+        without = dataclasses.replace(query, k=2, levels=query.levels[:, :2])
+        stored = index._lattices["nmf"]
+        per_column = [_correlations(lattice.vectors[None], lattice.norms[None], stored.vectors,
+                                    stored.norms, np.ones(k, dtype=np.intp), np.float32)[0]
+                      for lattice in (_query_lattice(query), _query_lattice(without))]
+        assert per_column[0][1] == 0.0
+        assert np.array_equal(per_column[0], per_column[1])
+        score = -_correlation_keys(query, index, index._rows(None))[0]
+        assert np.isfinite(score)
+        # the float64 dot products of the dequantized columns, zeros where a column is zero
+        assert abs(score - correlation_score(codec.dequantize(query), codec.dequantize(nmf))) <= 1e-13
+        ranked = rank_database(query, index, "correlation", eta=1)
+        assert ranked.entries[0].score == score
+
+    @pytest.mark.parametrize("query_bits, dtype", [(12, np.float32), (16, np.float64)])
+    def test_wide_queries_and_float_indexes_match_the_float64_oracle(self, query_bits, dtype):
+        rng, images = lattice_case(1, n=30)
+        floats = ObjectIndex((obj, codec.dequantize(pca), codec.dequantize(nmf))
+                             for obj, pca, nmf in images)
+        index = ObjectIndex(images)
+        every = index._rows(None)
+        for kind in ("pca", "nmf"):
+            query = random_query(rng, kind, 24, query_bits)
+            query_lattice = _query_lattice(query)
+            assert _gemm_dtype(index.T, query_lattice.bits, index._lattices[kind].bits) is dtype
+            assert _gemm_dtype(index.T, query_lattice.bits, floats._lattices[kind].bits) is np.float64
+            for db, q in ((index, query), (floats, query), (floats, codec.dequantize(query))):
+                keys = _correlation_keys(q, db, every)
+                for key, image_id in zip(keys, db.images):
+                    oracle = correlation_score(codec.dequantize(query),
+                                               getattr(db.images[image_id], kind))
+                    assert abs(-key - oracle) <= 1e-13
+
 
 class TestOneDimensionPerIndex:
     def test_mixed_T_rejected(self):

@@ -190,7 +190,7 @@ class TestIndexFile:
         loaded = read_index(path)
         floats = ObjectIndex((rec.object_id, codec.dequantize(rec.pca),
                               codec.dequantize(rec.nmf)) for rec in records)
-        assert loaded._nmf_levels.dtype == np.uint16
+        assert loaded._lattices["nmf"].vectors.dtype == np.float64  # 12 bits: float32 inexact
         for image_id, rec in floats.images.items():
             other = loaded.images[image_id]
             assert other.object_id == rec.object_id
@@ -201,9 +201,9 @@ class TestIndexFile:
                 == [answer_query(floats, p) for p in payloads])
 
     def test_memory_of_a_loaded_index(self, tmp_path):
-        """An index holds each image's PCA loadings as float64 and its NMF
-        loadings as 5-bit levels in one byte each: about 24.6 + 3.1 kB per
-        image at T=128, k=24, where float64 NMF would add 24.6 kB more."""
+        """An index holds each image's PCA and NMF loadings as 5-bit lattice
+        vectors in float32, with a float64 norm per column: about 12.3 + 12.3
+        + 0.4 kB per image at T=128, k=24."""
         T, k, n = 128, 24, 40
         rng = np.random.default_rng(40)
         records = [IndexRecord(f"o{i}", *(
@@ -308,9 +308,10 @@ def blob_by_blob(data: bytes) -> ObjectIndex:
 
 
 class TestIndexFileOfManyShapes:
-    """``read_index`` unpacks the blobs of each shape together and
-    dequantizes each rank's PCA loadings as one stack; the index it builds
-    is the one that decoding and dequantizing blob by blob builds."""
+    """``read_index`` unpacks the blobs of each shape together; the index it
+    builds holds the loadings that decoding blob by blob gives: the NMF
+    lattice of the same levels, and PCA columns and bases bit for bit those
+    of each blob's own dequantization."""
 
     @pytest.mark.parametrize("T, ks", [(7, (1, 2, 3, 5, 7)), (128, (1, 2, 4, 24, 7))])
     def test_mixed_ranks_and_widths(self, T, ks, tmp_path):
@@ -320,13 +321,22 @@ class TestIndexFileOfManyShapes:
         path = tmp_path / "shapes.idx"
         write_index(path, records)
         loaded, reference = read_index(path), blob_by_blob(path.read_bytes())
-        assert loaded._nmf_levels.dtype == np.uint16
-        for got, want in ((loaded._pca, reference._pca),
-                          (loaded._nmf_levels, reference._nmf_levels),
-                          (loaded._nmf_bits, reference._nmf_bits),
-                          (loaded._stack("nmf"), reference._stack("nmf"))):
-            assert np.array_equal(got, want)
-        payloads = [encode_query(5, 2, *blobs_of_rank(T, k, seed)) for seed, k in enumerate(ks)]
+        got, want = loaded._lattices["nmf"], reference._lattices["nmf"]
+        assert got.vectors.dtype == np.float64  # up to 16 bits: float32 inexact
+        for field in ("vectors", "norms", "bits"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        for image_id, rec in reference.images.items():
+            assert np.array_equal(loaded.images[image_id].pca.columns, rec.pca.columns)
+        blobs = [blobs_of_rank(T, k, seed) for seed, k in enumerate(ks)]
+        for pca_blob, _ in blobs:  # lattice cosines against float64 dot products
+            query = codec.decode(pca_blob)
+            ours = rank_database(query, loaded, "correlation", eta=20)
+            theirs = rank_database(codec.dequantize(query), reference, "correlation", eta=20)
+            assert ([(e.object_id, e.image_id) for e in ours.entries]
+                    == [(e.object_id, e.image_id) for e in theirs.entries])
+            for a, b in zip(ours.entries, theirs.entries):
+                assert abs(a.score - b.score) <= 1e-13
+        payloads = [encode_query(5, 2, *pair) for pair in blobs]
         assert ([answer_query(loaded, p) for p in payloads]
                 == [answer_query(reference, p) for p in payloads])
         for kind in ("pca", "nmf"):  # fill every image's basis, then compare the caches
@@ -410,7 +420,8 @@ class TestIndexFileOfManyShapes:
         finally:
             tracemalloc.stop()
         assert index.num_images == 1000
-        assert size > index._pca.nbytes + index._nmf_levels.nbytes
+        assert size > sum(lattice.vectors.nbytes + lattice.norms.nbytes
+                          for lattice in index._lattices.values())
         assert write_peak < size + (8 << 20)
         assert read_peak < size + (8 << 20)
 
@@ -725,8 +736,8 @@ class TestConcurrentFills:
             assert answers[t] == serial[t:] + serial[:t]
 
     def test_threads_building_the_nmf_stack_agree(self, corpus):
-        """NMF correlation rebuilds the float64 stack from the levels once;
-        threads that race to build it rank as one thread does."""
+        """Threads that rank by NMF correlation at once, on an index no query
+        has touched, rank as one thread does."""
         queries = [factorize_image(m, K_MAX)[1] for m in corpus]
         serial_index = build_index(corpus, k_max=K_MAX, bits=5)
         serial = [rank_database(q, serial_index, "correlation", eta=6) for q in queries]
