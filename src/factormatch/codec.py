@@ -73,7 +73,7 @@ class QuantizedLoadings:
     bits: int
     lo: float
     hi: float
-    levels: np.ndarray = field(repr=False)  # T x k unsigned levels
+    levels: np.ndarray = field(repr=False)  # T x k levels, C order, in _level_dtype(bits)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODE:
@@ -83,15 +83,23 @@ class QuantizedLoadings:
         if self.T < 1 or self.k < 1:
             raise ValueError(f"empty loadings shape {self.T}x{self.k}")
         _check_range(self.kind, self.lo, self.hi)
-        # canonical C layout: summation order in downstream reductions must
-        # not depend on whether levels came from quantize() or decode()
-        levels = np.array(self.levels, dtype=np.uint32, order="C")
+        levels = np.asarray(self.levels)
         if levels.shape != (self.T, self.k):
             raise ValueError(f"levels shape {levels.shape} != ({self.T}, {self.k})")
-        if levels.size and int(levels.max()) >= (1 << self.bits):
+        # checked as given, before narrowing could wrap a level into range
+        if levels.dtype.kind not in "ui":
+            raise ValueError(f"levels must be integers, got {levels.dtype}")
+        if levels.dtype.kind == "i" and int(levels.min()) < 0:
+            raise ValueError(f"level {int(levels.min())} is negative")
+        if int(levels.max()) >= (1 << self.bits):
             raise ValueError(f"level {int(levels.max())} does not fit in {self.bits} bits")
-        object.__setattr__(self, "levels", levels)
+        # canonical C layout in the narrowest dtype: summation order in
+        # downstream reductions must not depend on whether levels came from
+        # quantize() or decode(); a read-only view leaves the caller's array
+        # writable
+        levels = levels.astype(_level_dtype(self.bits), order="C", copy=False).view()
         levels.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def step(self) -> float:
@@ -107,6 +115,11 @@ class QuantizedLoadings:
         )
 
 
+def _level_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype of ``bits``-bit levels."""
+    return np.dtype(np.uint8 if bits <= 8 else np.uint16)
+
+
 def quantize(f: FactorLoadings, bits: int) -> QuantizedLoadings:
     """Uniform-quantize a loading matrix at ``bits`` bits per entry.
 
@@ -117,15 +130,16 @@ def quantize(f: FactorLoadings, bits: int) -> QuantizedLoadings:
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must lie in 1..16, got {bits}")
     x = f.columns
-    if float(x.min()) < lo - RANGE_SLACK or float(x.max()) > hi + RANGE_SLACK:
+    # written so that a NaN entry fails it too
+    if not lo - RANGE_SLACK <= float(x.min()) <= float(x.max()) <= hi + RANGE_SLACK:
         raise ValueError(
             f"{f.kind} loading entries outside [{lo}, {hi}]: "
             f"range [{float(x.min())}, {float(x.max())}]"
         )
     step = (hi - lo) / ((1 << bits) - 1)
     # (x - lo) / step is non-negative, so half-away-from-zero == floor(v + 0.5)
-    levels = np.floor((np.clip(x, lo, hi) - lo) / step + 0.5).astype(np.uint32)
-    levels = np.minimum(levels, (1 << bits) - 1)
+    levels = np.minimum(np.floor((np.clip(x, lo, hi) - lo) / step + 0.5), (1 << bits) - 1)
+    levels = levels.astype(_level_dtype(bits), order="C")
     return QuantizedLoadings(
         image_id=f.image_id, kind=f.kind, T=f.T, k=f.k,
         bits=bits, lo=lo, hi=hi, levels=levels,
@@ -260,7 +274,9 @@ def _unpacked(body: np.ndarray, offsets: np.ndarray, bits: int, T: int,
         bodies = np.empty((len(part), size), dtype=np.uint8)
         for row, offset in zip(bodies, part):
             row[:] = body[offset:offset + size]
-        yield from _unpack(bodies, T * k, bits).reshape(-1, k, T).transpose(0, 2, 1)
+        # one transpose per chunk, to C-order T x k levels in their narrowest dtype
+        yield from _unpack(bodies, T * k, bits).reshape(-1, k, T).transpose(0, 2, 1).astype(
+            _level_dtype(bits), order="C")
 
 
 def _pack(levels: np.ndarray, bits: int) -> np.ndarray:

@@ -14,12 +14,14 @@ matrix ``B`` sharing the descriptor dimension T:
 A quantized column is an integer vector in disguise: ``codec.dequantize``
 gives ``M / ||M||`` for ``M = 2L - (2^b - 1)`` (PCA levels ``L`` at ``b``
 bits) or ``M = L`` (NMF). The columnar index keeps each kind in that one
-form (:class:`_Lattice`), so a correlation is one GEMM of integer vectors,
-exact in any blocking, and no score depends on the rows or queries that
-share it. The angle reads database bases cached in the index, each image's
-computed once from its loadings dequantized bit for bit like its own
-``codec.dequantize``. ``rank_database`` scores the whole database or a
-candidate subset at once, keeps each object's best view and truncates to
+form (:class:`_Lattice`), stored in the narrowest integer dtype that holds
+it (``int8`` for 5-bit PCA, ``uint8`` for NMF up to 8 bits) and widened a
+chunk of rows at a time for the GEMM, so a correlation is one GEMM of
+integer vectors, exact in any blocking, and no score depends on the rows or
+queries that share it. The angle reads database bases cached in the index,
+each image's computed once from its loadings dequantized bit for bit like
+its own ``codec.dequantize``. ``rank_database`` scores the whole database or
+a candidate subset at once, keeps each object's best view and truncates to
 the top eta; ``retrieve_combined`` runs the full pipeline: PCA-correlation
 prefilter, NMF-angle rerank on the surviving objects' views, rank fusion.
 """
@@ -43,8 +45,9 @@ METRIC_CORRELATION = "correlation"
 
 WORST_ANGLE = math.pi / 2
 
-# database rows per step of the correlation kernel
-_CHUNK_ROWS = 4096
+# database rows per step of the correlation kernel: at T=128, its widened
+# float32 rows take 1 MB, so the GEMM reads them from cache
+_CHUNK_ROWS = 2048
 
 
 class DegenerateLoadingsError(ValueError):
@@ -90,9 +93,11 @@ class _ImageView(Mapping[str, IndexedImage]):
 @dataclass(frozen=True)
 class _Lattice:
     """Loadings of one kind as they are scored: row ``j`` of ``vectors``
-    is column ``j``'s lattice vector (float loadings: the column itself),
-    ``norms[j]`` its norm (1 for float loadings and for an all-zero
-    vector), ``bits`` each image's bit width (None for float loadings)."""
+    is column ``j``'s lattice vector, in the narrowest integer dtype that
+    holds the lattice at the widest of ``bits`` (float loadings: the
+    float64 column itself), ``norms[j]`` its float64 norm (1 for float
+    loadings and for an all-zero vector), ``bits`` each image's bit width
+    (None for float loadings)."""
 
     vectors: np.ndarray
     norms: np.ndarray
@@ -101,21 +106,30 @@ class _Lattice:
 
 def _lattice(kind: str, parts: list[np.ndarray], bits: list[int | None]) -> _Lattice:
     """The read-only :class:`_Lattice` of images given as ``k x T`` parts:
-    each image's levels at its ``bits``, or, where its bits are None, its
-    float columns. The stack is float32 where every GEMM among its vectors
-    is exact in it (:func:`_gemm_dtype`), float64 otherwise; each norm is
-    the square root of an exact sum of squares."""
+    each image's unsigned levels at its ``bits``, or, where its bits are
+    None, its float columns. The stack of lattice vectors takes the
+    narrowest integer dtype that holds ``[-(2^b - 1), 2^b - 1]`` (PCA) or
+    ``[0, 2^b - 1]`` (NMF) at the widest ``b``, and is formed in that dtype
+    with no wider full-stack temporary; each norm is the square root of an
+    exact int64 sum of squares."""
+    rows, T = sum(map(len, parts)), parts[0].shape[1]
     if bits[0] is None:
-        lattice = _Lattice(np.concatenate(parts), np.ones(sum(map(len, parts))), None)
+        vectors = np.concatenate(parts, out=np.empty((rows, T)))
+        lattice = _Lattice(vectors, np.ones(rows), None)
     else:
         image_bits = np.array(bits, dtype=np.uint8)
-        vectors = np.concatenate(parts, dtype=_gemm_dtype(parts[0].shape[1], image_bits,
-                                                          image_bits))
-        if kind == KIND_PCA:  # M = 2L - (2^b - 1)
-            vectors *= 2
-            vectors -= np.repeat((1 << image_bits.astype(np.int64)) - 1,
-                                 [len(part) for part in parts]).astype(vectors.dtype)[:, None]
-        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors), dtype=np.float64)
+        top = (1 << int(image_bits.max())) - 1
+        # C order whatever the parts' layout
+        vectors = np.concatenate(parts, out=np.empty(
+            (rows, T), np.min_scalar_type(-top if kind == KIND_PCA else top)))
+        if kind == KIND_PCA:  # M = L - ((2^b - 1) - L), each term within the lattice
+            tops = np.repeat((1 << image_bits.astype(np.int64)) - 1,
+                             [len(part) for part in parts]).astype(vectors.dtype)[:, None]
+            for start in range(0, rows, _CHUNK_ROWS):
+                chunk = vectors[start:start + _CHUNK_ROWS]
+                chunk -= tops[start:start + _CHUNK_ROWS] - chunk
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.int64),
+                        dtype=np.float64)
         lattice = _Lattice(vectors, np.where(norms > 0, norms, 1.0), image_bits)
     lattice.vectors.setflags(write=False)
     lattice.norms.setflags(write=False)
@@ -129,10 +143,10 @@ def _query_lattice(query: FactorLoadings | QuantizedLoadings) -> _Lattice:
 
 
 def _gemm_dtype(T: int, bits_a: np.ndarray | None, bits_b: np.ndarray | None) -> type:
-    """float32 where a GEMM of ``T``-long lattice vectors of these bit widths
-    is exact in it: every product sum is an integer below 2^24. float64
-    otherwise, where it is exact up to T < 2^21 at 16 bits, and for float
-    loadings."""
+    """The dtype that a GEMM of ``T``-long lattice vectors of these bit
+    widths runs in, whatever dtype they are stored in: float32 where it is
+    exact, every product sum an integer below 2^24; float64 otherwise, where
+    it is exact up to T < 2^21 at 16 bits, and for float loadings."""
     if bits_a is None or bits_b is None:
         return np.float64
     largest = ((1 << int(bits_a.max())) - 1) * ((1 << int(bits_b.max())) - 1) * T
@@ -151,15 +165,18 @@ class ObjectIndex:
     loadings that are all quantized or all float.
 
     Image ``r`` owns rows ``offsets[r]:offsets[r + 1]`` of each kind's
-    :class:`_Lattice`, the one stored form of that kind. Quantized loadings
-    are kept as levels in the narrowest unsigned dtype until every image is
-    in, so the constructor never holds a second stack. An image's float64
-    columns are rebuilt where they are needed (:meth:`_gather`): for its
-    angle basis and in ``images``, a read-only image id ->
-    :class:`IndexedImage` view that rebuilds each record on access. The
-    angle metric fills, per kind and on first use of each image, its
-    orthonormal basis and numerical rank (:meth:`_basis_cache`); those are a
-    function of the loadings alone, so no answer depends on what was cached.
+    :class:`_Lattice`, the one stored form of that kind: at 5 bits, one
+    byte per lattice entry and a float64 norm per column, so 3.1 + 3.1 kB of
+    vectors and 0.4 kB of norms per image at T=128, k=24. Quantized
+    loadings are held as given, levels in the narrowest unsigned dtype,
+    until every image is in, so the constructor never holds a second stack.
+    An image's float64 columns are rebuilt where they are needed
+    (:meth:`_gather`): for its angle basis and in ``images``, a read-only
+    image id -> :class:`IndexedImage` view that rebuilds each record on
+    access. The angle metric fills, per kind and on first use of each image,
+    its orthonormal basis and numerical rank (:meth:`_basis_cache`); those
+    are a function of the loadings alone, so no answer depends on what was
+    cached.
     """
 
     def __init__(self, images: Iterable[
@@ -203,9 +220,7 @@ class ObjectIndex:
                     raise ValueError(f"image {image_id!r}: an index holds quantized or float "
                                      f"{f.kind.upper()} loadings, not both")
                 seen.append(b)
-                # C-order rows, so that the stacks are C-order too
-                parts[f.kind].append(np.ascontiguousarray(f.columns.T) if b is None else
-                                     f.levels.T.astype(np.min_scalar_type((1 << b) - 1), order="C"))
+                parts[f.kind].append(f.columns.T if b is None else f.levels.T)
             rows_of.setdefault(object_id, []).append(len(row))
             row[image_id] = len(row)
             object_ids.append(object_id)
@@ -269,7 +284,8 @@ class ObjectIndex:
         """The float64 loadings of ``rows``, all of rank ``k``, as an
         ``(n, T, k)`` stack: float loadings as given; quantized ones each
         bit for bit its own ``codec.dequantize``, from the levels read back
-        from its lattice vectors, one ``codec.dequantize_levels`` per bit
+        from its lattice vectors (widened first, as ``M + 2^b - 1`` may not
+        fit the stored dtype), one ``codec.dequantize_levels`` per bit
         width."""
         lattice = self._lattices[kind]
         n = rows.size
@@ -283,7 +299,7 @@ class ObjectIndex:
             same = bits == b
             levels = stack[same]
             if kind == KIND_PCA:  # L = (M + 2^b - 1) / 2
-                levels = (levels + ((1 << b) - 1)) / 2
+                levels = (levels.astype(np.int32) + ((1 << b) - 1)) >> 1
             out[same] = codec.dequantize_levels(levels, kind, b)
         return out
 
@@ -353,7 +369,8 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     images whose lattice vectors are the rows of ``vectors`` (image ``i``
     owns the next ``ks[i]``), with their ``norms``.
 
-    Per chunk of rows, one GEMM in ``dtype`` gives ``G = rows @ queryᵀ``,
+    Per chunk of rows, widened into one buffer unless ``vectors`` are
+    already in ``dtype``, one GEMM in ``dtype`` gives ``G = rows @ queryᵀ``,
     exact for lattice vectors; then, in float64, each row's best
     ``G_i / ||q_i||`` over the query's columns, divided by the row's own
     norm; then a sum per image in ``np.sum``'s order. Every step after the
@@ -362,11 +379,16 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     columns = queries.reshape(m * kq, T).T.astype(dtype, order="C")
     divisors = query_norms.reshape(m * kq, 1)
     best = np.empty((m, len(vectors)))
+    widened = (None if vectors.dtype == dtype
+               else np.empty((min(_CHUNK_ROWS, len(vectors)), T), dtype))
     for start in range(0, len(vectors), _CHUNK_ROWS):
         rows = vectors[start:start + _CHUNK_ROWS]
+        if widened is not None:
+            widened[:len(rows)] = rows
+            rows = widened[:len(rows)]
         # G transposed, one contiguous float64 row per query column, so the
         # max over a query's columns runs along rows
-        g = (rows.astype(dtype, copy=False) @ columns).T.astype(np.float64, order="C")
+        g = (rows @ columns).T.astype(np.float64, order="C")
         g /= divisors
         out = best[:, start:start + len(rows)]
         np.maximum.reduce(g.reshape(m, kq, -1), axis=1, out=out)

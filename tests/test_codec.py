@@ -16,6 +16,7 @@ from factormatch.codec import (
     encode,
     kind_range,
     quantize,
+    unpack_many,
 )
 from factormatch.factorization import FactorLoadings
 from factormatch.service import IndexRecord, write_index
@@ -79,6 +80,13 @@ class TestQuantize:
         cols = np.array([[-0.1], [1.0]])
         with pytest.raises(ValueError, match="outside"):
             quantize(nmf_loadings_of(cols), 5)
+
+    @pytest.mark.parametrize("bits", [5, 16])
+    def test_nan_entry_rejected(self, bits):
+        """A NaN would otherwise become an arbitrary level."""
+        cols = np.array([[np.nan], [1.0]])
+        with pytest.raises(ValueError, match="outside"):
+            quantize(nmf_loadings_of(cols), bits)
 
     def test_bits_out_of_range(self):
         rng = np.random.default_rng(0)
@@ -244,10 +252,58 @@ class TestBlobFormat:
             QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
                               lo=0.0, hi=1.0, levels=np.array([[4], [0]], dtype=np.uint32))
 
+    @pytest.mark.parametrize("bits, level, match", [
+        (8, -1, "negative"), (8, 256, "fit"), (16, -1, "negative"), (16, 1 << 16, "fit"),
+        (5, 32, "fit")])
+    def test_level_outside_the_width_rejected_before_narrowing(self, bits, level, match):
+        """A level is checked as given: an int64 -1 or 256 at 8 bits would
+        wrap to a valid uint8 level if it were narrowed first."""
+        levels = np.array([[level], [0]], dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=bits,
+                              lo=0.0, hi=1.0, levels=levels)
+
+    def test_non_integer_levels_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
+                              lo=0.0, hi=1.0, levels=np.array([[1.5], [0.0]]))
+
     def test_range_must_match_kind(self):
         with pytest.raises(ValueError, match="range"):
             QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
                               lo=-1.0, hi=1.0, levels=np.zeros((2, 1), dtype=np.uint32))
+
+
+class TestLevelDtype:
+    """Levels are kept C-order in the narrowest unsigned dtype, uint8 up to
+    8 bits and uint16 above, however they were made; given in that form,
+    they are not copied."""
+
+    @staticmethod
+    def assert_narrow(levels, bits):
+        assert levels.dtype == (np.uint8 if bits <= 8 else np.uint16)
+        assert levels.flags.c_contiguous and not levels.flags.writeable
+
+    @pytest.mark.parametrize("bits", [1, 5, 8, 9, 12, 16])
+    def test_quantize_decode_and_unpack_many(self, bits):
+        rng = np.random.default_rng(bits)
+        q = quantize(nmf_loadings_of(np.abs(random_unit_columns(rng, 13, 3))), bits)
+        self.assert_narrow(q.levels, bits)
+        blob = encode(q)
+        self.assert_narrow(decode(blob).levels, bits)
+        offset = len(blob) - (13 * 3 * bits + 7) // 8
+        (levels,) = unpack_many(blob, np.array([[bits, 13, 3, offset]]))
+        assert levels.dtype == q.levels.dtype and levels.flags.c_contiguous
+        assert np.array_equal(levels, q.levels)
+
+    def test_narrow_c_order_levels_kept_without_a_copy(self):
+        given_levels = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        q = QuantizedLoadings("x", "nmf", 4, 3, 5, 0.0, 1.0, given_levels)
+        assert np.shares_memory(q.levels, given_levels)
+        assert given_levels.flags.writeable  # the caller's array is left as it was
+        wide = QuantizedLoadings("x", "nmf", 4, 3, 5, 0.0, 1.0, given_levels.astype(np.int64))
+        self.assert_narrow(wide.levels, 5)
+        assert wide == q
 
 
 def random_levels(rng, T, k, bits, kind, image_id="img"):

@@ -5,10 +5,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormatch import codec
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
+    _CHUNK_ROWS,
     WORST_ANGLE,
     DegenerateLoadingsError,
     DimensionMismatchError,
@@ -570,19 +573,26 @@ class TestLevelsBackedNmf:
         assert (retrieve_combined(q_pca, queries[2], levels, eta=4, alpha=1)
                 == retrieve_combined(q_pca, queries[2], floats, eta=4, alpha=1))
 
+    # the PCA lattice spans [-(2^b - 1), 2^b - 1], the NMF one [0, 2^b - 1];
     # at T = 12, (2^b - 1)^2 * T < 2^24 holds up to b = 10
-    @pytest.mark.parametrize("bits, dtype", [((1, 5, 8), np.float32), ((8, 10), np.float32),
-                                             ((2, 11, 16), np.float64)])
-    def test_stack_in_float32_where_exact(self, bits, dtype):
+    @pytest.mark.parametrize("bits, pca_dtype, nmf_dtype, gemm_dtype", [
+        ((1, 5, 7), np.int8, np.uint8, np.float32), ((5, 8), np.int16, np.uint8, np.float32),
+        ((8, 10), np.int16, np.uint16, np.float32), ((2, 11, 16), np.int32, np.uint16, np.float64)])
+    def test_stack_in_the_narrowest_integer_dtype(self, bits, pca_dtype, nmf_dtype, gemm_dtype):
         rng = np.random.default_rng(21)
-        images = [(f"o{i}", pca_of(random_unit_columns(rng, 12, 2), f"o{i}_v1"),
+        images = [(f"o{i}",
+                   codec.quantize(pca_of(random_unit_columns(rng, 12, 2), f"o{i}_v1"), b),
                    codec.quantize(nmf_of(random_nmf_columns(rng, 12, 2), f"o{i}_v1"), b))
                   for i, b in enumerate(bits)]
         index = ObjectIndex(images)
-        assert index._lattices["nmf"].vectors.dtype == dtype
+        for kind, dtype in (("pca", pca_dtype), ("nmf", nmf_dtype)):
+            lattice = index._lattices[kind]
+            assert lattice.vectors.dtype == dtype
+            assert _gemm_dtype(index.T, lattice.bits, lattice.bits) is gemm_dtype
         for _, pca, nmf in images:
-            assert np.array_equal(index.images[pca.image_id].nmf.columns,
-                                  codec.dequantize(nmf).columns)
+            record = index.images[pca.image_id]
+            assert np.array_equal(record.pca.columns, codec.dequantize(pca).columns)
+            assert np.array_equal(record.nmf.columns, codec.dequantize(nmf).columns)
 
     @pytest.mark.parametrize("first_quantized", [True, False])
     def test_quantized_and_float_nmf_rejected(self, first_quantized):
@@ -606,7 +616,7 @@ class TestLevelsBackedNmf:
 
 def lattice_case(seed, n=180, T=128, bits=5):
     """``n`` images quantized at ``bits``, of ranks 20-28 at T = 128, so that
-    their ``Σk`` rows span more than one 4096-row chunk of the kernel."""
+    their ``Σk`` rows span more than two 2048-row chunks of the kernel."""
     rng = np.random.default_rng(seed)
     images = []
     for i in range(n):
@@ -632,7 +642,8 @@ class TestLatticeKernel:
         rng, images = lattice_case(0)
         index = ObjectIndex(images)
         stored = index._lattices[kind]
-        assert stored.vectors.dtype == np.float32 and len(stored.vectors) > 4096
+        assert stored.vectors.dtype == {"pca": np.int8, "nmf": np.uint8}[kind]
+        assert len(stored.vectors) > 2 * _CHUNK_ROWS
         every = index._rows(None)
         queries = [random_query(rng, kind, 24, 5) for _ in range(4)]
         full = np.stack([_correlation_keys(q, index, every) for q in queries])
@@ -694,6 +705,66 @@ class TestLatticeKernel:
                     oracle = correlation_score(codec.dequantize(query),
                                                getattr(db.images[image_id], kind))
                     assert abs(-key - oracle) <= 1e-13
+
+
+def levels_of(kind, bits, levels, image_id):
+    return codec.QuantizedLoadings(image_id, kind, *levels.shape, bits,
+                                   *codec.kind_range(kind), levels)
+
+
+class TestIntegerStack:
+    """The stack of lattice vectors is stored in a narrow integer dtype, in
+    which numpy wraps silently: forming it, its norms and the levels read
+    back from it are checked at the edges of every width, and its
+    correlation keys against the same vectors stored as floats."""
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_edge_levels_at_every_width(self, bits):
+        """All-zero and all-``(2^b - 1)`` levels at ``b``, beside a 1-bit
+        image that the stack's dtype, set by ``b``, must hold too."""
+        T, k = 128, 2
+        images = [(f"o{i}", *(levels_of(kind, b, np.full((T, k), level), f"o{i}_v1")
+                              for kind in ("pca", "nmf")))
+                  for i, (b, level) in enumerate(((bits, 0), (bits, (1 << bits) - 1), (1, 1)))]
+        index = ObjectIndex(images)
+        for kind, position in (("pca", 1), ("nmf", 2)):
+            lattice = index._lattices[kind]
+            want = np.concatenate([
+                2 * q.levels.T.astype(np.int64) - ((1 << q.bits) - 1) if kind == "pca"
+                else q.levels.T.astype(np.int64) for q in (image[position] for image in images)])
+            assert np.array_equal(lattice.vectors.astype(np.int64), want)
+            squares = np.sum(want * want, axis=1)
+            assert np.array_equal(lattice.norms, np.where(squares > 0, np.sqrt(squares), 1.0))
+            gathered = index._gather(kind, index._rows(None), k)
+            for stack, image in zip(gathered, images):
+                assert np.array_equal(stack, codec.dequantize(image[position]).columns)
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(kind=st.sampled_from(["pca", "nmf"]), query_bits=st.integers(1, 16),
+           stored_bits=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+           T=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_keys_equal_those_of_float_stacks(self, kind, query_bits, stored_bits, T, seed):
+        rng = np.random.default_rng(seed)
+
+        def random_levels(kind, bits, k, image_id):
+            return levels_of(kind, bits, rng.integers(0, 1 << bits, size=(T, k)), image_id)
+
+        images = []
+        for i, bits in enumerate(stored_bits):
+            k = int(rng.integers(1, 4))
+            images.append((f"o{i}", random_levels("pca", bits, k, f"o{i}_v1"),
+                           random_levels("nmf", bits, k, f"o{i}_v1")))
+        index = ObjectIndex(images)
+        query = random_levels(kind, query_bits, int(rng.integers(1, 4)), "q")
+        lattice, stored = _query_lattice(query), index._lattices[kind]
+        assert np.issubdtype(stored.vectors.dtype, np.integer)
+        keys = _correlation_keys(query, index, index._rows(None))
+        dtype = _gemm_dtype(T, lattice.bits, stored.bits)
+        for float_dtype in dict.fromkeys((dtype, np.float64)):  # float32 only where exact
+            floats = -_correlations(lattice.vectors[None], lattice.norms[None],
+                                    stored.vectors.astype(float_dtype), stored.norms,
+                                    np.diff(index._offsets), float_dtype)[0]
+            assert np.array_equal(keys, floats)
 
 
 class TestOneDimensionPerIndex:

@@ -190,7 +190,9 @@ class TestIndexFile:
         loaded = read_index(path)
         floats = ObjectIndex((rec.object_id, codec.dequantize(rec.pca),
                               codec.dequantize(rec.nmf)) for rec in records)
-        assert loaded._lattices["nmf"].vectors.dtype == np.float64  # 12 bits: float32 inexact
+        # up to 12 bits: wider than 8
+        assert loaded._lattices["pca"].vectors.dtype == np.int16
+        assert loaded._lattices["nmf"].vectors.dtype == np.uint16
         for image_id, rec in floats.images.items():
             other = loaded.images[image_id]
             assert other.object_id == rec.object_id
@@ -202,8 +204,8 @@ class TestIndexFile:
 
     def test_memory_of_a_loaded_index(self, tmp_path):
         """An index holds each image's PCA and NMF loadings as 5-bit lattice
-        vectors in float32, with a float64 norm per column: about 12.3 + 12.3
-        + 0.4 kB per image at T=128, k=24."""
+        vectors in int8 and uint8, with a float64 norm per column: about 3.1
+        + 3.1 + 0.4 kB per image at T=128, k=24."""
         T, k, n = 128, 24, 40
         rng = np.random.default_rng(40)
         records = [IndexRecord(f"o{i}", *(
@@ -221,7 +223,7 @@ class TestIndexFile:
         finally:
             tracemalloc.stop()
         assert index.num_images == n
-        assert grown / n < 30_000
+        assert grown / n < 8_000
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.idx"
@@ -322,7 +324,8 @@ class TestIndexFileOfManyShapes:
         write_index(path, records)
         loaded, reference = read_index(path), blob_by_blob(path.read_bytes())
         got, want = loaded._lattices["nmf"], reference._lattices["nmf"]
-        assert got.vectors.dtype == np.float64  # up to 16 bits: float32 inexact
+        assert got.vectors.dtype == np.uint16  # up to 16 bits
+        assert loaded._lattices["pca"].vectors.dtype == np.int32
         for field in ("vectors", "norms", "bits"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         for image_id, rec in reference.images.items():
