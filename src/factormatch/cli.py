@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("query", help="query a running server with one image")
     p.add_argument("--server", required=True, help="host:port of the server")
     p.add_argument("--descriptors", required=True, help="descriptor file (.dmt or .csv)")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float, default=service.DEFAULT_TIMEOUT)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="leave-one-view-out accuracy of all pipelines")

@@ -55,24 +55,16 @@ def kind_range(kind: str) -> tuple[float, float]:
     raise ValueError(f"unknown loadings kind {kind!r}")
 
 
-def _check_range(kind: str, lo: float, hi: float) -> None:
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if (lo, hi) != kind_range(kind):
-        raise ValueError(f"{kind} quantizer range must be {kind_range(kind)}, got [{lo}, {hi}]")
-
-
 @dataclass(frozen=True)
 class QuantizedLoadings:
-    """Bit-packed uniform quantization of one loading matrix."""
+    """One ``T x k`` loading matrix quantized at ``bits`` bits over its
+    kind's fixed range (:func:`kind_range`): the levels and their bit width
+    are all that varies, so ``T``, ``k``, ``lo``, ``hi`` and ``step`` are
+    read from them and from the kind."""
 
     image_id: str
     kind: str
-    T: int
-    k: int
     bits: int
-    lo: float
-    hi: float
     levels: np.ndarray = field(repr=False)  # T x k levels, C order, in _level_dtype(bits)
 
     def __post_init__(self) -> None:
@@ -80,12 +72,9 @@ class QuantizedLoadings:
             raise ValueError(f"unknown loadings kind {self.kind!r}")
         if not 1 <= self.bits <= 16:
             raise ValueError(f"bits must lie in 1..16, got {self.bits}")
-        if self.T < 1 or self.k < 1:
-            raise ValueError(f"empty loadings shape {self.T}x{self.k}")
-        _check_range(self.kind, self.lo, self.hi)
         levels = np.asarray(self.levels)
-        if levels.shape != (self.T, self.k):
-            raise ValueError(f"levels shape {levels.shape} != ({self.T}, {self.k})")
+        if levels.ndim != 2 or levels.size == 0:
+            raise ValueError(f"levels must be a non-empty T x k matrix, got shape {levels.shape}")
         # checked as given, before narrowing could wrap a level into range
         if levels.dtype.kind not in "ui":
             raise ValueError(f"levels must be integers, got {levels.dtype}")
@@ -102,17 +91,30 @@ class QuantizedLoadings:
         object.__setattr__(self, "levels", levels)
 
     @property
+    def T(self) -> int:
+        return self.levels.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.levels.shape[1]
+
+    @property
+    def lo(self) -> float:
+        return kind_range(self.kind)[0]
+
+    @property
+    def hi(self) -> float:
+        return kind_range(self.kind)[1]
+
+    @property
     def step(self) -> float:
         return (self.hi - self.lo) / ((1 << self.bits) - 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantizedLoadings):
             return NotImplemented
-        return (
-            (self.image_id, self.kind, self.T, self.k, self.bits, self.lo, self.hi)
-            == (other.image_id, other.kind, other.T, other.k, other.bits, other.lo, other.hi)
-            and bool(np.array_equal(self.levels, other.levels))
-        )
+        return ((self.image_id, self.kind, self.bits) == (other.image_id, other.kind, other.bits)
+                and bool(np.array_equal(self.levels, other.levels)))
 
 
 def _level_dtype(bits: int) -> np.dtype:
@@ -140,10 +142,7 @@ def quantize(f: FactorLoadings, bits: int) -> QuantizedLoadings:
     # (x - lo) / step is non-negative, so half-away-from-zero == floor(v + 0.5)
     levels = np.minimum(np.floor((np.clip(x, lo, hi) - lo) / step + 0.5), (1 << bits) - 1)
     levels = levels.astype(_level_dtype(bits), order="C")
-    return QuantizedLoadings(
-        image_id=f.image_id, kind=f.kind, T=f.T, k=f.k,
-        bits=bits, lo=lo, hi=hi, levels=levels,
-    )
+    return QuantizedLoadings(f.image_id, f.kind, bits, levels)
 
 
 def dequantize(q: QuantizedLoadings) -> FactorLoadings:
@@ -213,10 +212,8 @@ def parse(data: bytes) -> tuple[str, int, int, int, str, bytes]:
     if n_bits % 8 and body[-1] >> (n_bits % 8):
         raise CodecError("nonzero padding bits after the levels")
     kind = _CODE_KIND[kind_code]
-    try:
-        _check_range(kind, float(lo), float(hi))
-    except ValueError as exc:
-        raise CodecError(str(exc)) from None
+    if (lo, hi) != kind_range(kind):
+        raise CodecError(f"{kind} quantizer range must be {kind_range(kind)}, got [{lo}, {hi}]")
     return kind, bits, T, k, image_id, body
 
 
@@ -225,8 +222,7 @@ def decode(data: bytes) -> QuantizedLoadings:
     is not exactly one well-formed QFL1 blob raises :class:`CodecError`."""
     kind, bits, T, k, image_id, body = parse(data)
     levels = _unpack(np.frombuffer(body, dtype=np.uint8)[None], T * k, bits)[0]
-    return QuantizedLoadings(image_id, kind, T, k, bits, *kind_range(kind),
-                             levels.reshape(k, T).T)
+    return QuantizedLoadings(image_id, kind, bits, levels.reshape(k, T).T)
 
 
 def unpack_many(data: bytes, blobs: np.ndarray) -> Iterator[np.ndarray]:

@@ -11,6 +11,7 @@ the factorizations).
 from __future__ import annotations
 
 import io
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -73,7 +74,6 @@ class DescriptorMatrix:
         return (
             self.image_id == other.image_id
             and self.object_id == other.object_id
-            and self.values.shape == other.values.shape
             and bool(np.array_equal(self.values, other.values))
         )
 
@@ -84,9 +84,11 @@ def save_descriptors(m: DescriptorMatrix, fmt: str = "binary") -> bytes:
     Binary layout: magic ``DMT1``, u32 T, u32 N (little-endian), ``T*N``
     float32 values column-major, then an optional UTF-8 trailer
     ``\\nID:<image_id>;OBJ:<object_id>\\n`` (written whenever either id is
-    non-empty). CSV: one row per descriptor dimension, comma-separated.
+    non-empty); ids the trailer cannot carry raise ``ValueError``. CSV: one
+    row per descriptor dimension, comma-separated.
     """
     if fmt == "binary":
+        _check_trailer_ids(m)
         out = io.BytesIO()
         out.write(BINARY_MAGIC)
         out.write(struct.pack("<II", m.T, m.N))
@@ -99,6 +101,14 @@ def save_descriptors(m: DescriptorMatrix, fmt: str = "binary") -> bytes:
                  for row in m.values]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown descriptor format {fmt!r}")
+
+
+def _check_trailer_ids(m: DescriptorMatrix) -> None:
+    """Raise ``ValueError`` for ids the binary trailer cannot carry."""
+    if ";" in m.image_id:
+        raise ValueError(f"image id {m.image_id!r} contains ';'")
+    if ";" in m.object_id or "\n" in m.object_id:
+        raise ValueError(f"object id {m.object_id!r} contains ';' or a newline")
 
 
 def load_descriptors(
@@ -206,8 +216,11 @@ class SynthCorpusSpec:
                      "descriptors_per_view", "planted_rank"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.view_noise_sigma < 0:
-            raise ValueError("view_noise_sigma must be non-negative")
+        if not 0 <= self.view_noise_sigma < math.inf:  # NaN fails it too
+            raise ValueError("view_noise_sigma must be finite and non-negative, "
+                             f"got {self.view_noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.planted_rank >= min(self.T, self.descriptors_per_view):
             raise ValueError(
                 f"planted_rank {self.planted_rank} must be < min(T, N) = "
@@ -238,6 +251,8 @@ class SynthCorpusSpec:
             if key not in keys:
                 raise ValueError(f"unknown corpus spec key {key!r}")
             field_name = keys[key]
+            if field_name in kwargs:
+                raise ValueError(f"corpus spec key {key!r} given twice")
             kwargs[field_name] = float(value) if field_name == "view_noise_sigma" else int(value)
         missing = set(keys.values()) - set(kwargs)
         if missing:
@@ -294,7 +309,10 @@ def view_index(image_id: str) -> int:
 
 
 def save_corpus(corpus: list[DescriptorMatrix], directory: str | Path) -> None:
-    """Write one ``<image_id>.dmt`` binary descriptor file per image."""
+    """Write one ``<image_id>.dmt`` binary descriptor file per image; every
+    id is checked before the first file is written."""
+    for m in corpus:
+        _check_trailer_ids(m)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for m in corpus:

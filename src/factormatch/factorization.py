@@ -117,16 +117,15 @@ def _canonical_signs(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def pca_loadings(
-    m: DescriptorMatrix, k: int, svd: SvdResult | None = None
-) -> tuple[FactorLoadings, SvdResult]:
-    """First ``k`` left singular vectors of the descriptor matrix, sign-canonicalized."""
+def pca_loadings(m: DescriptorMatrix, k: int, svd: SvdResult | None = None) -> FactorLoadings:
+    """First ``k`` left singular vectors of the descriptor matrix (of ``svd``
+    if given), sign-canonicalized."""
     if not 1 <= k <= min(m.T, m.N):
         raise ValueError(f"k={k} out of range [1, {min(m.T, m.N)}]")
     if svd is None:
         svd = compute_svd(m)
     H = _canonical_signs(svd.U[:, :k])
-    return FactorLoadings(image_id=m.image_id, kind=KIND_PCA, columns=H), svd
+    return FactorLoadings(image_id=m.image_id, kind=KIND_PCA, columns=H)
 
 
 def _farthest_point_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:

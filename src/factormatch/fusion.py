@@ -68,12 +68,10 @@ def fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> RankedLi
     """Reorder ``v_pri`` using ``v_sec`` ranks; entries keep their scores."""
     eta = params.eta
     alpha = params.alpha
+    # each list is object-deduplicated already, but may be of another eta
     for name, lst in (("primary", v_pri), ("secondary", v_sec)):
         if len(lst) > eta:
             raise ValueError(f"{name} list length {len(lst)} exceeds eta={eta}")
-        ids = lst.object_ids()
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"{name} list is not object-deduplicated")
 
     sec_rank = {obj: pos for pos, obj in enumerate(v_sec.object_ids(), start=1)}
     absent = eta + 1

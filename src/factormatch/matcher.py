@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,24 +64,24 @@ def _check_dims(a_T: int, b_T: int) -> None:
         raise DimensionMismatchError(f"descriptor dims differ: {a_T} vs {b_T}")
 
 
-@dataclass(frozen=True)
-class IndexedImage:
-    """One image as :attr:`ObjectIndex.images` shows it."""
+class IndexRecord(NamedTuple):
+    """One image: its object id and its two loadings, whose ``image_id``
+    is the image's."""
 
-    image_id: str
     object_id: str
-    pca: FactorLoadings
-    nmf: FactorLoadings
+    pca: FactorLoadings | QuantizedLoadings
+    nmf: FactorLoadings | QuantizedLoadings
 
 
-class _ImageView(Mapping[str, IndexedImage]):
-    """Read-only image id -> :class:`IndexedImage` view of an index; each
-    record is rebuilt from the stacked columns when it is looked up."""
+class _ImageView(Mapping[str, IndexRecord]):
+    """Read-only image id -> :class:`IndexRecord` view of an index; each
+    record is rebuilt, as float loadings, from the stacked columns when it
+    is looked up."""
 
     def __init__(self, index: ObjectIndex):
         self._index = index
 
-    def __getitem__(self, image_id: str) -> IndexedImage:
+    def __getitem__(self, image_id: str) -> IndexRecord:
         return self._index._record(self._index._row[image_id])
 
     def __iter__(self) -> Iterator[str]:
@@ -157,8 +158,8 @@ class ObjectIndex:
     """Server-side database of one descriptor dimension T, stored by column:
     immutable loadings plus a derived basis cache.
 
-    Built from ``(object_id, pca, nmf)`` triples, consumed one at a time;
-    the constructor is the one place that checks an image: its image id
+    Built from :class:`IndexRecord` triples, consumed one at a time; the
+    constructor is the one place that checks an image: its image id
     (the PCA loadings' own, equal to the NMF one's, and not seen before),
     the kinds of its two loadings, one rank ``k`` for both, the index's one
     ``T``, ids that fit the u16 lengths they travel with, and, per kind,
@@ -172,15 +173,14 @@ class ObjectIndex:
     until every image is in, so the constructor never holds a second stack.
     An image's float64 columns are rebuilt where they are needed
     (:meth:`_gather`): for its angle basis and in ``images``, a read-only
-    image id -> :class:`IndexedImage` view that rebuilds each record on
-    access. The angle metric fills, per kind and on first use of each image,
-    its orthonormal basis and numerical rank (:meth:`_basis_cache`); those
-    are a function of the loadings alone, so no answer depends on what was
-    cached.
+    image id -> :class:`IndexRecord` view that rebuilds each record, with
+    float loadings, on access. The angle metric fills, per kind and on
+    first use of each image, its orthonormal basis and numerical rank
+    (:meth:`_basis_cache`); those are a function of the loadings alone, so
+    no answer depends on what was cached.
     """
 
-    def __init__(self, images: Iterable[
-            tuple[str, FactorLoadings | QuantizedLoadings, FactorLoadings | QuantizedLoadings]]):
+    def __init__(self, images: Iterable[IndexRecord]):
         row: dict[str, int] = {}  # image id -> row, in insertion order
         object_ids: list[str] = []
         ks: list[int] = []
@@ -245,7 +245,7 @@ class ObjectIndex:
             self._object_code[rows] = code
         self._id_rank = np.empty(n, dtype=np.intp)
         self._id_rank[sorted(range(n), key=self._image_ids.__getitem__)] = np.arange(n)
-        self.images: Mapping[str, IndexedImage] = _ImageView(self)
+        self.images: Mapping[str, IndexRecord] = _ImageView(self)
         self._basis_caches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -261,14 +261,14 @@ class ObjectIndex:
         return {self._image_ids[r] for obj in set(object_ids) if obj in rows_of
                 for r in rows_of[obj]}
 
-    def _record(self, row: int) -> IndexedImage:
+    def _record(self, row: int) -> IndexRecord:
         rows = np.array([row])
         k = int(self._offsets[row + 1] - self._offsets[row])
         image_id = self._image_ids[row]
-        return IndexedImage(
-            image_id=image_id, object_id=self._object_ids[row],
-            pca=FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows, k)[0]),
-            nmf=FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows, k)[0]),
+        return IndexRecord(
+            self._object_ids[row],
+            FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows, k)[0]),
+            FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows, k)[0]),
         )
 
     def _rows(self, candidates: set[str] | None) -> np.ndarray:
@@ -515,7 +515,6 @@ def retrieve_combined(
     alpha: int = 2,
 ) -> RankedList:
     """PCA-correlation prefilter, NMF-angle rerank, then rank fusion."""
-    if not 0 <= alpha <= eta:
-        raise ValueError(f"alpha={alpha} out of range [0, {eta}]")
+    params = FusionParams(alpha=alpha, eta=eta)  # checked before any scoring
     v_pri, v_sec = combined_hypotheses(query_pca, query_nmf, index, eta)
-    return fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
+    return fuse(v_pri, v_sec, params)

@@ -40,9 +40,8 @@ def default_k_max(T: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class ModelOrderProfile:
-    """I(k)/V(k) over k = 1..k_max plus the argmin ``k_star``."""
+    """I(k)/V(k) over k = 1..k_max (``k_max = len(V)``) plus the argmin ``k_star``."""
 
-    k_max: int
     V: np.ndarray
     I: np.ndarray
     k_star: int
@@ -68,4 +67,4 @@ def estimate_order(
     penalty = ks * ((m.T + m.N) / (m.T * m.N)) * math.log((m.T * m.N) / (m.T + m.N))
     I = np.log(V) + penalty
     k_star = int(ks[np.argmin(I)])  # argmin returns the first (smallest) min
-    return ModelOrderProfile(k_max=k_max, V=V, I=I, k_star=k_star)
+    return ModelOrderProfile(V=V, I=I, k_star=k_star)

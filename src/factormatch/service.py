@@ -26,7 +26,6 @@ import socketserver
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -38,7 +37,7 @@ from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
 from .fusion import RankedEntry, RankedList
-from .matcher import ObjectIndex, retrieve_combined
+from .matcher import IndexRecord, ObjectIndex, retrieve_combined
 from .model_order import estimate_order
 
 QUERY_MAGIC = b"QRY1"
@@ -51,7 +50,7 @@ STATUS_MALFORMED = 1
 STATUS_INVALID_PARAMS = 2
 STATUS_QUERY_FAILED = 3
 
-DEFAULT_MAX_FRAME = 1 << 20  # 1 MiB
+DEFAULT_MAX_FRAME = 1 << 20  # 1 MiB, the limit of every frame read
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -89,7 +88,7 @@ def factorize_image(
         k = estimate_order(m, k_max, svd=svd).k_star
     else:
         k = min(fixed_k, m.T, m.N)
-    pca, _ = pca_loadings(m, k, svd=svd)
+    pca = pca_loadings(m, k, svd=svd)
     nmf, _, _ = nmf_loadings(m, k, seed=nmf_seed(m.image_id, base_seed))
     return pca, nmf, k
 
@@ -103,15 +102,6 @@ def client_blobs(
     """Client-side pipeline: model order, factorize, quantize both loadings."""
     pca, nmf, _ = factorize_image(m, k_max, base_seed)
     return codec.quantize(pca, bits), codec.quantize(nmf, bits)
-
-
-@dataclass(frozen=True)
-class IndexRecord:
-    """One stored image: object id plus the two quantized loading blobs."""
-
-    object_id: str
-    pca: QuantizedLoadings
-    nmf: QuantizedLoadings
 
 
 def quantized_records(
@@ -130,22 +120,20 @@ def factorized(
     k_max: int | None = None,
     base_seed: int = 0,
     fixed_k: int | None = None,
-) -> Iterator[tuple[str, FactorLoadings, FactorLoadings]]:
-    """``(object_id, pca, nmf)`` of each image, factorized as it is consumed."""
+) -> Iterator[IndexRecord]:
+    """The float-loadings record of each image, factorized as it is consumed."""
     for m in corpus:
         pca, nmf, _ = factorize_image(m, k_max, base_seed, fixed_k)
-        yield m.object_id, pca, nmf
+        yield IndexRecord(m.object_id, pca, nmf)
 
 
-def index_from_loadings(
-    images: Iterable[tuple[str, FactorLoadings, FactorLoadings]], bits: int | None = None
-) -> ObjectIndex:
-    """Index of ``(object_id, pca, nmf)`` triples as the server holds them
-    after ``bits``-bit uploads (``bits=None``: full precision), handed to
-    the :class:`ObjectIndex` constructor quantized; it checks each image."""
+def index_from_loadings(images: Iterable[IndexRecord], bits: int | None = None) -> ObjectIndex:
+    """Index of float-loadings records as the server holds them after
+    ``bits``-bit uploads (``bits=None``: full precision), handed to the
+    :class:`ObjectIndex` constructor quantized; it checks each image."""
     if bits is None:
         return ObjectIndex(images)
-    return ObjectIndex((object_id, codec.quantize(pca, bits), codec.quantize(nmf, bits))
+    return ObjectIndex(IndexRecord(object_id, codec.quantize(pca, bits), codec.quantize(nmf, bits))
                        for object_id, pca, nmf in images)
 
 
@@ -213,18 +201,19 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
     stream.flush()
 
 
-def read_frame(stream: BinaryIO, max_frame: int = DEFAULT_MAX_FRAME) -> bytes | None:
-    """Read one length-prefixed frame from a buffered stream (whose
-    ``read(n)`` returns short only at EOF); None on clean EOF at a frame
-    boundary."""
+def read_frame(stream: BinaryIO) -> bytes | None:
+    """Read one length-prefixed frame of at most :data:`DEFAULT_MAX_FRAME`
+    bytes from a buffered stream (whose ``read(n)`` returns short only at
+    EOF); None on clean EOF at a frame boundary. A longer declared frame
+    raises :class:`ProtocolError` before any of it is read."""
     header = stream.read(4)
     if not header:
         return None
     if len(header) < 4:
         raise ProtocolError("stream ended inside a frame header")
     (length,) = struct.unpack("<I", header)
-    if length > max_frame:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit {max_frame}")
+    if length > DEFAULT_MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds limit {DEFAULT_MAX_FRAME}")
     payload = stream.read(length)
     if len(payload) < length:
         raise ProtocolError("stream ended inside a frame payload")
@@ -275,13 +264,12 @@ def read_index(path: str | Path) -> ObjectIndex:
 
     def loadings() -> Iterator[QuantizedLoadings]:
         for matrix, image_id, kind, row in zip(levels, image_ids, kinds, table):
-            bits, T, k, _ = row.tolist()
-            yield QuantizedLoadings(image_id, kind, T, k, bits, *codec.kind_range(kind), matrix)
+            yield QuantizedLoadings(image_id, kind, int(row[0]), matrix)
 
     blob_loadings = loadings()
     try:
         # the loadings first, so zip exhausts them, and the unpacker, at the end
-        return ObjectIndex((object_id, pca, nmf) for pca, nmf, object_id
+        return ObjectIndex(IndexRecord(object_id, pca, nmf) for pca, nmf, object_id
                            in zip(blob_loadings, blob_loadings, object_ids))
     except ValueError as exc:  # records that do not form one index
         raise ProtocolError(f"invalid index file: {exc}") from None
@@ -330,7 +318,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
             try:
-                payload = read_frame(self.rfile, self.server.max_frame)
+                payload = read_frame(self.rfile)
             except ProtocolError as exc:
                 # Oversized or truncated stream: report and drop the
                 # connection, since frame boundaries are lost.
@@ -361,11 +349,9 @@ class RetrievalServer(socketserver.ThreadingTCPServer):
         self,
         index: ObjectIndex,
         endpoint: tuple[str, int] = ("127.0.0.1", 0),
-        max_frame: int = DEFAULT_MAX_FRAME,
     ):
         super().__init__(endpoint, _Handler)
         self.index = index
-        self.max_frame = max_frame
 
     @property
     def address(self) -> tuple[str, int]:

@@ -157,6 +157,14 @@ def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path,
     assert message in err
 
 
+def test_gen_corpus_rejects_a_non_finite_sigma(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-corpus", "--spec", SPEC.replace("sigma=0.02", "sigma=nan"),
+                 "--out", str(out)]) == 2
+    assert "view_noise_sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["build-index", "--corpus", "c", "--out", "o", "--eta", "3"],
     ["build-index", "--corpus", "c", "--out", "o", "--alpha", "1"],

@@ -131,12 +131,12 @@ class TestDequantize:
             norms = np.linalg.norm(x, axis=0)
             want = x / np.where(norms > 0, norms, 1.0)
             assert np.array_equal(matrix, want)
-            q = QuantizedLoadings("s", kind, T, k, bits, lo, hi, levels)
+            q = QuantizedLoadings("s", kind, bits, levels)
             assert np.array_equal(matrix, dequantize(q).columns)
 
     def test_all_zero_nmf_block_stays_zero(self):
-        q = QuantizedLoadings(image_id="z", kind="nmf", T=4, k=2, bits=3,
-                              lo=0.0, hi=1.0, levels=np.zeros((4, 2), dtype=np.uint32))
+        q = QuantizedLoadings(image_id="z", kind="nmf", bits=3,
+                              levels=np.zeros((4, 2), dtype=np.uint32))
         f = dequantize(q)
         assert np.array_equal(f.columns, np.zeros((4, 2)))
 
@@ -244,13 +244,13 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match="k >= 1"):
             FactorLoadings(image_id="x", kind="pca", columns=np.zeros((4, 0)))
         with pytest.raises(ValueError, match="empty"):
-            QuantizedLoadings(image_id="x", kind="pca", T=4, k=0, bits=5,
-                              lo=-1.0, hi=1.0, levels=np.zeros((4, 0), dtype=np.uint32))
+            QuantizedLoadings(image_id="x", kind="pca", bits=5,
+                              levels=np.zeros((4, 0), dtype=np.uint32))
 
     def test_level_overflow_rejected(self):
         with pytest.raises(ValueError, match="fit"):
-            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
-                              lo=0.0, hi=1.0, levels=np.array([[4], [0]], dtype=np.uint32))
+            QuantizedLoadings(image_id="x", kind="nmf", bits=2,
+                              levels=np.array([[4], [0]], dtype=np.uint32))
 
     @pytest.mark.parametrize("bits, level, match", [
         (8, -1, "negative"), (8, 256, "fit"), (16, -1, "negative"), (16, 1 << 16, "fit"),
@@ -260,18 +260,33 @@ class TestBlobFormat:
         wrap to a valid uint8 level if it were narrowed first."""
         levels = np.array([[level], [0]], dtype=np.int64)
         with pytest.raises(ValueError, match=match):
-            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=bits,
-                              lo=0.0, hi=1.0, levels=levels)
+            QuantizedLoadings(image_id="x", kind="nmf", bits=bits, levels=levels)
 
     def test_non_integer_levels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
-            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
-                              lo=0.0, hi=1.0, levels=np.array([[1.5], [0.0]]))
+            QuantizedLoadings(image_id="x", kind="nmf", bits=2,
+                              levels=np.array([[1.5], [0.0]]))
 
-    def test_range_must_match_kind(self):
-        with pytest.raises(ValueError, match="range"):
-            QuantizedLoadings(image_id="x", kind="nmf", T=2, k=1, bits=2,
-                              lo=-1.0, hi=1.0, levels=np.zeros((2, 1), dtype=np.uint32))
+
+class TestShapeAndRange:
+    """``T`` and ``k`` are the levels' shape, ``lo`` and ``hi`` the kind's
+    fixed range; no other field holds them."""
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), (4, 0), (0, 3), (0, 0), ()])
+    def test_levels_must_be_a_non_empty_matrix(self, shape):
+        with pytest.raises(ValueError, match="non-empty T x k matrix"):
+            QuantizedLoadings("x", "pca", 5, np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("kind", ["pca", "nmf"])
+    def test_every_width_reads_its_fields_from_levels_and_kind(self, kind):
+        rng = np.random.default_rng(23)
+        lo, hi = kind_range(kind)
+        for bits in range(1, 17):
+            q = quantize(FactorLoadings("x", kind, np.abs(random_unit_columns(rng, 7, 3))), bits)
+            assert (q.T, q.k, q.lo, q.hi) == (7, 3, lo, hi)
+            assert q.step == (hi - lo) / ((1 << bits) - 1)
+            back = decode(encode(q))
+            assert (back.T, back.k, back.lo, back.hi, back.step) == (q.T, q.k, q.lo, q.hi, q.step)
 
 
 class TestLevelDtype:
@@ -298,17 +313,16 @@ class TestLevelDtype:
 
     def test_narrow_c_order_levels_kept_without_a_copy(self):
         given_levels = np.arange(12, dtype=np.uint8).reshape(4, 3)
-        q = QuantizedLoadings("x", "nmf", 4, 3, 5, 0.0, 1.0, given_levels)
+        q = QuantizedLoadings("x", "nmf", 5, given_levels)
         assert np.shares_memory(q.levels, given_levels)
         assert given_levels.flags.writeable  # the caller's array is left as it was
-        wide = QuantizedLoadings("x", "nmf", 4, 3, 5, 0.0, 1.0, given_levels.astype(np.int64))
+        wide = QuantizedLoadings("x", "nmf", 5, given_levels.astype(np.int64))
         self.assert_narrow(wide.levels, 5)
         assert wide == q
 
 
 def random_levels(rng, T, k, bits, kind, image_id="img"):
-    return QuantizedLoadings(image_id, kind, T, k, bits, *kind_range(kind),
-                             rng.integers(0, 1 << bits, size=(T, k)))
+    return QuantizedLoadings(image_id, kind, bits, rng.integers(0, 1 << bits, size=(T, k)))
 
 
 def assert_matches_the_oracle(blob: bytes, q: QuantizedLoadings) -> None:

@@ -1,3 +1,5 @@
+import math
+import re
 import struct
 import tracemalloc
 
@@ -100,6 +102,26 @@ class TestBinaryFormat:
         loaded = load_descriptors(save_descriptors(m, fmt), fmt,
                                   image_id=m.image_id, object_id=m.object_id)
         assert loaded == m
+
+    @pytest.mark.parametrize("image_id, object_id, message", [
+        ("a;b", "o", "image id 'a;b' contains ';'"),
+        ("i", "a;b", "object id 'a;b' contains ';' or a newline"),
+        ("i", "a\nb", "object id 'a\\nb' contains ';' or a newline"),
+    ])
+    def test_ids_the_trailer_cannot_carry_rejected(self, image_id, object_id, message):
+        m = make_matrix([[1.0], [1.0]], image_id=image_id, object_id=object_id)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_descriptors(m, "binary")
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(image_id=st.text(max_size=12), object_id=st.text(max_size=12))
+    def test_any_text_ids_round_trip_or_are_rejected(self, image_id, object_id):
+        m = make_matrix([[1.0, 0.5], [0.25, 1.0]], image_id=image_id, object_id=object_id)
+        try:
+            data = save_descriptors(m, "binary")
+        except ValueError:
+            return
+        assert load_descriptors(data, "binary") == m
 
 
 class TestCsvFormat:
@@ -224,6 +246,21 @@ class TestSynthCorpus:
             SynthCorpusSpec(1, 1, T=4, descriptors_per_view=10,
                             planted_rank=4, view_noise_sigma=0.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="view_noise_sigma must be finite and non-negative"):
+            SynthCorpusSpec(1, 1, T=4, descriptors_per_view=10,
+                            planted_rank=2, view_noise_sigma=sigma, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            SynthCorpusSpec.from_string("objects=1,views=1,T=4,N=10,r=2,sigma=0,seed=-1")
+
+    def test_repeated_spec_key_rejected(self):
+        with pytest.raises(ValueError, match="corpus spec key 'sigma' given twice"):
+            SynthCorpusSpec.from_string(
+                "objects=1,views=1,T=4,N=10,r=2,sigma=0.5,seed=0,sigma=0")
+
     def test_spec_string_round_trip(self):
         text = "objects=50,views=5,T=32,N=400,r=4,sigma=0.05,seed=1"
         spec = SynthCorpusSpec.from_string(text)
@@ -244,3 +281,14 @@ def test_corpus_directory_round_trip(tmp_path):
     for m in loaded:
         assert m == by_id[m.image_id]
     assert view_index("obj0001_v2") == 2
+
+
+def test_corpus_with_an_id_the_trailer_cannot_carry_writes_no_file(tmp_path):
+    spec = SynthCorpusSpec(2, 2, T=8, descriptors_per_view=15,
+                           planted_rank=2, view_noise_sigma=0.01, seed=3)
+    corpus = generate_corpus(spec)
+    last = corpus[-1]
+    corpus[-1] = DescriptorMatrix(last.image_id, "obj;1", last.values)
+    with pytest.raises(ValueError, match="contains ';'"):
+        save_corpus(corpus, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()

@@ -24,7 +24,7 @@ def random_matrix(rng, T, N):
 class TestPcaLoadings:
     def test_rank_one_sign_canonicalization(self):
         m = matrix_of([[1.0, 1.0], [0.0, 0.0]])
-        loadings, _ = pca_loadings(m, 1)
+        loadings = pca_loadings(m, 1)
         assert np.allclose(loadings.columns, [[1.0], [0.0]], atol=1e-12)
 
     def test_orthonormal_columns(self):
@@ -32,7 +32,7 @@ class TestPcaLoadings:
         for _ in range(5):
             m = random_matrix(rng, int(rng.integers(3, 20)), int(rng.integers(5, 40)))
             k = int(rng.integers(1, min(m.T, m.N) + 1))
-            loadings, _ = pca_loadings(m, k)
+            loadings = pca_loadings(m, k)
             gram = loadings.columns.T @ loadings.columns
             assert np.allclose(gram, np.eye(k), atol=1e-8)
             validate_loadings(loadings)
@@ -42,7 +42,7 @@ class TestPcaLoadings:
         # same subspace as the loadings
         rng = np.random.default_rng(11)
         m = random_matrix(rng, 3, 6)
-        loadings, _ = pca_loadings(m, 2)
+        loadings = pca_loadings(m, 2)
         values = m.values.astype(np.float64)
         eigvals, eigvecs = np.linalg.eigh(values @ values.T)
         top2 = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
@@ -57,7 +57,7 @@ class TestPcaLoadings:
         values = m.values.astype(np.float64)
         previous = np.inf
         for k in range(1, 11):
-            loadings, _ = pca_loadings(m, k, svd=svd)
+            loadings = pca_loadings(m, k, svd=svd)
             H = loadings.columns
             err = np.linalg.norm(values - H @ (H.T @ values))
             tail = np.sqrt(np.sum(svd.singular_values[k:] ** 2))

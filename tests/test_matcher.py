@@ -382,7 +382,7 @@ class TestColumnarRanking:
         assert len(index.images) == index.num_images == len(entries)
         for image_id, obj, pca_cols, nmf_cols in entries:
             rec = index.images[image_id]
-            assert (rec.image_id, rec.object_id) == (image_id, obj)
+            assert (rec.pca.image_id, rec.nmf.image_id, rec.object_id) == (image_id, image_id, obj)
             assert np.array_equal(rec.pca.columns, pca_cols)
             assert np.array_equal(rec.nmf.columns, nmf_cols)
         assert index.images.get("missing") is None
@@ -673,7 +673,7 @@ class TestLatticeKernel:
         nmf = zeroed(codec.quantize(nmf_of(random_nmf_columns(rng, T, k), "d_v1"), bits), 1)
         index = ObjectIndex([("d", pca, nmf)])
         query = zeroed(random_query(rng, "nmf", 3, bits, T), 2)
-        without = dataclasses.replace(query, k=2, levels=query.levels[:, :2])
+        without = dataclasses.replace(query, levels=query.levels[:, :2])
         stored = index._lattices["nmf"]
         per_column = [_correlations(lattice.vectors[None], lattice.norms[None], stored.vectors,
                                     stored.norms, np.ones(k, dtype=np.intp), np.float32)[0]
@@ -708,8 +708,7 @@ class TestLatticeKernel:
 
 
 def levels_of(kind, bits, levels, image_id):
-    return codec.QuantizedLoadings(image_id, kind, *levels.shape, bits,
-                                   *codec.kind_range(kind), levels)
+    return codec.QuantizedLoadings(image_id, kind, bits, levels)
 
 
 class TestIntegerStack:

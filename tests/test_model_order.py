@@ -34,7 +34,7 @@ class TestResidualVariance:
         svd = compute_svd(m)
         values = m.values.astype(np.float64)
         for k in (1, 2, 5, 9):
-            loadings, _ = pca_loadings(m, k, svd=svd)
+            loadings = pca_loadings(m, k, svd=svd)
             H = loadings.columns
             explicit = np.linalg.norm(values - H @ (H.T @ values)) ** 2 / (m.T * m.N)
             assert residual_variance(m, svd, k) == pytest.approx(explicit, rel=1e-9)

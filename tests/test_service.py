@@ -60,8 +60,7 @@ def blobs_of_rank(T, k, seed=0):
     k > T, since pca_loadings requires k <= min(T, N)."""
     rng = np.random.default_rng(seed)
     return tuple(codec.encode(codec.QuantizedLoadings(
-        "q", kind, T, k, 5, *codec.kind_range(kind), rng.integers(0, 32, size=(T, k))))
-        for kind in ("pca", "nmf"))
+        "q", kind, 5, rng.integers(0, 32, size=(T, k)))) for kind in ("pca", "nmf"))
 
 
 def other_T_corpus():
@@ -209,8 +208,7 @@ class TestIndexFile:
         T, k, n = 128, 24, 40
         rng = np.random.default_rng(40)
         records = [IndexRecord(f"o{i}", *(
-            codec.QuantizedLoadings(f"o{i}_v1", kind, T, k, 5, *codec.kind_range(kind),
-                                    rng.integers(1, 32, size=(T, k)))
+            codec.QuantizedLoadings(f"o{i}_v1", kind, 5, rng.integers(1, 32, size=(T, k)))
             for kind in ("pca", "nmf"))) for i in range(n)]
         path = tmp_path / "paper_scale.idx"
         write_index(path, records)
@@ -267,7 +265,7 @@ class TestIndexFile:
     def test_blobs_of_two_images_rejected(self, four_records, tmp_path):
         path = tmp_path / "two.idx"
         first, second = four_records[:2]
-        write_index(path, [first, dataclasses.replace(second, nmf=first.nmf)])
+        write_index(path, [first, second._replace(nmf=first.nmf)])
         with pytest.raises(ProtocolError, match=(
                 f"image '{second.pca.image_id}': NMF loadings are of image "
                 f"'{first.pca.image_id}'")):
@@ -275,7 +273,7 @@ class TestIndexFile:
 
     def test_object_id_too_long_to_store_rejected(self, four_records, tmp_path):
         path = tmp_path / "long.idx"
-        record = dataclasses.replace(four_records[0], object_id="o" * 70_000)
+        record = four_records[0]._replace(object_id="o" * 70_000)
         with pytest.raises(ValueError, match="70000 bytes"):
             write_index(path, [record])
         assert not path.exists()
@@ -290,8 +288,7 @@ class TestIndexFile:
 
 def random_record(rng, object_id, image_id, T, k, pca_bits, nmf_bits):
     return IndexRecord(object_id, *(
-        codec.QuantizedLoadings(image_id, kind, T, k, bits, *codec.kind_range(kind),
-                                rng.integers(0, 1 << bits, size=(T, k)))
+        codec.QuantizedLoadings(image_id, kind, bits, rng.integers(0, 1 << bits, size=(T, k)))
         for kind, bits in (("pca", pca_bits), ("nmf", nmf_bits))))
 
 
