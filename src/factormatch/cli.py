@@ -31,13 +31,12 @@ def load_corpus_arg(text: str):
     return load_corpus(path)
 
 
-def load_index_arg(text: str, k_max: int | None, bits: int, base_seed: int) -> ObjectIndex:
+def load_index_arg(text: str, k_max: int | None, bits: int) -> ObjectIndex:
     """Index argument: prebuilt .idx file, corpus directory, or synthetic spec."""
     path = Path(text)
     if path.is_file():
         return service.read_index(path)
-    return service.build_index(load_corpus_arg(text), k_max=k_max, bits=bits,
-                               base_seed=base_seed)
+    return ObjectIndex(service.quantized(service.factorized(load_corpus_arg(text), k_max), bits))
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -58,7 +57,6 @@ def _add_common(parser: argparse.ArgumentParser, *, eta: bool = True, alpha: boo
         parser.add_argument("--bits", type=int, default=5, help="quantization bits")
     parser.add_argument("--k-max", type=int, default=None,
                         help="model-order scan ceiling (default: shape-derived)")
-    parser.add_argument("--seed", type=int, default=0, help="NMF base seed")
 
 
 def _add_eval_common(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +68,7 @@ def _add_eval_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the JSONL report here")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factormatch",
         description="Image retrieval from quantized PCA/NMF descriptor factor loadings",
@@ -123,7 +121,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.add_argument("--ranks", default="1,2,4,8,16",
                    help="comma-separated fixed ranks")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
@@ -143,9 +145,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "build-index":
         corpus = load_corpus_arg(args.corpus)
-        records = service.quantized_records(
-            corpus, k_max=args.k_max, bits=args.bits, base_seed=args.seed
-        )
+        records = list(service.quantized(service.factorized(corpus, args.k_max), args.bits))
         service.write_index(args.out, records)
         stored = sum(codec.blob_size(r.pca) + codec.blob_size(r.nmf) for r in records)
         print(f"indexed {len(records)} images "
@@ -155,7 +155,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "serve":
         endpoint = parse_endpoint(args.listen)
-        index = load_index_arg(args.index, args.k_max, args.bits, args.seed)
+        index = load_index_arg(args.index, args.k_max, args.bits)
         with service.RetrievalServer(index, endpoint) as server:
             host, port = server.address
             print(f"serving {index.num_images} images / {index.num_objects} objects "
@@ -172,11 +172,8 @@ def _run(args: argparse.Namespace) -> int:
         fmt = "csv" if args.descriptors.endswith(".csv") else "binary"
         stem = Path(args.descriptors).stem
         m = load_descriptors(data, fmt, image_id=stem, object_id=stem)
-        ranked = service.query_remote(
-            endpoint, m, eta=args.eta, alpha=args.alpha,
-            bits=args.bits, k_max=args.k_max, base_seed=args.seed,
-            timeout=args.timeout,
-        )
+        ranked = service.query_remote(endpoint, m, eta=args.eta, alpha=args.alpha, bits=args.bits,
+                                      k_max=args.k_max, timeout=args.timeout)
         for rank, entry in enumerate(ranked.entries, start=1):
             print(f"{rank:3d}  {entry.object_id:<24} {entry.score:.6f}")
         return 0
@@ -184,8 +181,7 @@ def _run(args: argparse.Namespace) -> int:
     corpus = load_corpus_arg(args.corpus)
     label = args.corpus
     common = dict(eta=args.eta, top=args.top, k_max=args.k_max,
-                  query_view=args.query_view, base_seed=args.seed,
-                  corpus_label=label)
+                  query_view=args.query_view, corpus_label=label)
     if args.command == "evaluate":
         report = evaluate(corpus, alpha=args.alpha, bits=args.bits, **common)
     elif args.command == "sweep-alpha":

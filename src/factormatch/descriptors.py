@@ -179,6 +179,13 @@ def _load_csv(data: bytes, image_id: str, object_id: str) -> DescriptorMatrix:
     return DescriptorMatrix(image_id=image_id, object_id=object_id, values=values)
 
 
+# Dirichlet concentration of the mixing weights; < 1 pushes descriptors
+# toward individual centroids so the planted rank is well expressed.
+_MIXTURE_CONCENTRATION = 0.3
+_COMMON_DIRECTION_WEIGHT = 0.5
+_VIEW_EMPHASIS = 0.7
+
+
 @dataclass(frozen=True)
 class SynthCorpusSpec:
     """Parameters of a deterministic synthetic descriptor corpus.
@@ -188,11 +195,11 @@ class SynthCorpusSpec:
     weights, then adds Gaussian noise truncated at zero. Same spec, same
     bytes.
 
-    Two shape knobs imitate real keypoint-descriptor statistics. Centroids
+    Two shape constants imitate real keypoint-descriptor statistics. Centroids
     blend a corpus-wide common direction with the per-object part
-    (``common_direction_weight``), the way all descriptor clouds share
+    (``_COMMON_DIRECTION_WEIGHT``), the way all descriptor clouds share
     global gradient statistics. Each view re-weights how strongly it
-    expresses each centroid (``view_emphasis``), the way a viewpoint change
+    expresses each centroid (``_VIEW_EMPHASIS``), the way a viewpoint change
     shifts which features dominate; emphasis is floored so every centroid
     stays expressed and the planted rank survives in every view.
     """
@@ -204,12 +211,6 @@ class SynthCorpusSpec:
     planted_rank: int
     view_noise_sigma: float
     seed: int
-
-    # Dirichlet concentration of the mixing weights; < 1 pushes descriptors
-    # toward individual centroids so the planted rank is well expressed.
-    mixture_concentration: float = 0.3
-    common_direction_weight: float = 0.5
-    view_emphasis: float = 0.7
 
     def __post_init__(self) -> None:
         for name in ("num_objects", "views_per_object", "T",
@@ -253,7 +254,11 @@ class SynthCorpusSpec:
             field_name = keys[key]
             if field_name in kwargs:
                 raise ValueError(f"corpus spec key {key!r} given twice")
-            kwargs[field_name] = float(value) if field_name == "view_noise_sigma" else int(value)
+            number = float if field_name == "view_noise_sigma" else int
+            try:
+                kwargs[field_name] = number(value)
+            except ValueError:
+                raise ValueError(f"corpus spec key {key!r}: {value!r} is not a number") from None
         missing = set(keys.values()) - set(kwargs)
         if missing:
             raise ValueError(f"corpus spec missing {sorted(missing)}")
@@ -270,7 +275,7 @@ def generate_corpus(spec: SynthCorpusSpec) -> list[DescriptorMatrix]:
     rng = np.random.default_rng(spec.seed)
     r = spec.planted_rank
     T, N = spec.T, spec.descriptors_per_view
-    mu, tau = spec.common_direction_weight, spec.view_emphasis
+    mu, tau = _COMMON_DIRECTION_WEIGHT, _VIEW_EMPHASIS
     common = rng.uniform(size=(T, 1))
     common /= np.linalg.norm(common)
     corpus: list[DescriptorMatrix] = []
@@ -280,7 +285,7 @@ def generate_corpus(spec: SynthCorpusSpec) -> list[DescriptorMatrix]:
         centroids /= np.linalg.norm(centroids, axis=0)
         for v in range(1, spec.views_per_object + 1):
             emphasis = (1 - tau) / r + tau * rng.dirichlet(np.ones(r))
-            weights = rng.dirichlet(spec.mixture_concentration * r * emphasis, size=N).T
+            weights = rng.dirichlet(_MIXTURE_CONCENTRATION * r * emphasis, size=N).T
             values = centroids @ weights
             if spec.view_noise_sigma > 0:
                 noise = spec.view_noise_sigma * rng.standard_normal((T, N))
@@ -310,9 +315,11 @@ def view_index(image_id: str) -> int:
 
 def save_corpus(corpus: list[DescriptorMatrix], directory: str | Path) -> None:
     """Write one ``<image_id>.dmt`` binary descriptor file per image; every
-    id is checked before the first file is written."""
+    id is checked as a trailer field and as a file name before any is written."""
     for m in corpus:
         _check_trailer_ids(m)
+        if m.image_id in ("", ".", "..") or "/" in m.image_id or "\0" in m.image_id:
+            raise ValueError(f"image id {m.image_id!r} is not a file name")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for m in corpus:

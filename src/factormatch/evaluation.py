@@ -15,11 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import codec
 from .descriptors import DescriptorMatrix, view_index
 from .fusion import FusionParams, RankedList, fuse
-from .matcher import METRIC_ANGLE, METRIC_CORRELATION, combined_hypotheses, rank_database
-from .service import factorized, index_from_loadings
+from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, ObjectIndex, combined_hypotheses,
+                      rank_database)
+from .service import factorized, quantized
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
 from .factorization import nmf_loadings, pca_loadings  # noqa: F401
@@ -166,7 +166,6 @@ def _sweep(
     top: int,
     k_max: int | None,
     query_view: int,
-    base_seed: int,
     corpus_label: str,
 ) -> EvalReport:
     """Top-n accuracy of ``pipelines`` at every (rank, rate, alpha) point.
@@ -197,19 +196,17 @@ def _sweep(
     report = EvalReport(corpus_label, eta, runtime={"index_build": 0.0, "queries": 0.0})
     for fixed_k in ranks:
         t0 = time.perf_counter()
-        db_loadings = list(factorized(database, k_max, base_seed, fixed_k))
+        db_loadings = list(factorized(database, k_max, fixed_k))
         t1 = time.perf_counter()
-        query_loadings = list(factorized(queries, k_max, base_seed, fixed_k))
+        query_loadings = list(factorized(queries, k_max, fixed_k))
         report.runtime["index_build"] += t1 - t0
         report.runtime["queries"] += time.perf_counter() - t1
         for bits in rates:
             t0 = time.perf_counter()
-            index = index_from_loadings(db_loadings, bits)
+            index = ObjectIndex(quantized(db_loadings, bits))
             t1 = time.perf_counter()
             positions: list[list[int | None]] = [[] for _ in points]
-            for object_id, pca, nmf in query_loadings:
-                q_pca, q_nmf = ((pca, nmf) if bits is None
-                                else (codec.quantize(pca, bits), codec.quantize(nmf, bits)))
+            for object_id, q_pca, q_nmf in quantized(query_loadings, bits):
                 if "combined" in pipelines:
                     v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
                 for (pipeline, alpha), found in zip(points, positions):
@@ -241,13 +238,12 @@ def evaluate(
     k_max: int | None = None,
     fixed_k: int | None = None,
     query_view: int = 1,
-    base_seed: int = 0,
     pipelines: Sequence[str] = PIPELINES,
     corpus_label: str = "corpus",
 ) -> EvalReport:
     """Measure top-n accuracy of the requested pipelines on one corpus."""
     return _sweep(corpus, [fixed_k], [bits], [alpha], pipelines, eta, top, k_max,
-                  query_view, base_seed, corpus_label)
+                  query_view, corpus_label)
 
 
 def sweep_alpha(
@@ -258,7 +254,6 @@ def sweep_alpha(
     top: int = 20,
     k_max: int | None = None,
     query_view: int = 1,
-    base_seed: int = 0,
     corpus_label: str = "corpus",
 ) -> EvalReport:
     """Combined-pipeline accuracy across the fusion weight grid.
@@ -270,7 +265,7 @@ def sweep_alpha(
     if alphas is None:
         alphas = range(eta + 1)
     return _sweep(corpus, [None], [bits], alphas, ("combined", "nmf_angle"), eta, top,
-                  k_max, query_view, base_seed, corpus_label)
+                  k_max, query_view, corpus_label)
 
 
 def sweep_bits(
@@ -281,14 +276,13 @@ def sweep_bits(
     top: int = 20,
     k_max: int | None = None,
     query_view: int = 1,
-    base_seed: int = 0,
     pipelines: Sequence[str] = PIPELINES,
     corpus_label: str = "corpus",
 ) -> EvalReport:
     """Accuracy versus quantization rate, plus an unquantized reference row;
     every image is factorized once and only quantized again for each rate."""
     return _sweep(corpus, [None], [*bit_grid, None], [alpha], pipelines, eta, top,
-                  k_max, query_view, base_seed, corpus_label)
+                  k_max, query_view, corpus_label)
 
 
 def sweep_rank(
@@ -300,7 +294,6 @@ def sweep_rank(
     top: int = 20,
     k_max: int | None = None,
     query_view: int = 1,
-    base_seed: int = 0,
     pipelines: Sequence[str] = PIPELINES,
     corpus_label: str = "corpus",
 ) -> EvalReport:
@@ -308,4 +301,4 @@ def sweep_rank(
     if any(k < 1 for k in fixed_ranks):
         raise ValueError("fixed ranks must be positive")
     return _sweep(corpus, [*fixed_ranks, None], [bits], [alpha], pipelines, eta, top,
-                  k_max, query_view, base_seed, corpus_label)
+                  k_max, query_view, corpus_label)

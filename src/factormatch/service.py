@@ -50,7 +50,7 @@ STATUS_MALFORMED = 1
 STATUS_INVALID_PARAMS = 2
 STATUS_QUERY_FAILED = 3
 
-DEFAULT_MAX_FRAME = 1 << 20  # 1 MiB, the limit of every frame read
+MAX_FRAME = 1 << 20  # 1 MiB, the limit of every frame read
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -69,19 +69,14 @@ class ServerReportedError(RuntimeError):
 # --- index construction ---------------------------------------------------
 
 
-def nmf_seed(image_id: str, base_seed: int = 0) -> int:
-    """Stable per-image NMF seed (crc32 of the id mixed with a base seed)."""
-    return (zlib.crc32(image_id.encode("utf-8")) ^ (base_seed & 0xFFFFFFFF)) & 0xFFFFFFFF
-
-
 def factorize_image(
     m: DescriptorMatrix,
     k_max: int | None = None,
-    base_seed: int = 0,
     fixed_k: int | None = None,
 ) -> tuple[FactorLoadings, FactorLoadings, int]:
     """Both loadings of one image from one SVD, at its estimated model order
-    or at ``fixed_k`` (capped at the matrix rank)."""
+    or at ``fixed_k`` (capped at the matrix rank); the NMF is seeded with
+    the crc32 of the image id, so an image factorizes the same everywhere."""
     # through the module, so a wrapper on factorization.compute_svd sees it
     svd = factorization.compute_svd(m)
     if fixed_k is None:
@@ -89,7 +84,7 @@ def factorize_image(
     else:
         k = min(fixed_k, m.T, m.N)
     pca = pca_loadings(m, k, svd=svd)
-    nmf, _, _ = nmf_loadings(m, k, seed=nmf_seed(m.image_id, base_seed))
+    nmf, _, _ = nmf_loadings(m, k, seed=zlib.crc32(m.image_id.encode("utf-8")))
     return pca, nmf, k
 
 
@@ -97,60 +92,30 @@ def client_blobs(
     m: DescriptorMatrix,
     bits: int,
     k_max: int | None = None,
-    base_seed: int = 0,
 ) -> tuple[QuantizedLoadings, QuantizedLoadings]:
     """Client-side pipeline: model order, factorize, quantize both loadings."""
-    pca, nmf, _ = factorize_image(m, k_max, base_seed)
+    pca, nmf, _ = factorize_image(m, k_max)
     return codec.quantize(pca, bits), codec.quantize(nmf, bits)
-
-
-def quantized_records(
-    corpus: Sequence[DescriptorMatrix],
-    k_max: int | None = None,
-    bits: int = 5,
-    base_seed: int = 0,
-) -> list[IndexRecord]:
-    """Factorize and quantize every corpus image for storage."""
-    return [IndexRecord(m.object_id, *client_blobs(m, bits, k_max, base_seed))
-            for m in corpus]
 
 
 def factorized(
     corpus: Iterable[DescriptorMatrix],
     k_max: int | None = None,
-    base_seed: int = 0,
     fixed_k: int | None = None,
 ) -> Iterator[IndexRecord]:
     """The float-loadings record of each image, factorized as it is consumed."""
     for m in corpus:
-        pca, nmf, _ = factorize_image(m, k_max, base_seed, fixed_k)
+        pca, nmf, _ = factorize_image(m, k_max, fixed_k)
         yield IndexRecord(m.object_id, pca, nmf)
 
 
-def index_from_loadings(images: Iterable[IndexRecord], bits: int | None = None) -> ObjectIndex:
-    """Index of float-loadings records as the server holds them after
-    ``bits``-bit uploads (``bits=None``: full precision), handed to the
-    :class:`ObjectIndex` constructor quantized; it checks each image."""
+def quantized(records: Iterable[IndexRecord], bits: int | None) -> Iterator[IndexRecord]:
+    """Each record as a client uploads it and the server stores it: both
+    loadings quantized at ``bits`` bits (``bits=None``: as given)."""
     if bits is None:
-        return ObjectIndex(images)
-    return ObjectIndex(IndexRecord(object_id, codec.quantize(pca, bits), codec.quantize(nmf, bits))
-                       for object_id, pca, nmf in images)
-
-
-def build_index(
-    corpus: Sequence[DescriptorMatrix],
-    k_max: int | None = None,
-    bits: int | None = 5,
-    base_seed: int = 0,
-) -> ObjectIndex:
-    """Build the in-memory database from a descriptor corpus.
-
-    Stored loadings are quantized at ``bits`` bits, as a server holds
-    quantized uploads; ``bits=None`` keeps full precision (reference mode).
-    """
-    if not corpus:
-        raise ValueError("corpus is empty")
-    return index_from_loadings(factorized(corpus, k_max, base_seed), bits)
+        return iter(records)
+    return (IndexRecord(object_id, codec.quantize(pca, bits), codec.quantize(nmf, bits))
+            for object_id, pca, nmf in records)
 
 
 # --- wire encoding --------------------------------------------------------
@@ -202,7 +167,7 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
 
 
 def read_frame(stream: BinaryIO) -> bytes | None:
-    """Read one length-prefixed frame of at most :data:`DEFAULT_MAX_FRAME`
+    """Read one length-prefixed frame of at most :data:`MAX_FRAME`
     bytes from a buffered stream (whose ``read(n)`` returns short only at
     EOF); None on clean EOF at a frame boundary. A longer declared frame
     raises :class:`ProtocolError` before any of it is read."""
@@ -212,8 +177,8 @@ def read_frame(stream: BinaryIO) -> bytes | None:
     if len(header) < 4:
         raise ProtocolError("stream ended inside a frame header")
     (length,) = struct.unpack("<I", header)
-    if length > DEFAULT_MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit {DEFAULT_MAX_FRAME}")
+    if length > MAX_FRAME:
+        raise ProtocolError(f"frame of {length} bytes exceeds limit {MAX_FRAME}")
     payload = stream.read(length)
     if len(payload) < length:
         raise ProtocolError("stream ended inside a frame payload")
@@ -388,7 +353,6 @@ def query_remote(
     alpha: int = 2,
     bits: int = 5,
     k_max: int | None = None,
-    base_seed: int = 0,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> RankedList:
     """Full client pipeline: factorize, quantize, upload, parse the ranking.
@@ -396,7 +360,7 @@ def query_remote(
     The response carries object metadata only, so entries come back with an
     empty ``image_id``.
     """
-    q_pca, q_nmf = client_blobs(m, bits, k_max, base_seed)
+    q_pca, q_nmf = client_blobs(m, bits, k_max)
     status, entries, error_text = send_query(
         endpoint, codec.encode(q_pca), codec.encode(q_nmf), eta, alpha, timeout
     )

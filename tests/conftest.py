@@ -15,9 +15,9 @@ from factormatch.factorization import (
     FactorLoadings,
     SvdResult,
 )
-from factormatch.matcher import ObjectIndex
+from factormatch.matcher import IndexRecord, ObjectIndex
 from factormatch.model_order import RESIDUAL_FLOOR
-from factormatch.service import RetrievalServer
+from factormatch.service import RetrievalServer, factorized, quantized
 
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
@@ -53,6 +53,17 @@ def blob_header_bytes(image_id: str) -> int:
     """Size of everything before the packed levels in a QFL1 blob: magic,
     the ``<BBHHffH`` kind/bits/T/k/lo/hi/id-length header and the image id."""
     return 4 + struct.calcsize("<BBHHffH") + len(image_id.encode("utf-8"))
+
+
+def records_of(corpus, k_max: int | None = None, bits: int | None = 5) -> list[IndexRecord]:
+    """Every image's record as its client uploads it, through the package's
+    one record path."""
+    return list(quantized(factorized(corpus, k_max), bits))
+
+
+def index_of(corpus, k_max: int | None = None, bits: int | None = 5) -> ObjectIndex:
+    """The index a server holds of ``corpus``'s uploads at ``bits`` bits."""
+    return ObjectIndex(records_of(corpus, k_max, bits))
 
 
 @contextlib.contextmanager

@@ -29,10 +29,10 @@ from factormatch.matcher import (
     rank_database,
 )
 from factormatch.model_order import estimate_order
-from factormatch.service import answer_query, build_index, client_blobs, read_frame, write_frame
+from factormatch.service import answer_query, client_blobs, read_frame, write_frame
 
-from conftest import (blob_header_bytes, lattice_values, payload_bytes, random_unit_columns, serve,
-                      subspace_angle)
+from conftest import (blob_header_bytes, index_of, lattice_values, payload_bytes,
+                      random_unit_columns, serve, subspace_angle)
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 
@@ -225,7 +225,7 @@ def test_service_transparency_under_concurrency():
         num_objects=10, views_per_object=3, T=16, descriptors_per_view=80,
         planted_rank=3, view_noise_sigma=0.03, seed=77,
     )
-    index = build_index(generate_corpus(spec), k_max=8, bits=5)
+    index = index_of(generate_corpus(spec), k_max=8, bits=5)
 
     query_specs = [
         SynthCorpusSpec(num_objects=1, views_per_object=1, T=16,

@@ -79,7 +79,8 @@ def test_answer_query_spans(tracer):
     corpus = generate_corpus(spec)
     service, codec = factormatch.service, factormatch.codec
     with tracer.off():
-        index = service.build_index(corpus[1:], k_max=8)
+        index = factormatch.matcher.ObjectIndex(
+            service.quantized(service.factorized(corpus[1:], 8), 5))
         q_pca, q_nmf = service.client_blobs(corpus[0], 5, k_max=8)
     payload = service.encode_query(3, 1, codec.encode(q_pca), codec.encode(q_nmf))
     status, entries, _ = service.decode_response(service.answer_query(index, payload))

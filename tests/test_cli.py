@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import socketserver
@@ -141,10 +142,13 @@ def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch, caps
     (["evaluate", "--alpha", "30"], "alphas must lie in [0, 20]"),
     (["evaluate", "--query-view", "9"], "no image has view index 9"),
     (["evaluate", "--corpus", "synthetic:objects=4,views=3"], "corpus spec missing"),
+    (["evaluate", "--corpus", f"synthetic:{SPEC.replace('seed=13', 'seed=abc')}"],
+     "corpus spec key 'seed': 'abc' is not a number"),
     (["evaluate", "--corpus", "synthetic:objects=2,views=2,T=8,N=20,r=2,sigma=0.01,seed=1",
       "--k-max", "99"], "k_max=99 out of range [1, 8]"),
     (["serve", "--index", "{not_an_index}"], "bad index file magic"),
-], ids=["grid", "ranks", "eta", "bits", "alpha", "query_view", "spec", "k_max", "index"])
+], ids=["grid", "ranks", "eta", "bits", "alpha", "query_view", "spec", "spec_number", "k_max",
+        "index"])
 def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path, capsys):
     not_an_index = tmp_path / "db.txt"
     not_an_index.write_text("not an index\n")
@@ -194,3 +198,30 @@ def test_serve_runs_one_accept_loop(monkeypatch, capsys):
                  "--listen", "127.0.0.1:0"]) == 0
     assert len(loops) == 1
     assert "serving 12 images / 4 objects on 127.0.0.1:" in capsys.readouterr().out
+
+
+_EVAL = {"--corpus", "--top", "--query-view", "--out", "--eta", "--k-max"}
+# Every option of every subcommand: a new one is added here on purpose.
+OPTIONS = {
+    "gen-corpus": {"--spec", "--out"},
+    "build-index": {"--corpus", "--out", "--bits", "--k-max"},
+    "serve": {"--index", "--listen", "--bits", "--k-max"},
+    "query": {"--server", "--descriptors", "--timeout", "--eta", "--alpha", "--bits",
+              "--k-max"},
+    "evaluate": _EVAL | {"--alpha", "--bits"},
+    "sweep-alpha": _EVAL | {"--bits", "--alphas"},
+    "sweep-bits": _EVAL | {"--alpha", "--grid"},
+    "sweep-rank": _EVAL | {"--alpha", "--bits", "--ranks"},
+}
+
+
+def test_option_census():
+    def options(parser):
+        return {opt for action in parser._actions for opt in action.option_strings
+                if opt not in ("-h", "--help")}
+
+    parser = cli._parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert options(parser) == set()
+    assert {name: options(p) for name, p in commands.items()} == OPTIONS

@@ -292,3 +292,15 @@ def test_corpus_with_an_id_the_trailer_cannot_carry_writes_no_file(tmp_path):
     with pytest.raises(ValueError, match="contains ';'"):
         save_corpus(corpus, tmp_path / "corpus")
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("image_id", ["", ".", "..", "a/b", "/abs", "nul\0id"])
+def test_corpus_with_an_id_that_is_no_file_name_writes_no_file(image_id, tmp_path):
+    spec = SynthCorpusSpec(2, 2, T=8, descriptors_per_view=15,
+                           planted_rank=2, view_noise_sigma=0.01, seed=3)
+    corpus = generate_corpus(spec)
+    last = corpus[-1]
+    corpus[-1] = DescriptorMatrix(image_id, last.object_id, last.values)
+    with pytest.raises(ValueError, match="is not a file name"):
+        save_corpus(corpus, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from factormatch import codec
 from factormatch.binary import Reader, blob, text
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
+from factormatch.factorization import nmf_loadings
 from factormatch.matcher import ObjectIndex, rank_database, retrieve_combined
 from factormatch.service import (
-    DEFAULT_MAX_FRAME,
+    MAX_FRAME,
     STATUS_INVALID_PARAMS,
     STATUS_MALFORMED,
     STATUS_OK,
@@ -27,14 +29,14 @@ from factormatch.service import (
     ProtocolError,
     ServerReportedError,
     answer_query,
-    build_index,
     client_blobs,
     decode_query,
     decode_response,
     encode_query,
     encode_response,
     factorize_image,
-    quantized_records,
+    factorized,
+    quantized,
     query_remote,
     read_frame,
     read_index,
@@ -43,7 +45,14 @@ from factormatch.service import (
     write_index,
 )
 
-from conftest import payload_bytes, reference_index_blobs, serve, validate_loadings
+from conftest import (
+    index_of,
+    payload_bytes,
+    records_of,
+    reference_index_blobs,
+    serve,
+    validate_loadings,
+)
 
 K_MAX = 8  # toy corpora here are T=16 with planted rank <= 3
 
@@ -72,7 +81,7 @@ def other_T_corpus():
 
 @pytest.fixture(scope="module")
 def index(corpus):
-    return build_index(corpus, k_max=K_MAX, bits=5)
+    return index_of(corpus, k_max=K_MAX, bits=5)
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +94,7 @@ class TestBuildIndex:
     def test_single_image_corpus(self):
         spec = SynthCorpusSpec(1, 1, T=8, descriptors_per_view=30,
                                planted_rank=2, view_noise_sigma=0.01, seed=2)
-        index = build_index(generate_corpus(spec), k_max=4, bits=5)
+        index = index_of(generate_corpus(spec), k_max=4, bits=5)
         assert index.num_images == 1
         (rec,) = index.images.values()
         assert rec.pca.k == rec.nmf.k
@@ -95,31 +104,31 @@ class TestBuildIndex:
         assert index.num_objects == 6
 
     def test_250_view_corpus_bookkeeping(self, eval_corpus):
-        index = build_index(eval_corpus, k_max=16, bits=5)
+        index = index_of(eval_corpus, k_max=16, bits=5)
         assert index.num_images == 250
         assert index.num_objects == 50
         for rec in index.images.values():
             assert rec.pca.k == rec.nmf.k
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            build_index([], bits=5)
+        with pytest.raises(ValueError, match="at least one image"):
+            index_of([], bits=5)
 
     def test_duplicate_image_id_rejected(self, corpus):
         with pytest.raises(ValueError, match=f"duplicate image id '{corpus[0].image_id}'"):
-            build_index([corpus[0], corpus[1], corpus[0]], k_max=K_MAX)
+            index_of([corpus[0], corpus[1], corpus[0]], k_max=K_MAX)
 
     @pytest.mark.parametrize("field", ["object_id", "image_id"])
     def test_id_too_long_to_send_rejected(self, corpus, field):
         # 40,000 two-byte characters: the limit counts UTF-8 bytes
         long_id = dataclasses.replace(corpus[0], **{field: "\u00e9" * 40_000})
         with pytest.raises(ValueError, match=f"{field[:-3]} id of 80000 bytes exceeds"):
-            build_index([long_id, *corpus[1:3]], k_max=K_MAX)
+            index_of([long_id, *corpus[1:3]], k_max=K_MAX)
         longest = dataclasses.replace(corpus[0], **{field: "x" * 0xFFFF})
-        assert build_index([longest, *corpus[1:3]], k_max=K_MAX).num_images == 3
+        assert index_of([longest, *corpus[1:3]], k_max=K_MAX).num_images == 3
 
     def test_unquantized_mode(self, corpus):
-        index = build_index(corpus[:3], k_max=K_MAX, bits=None)
+        index = index_of(corpus[:3], k_max=K_MAX, bits=None)
         for rec in index.images.values():
             validate_loadings(rec.pca)  # full-precision loadings stay orthonormal
 
@@ -128,7 +137,7 @@ class TestBuildIndex:
         # cost 3.84 kB plus fixed headers at 5 bits
         spec = SynthCorpusSpec(2, 1, T=128, descriptors_per_view=800,
                                planted_rank=24, view_noise_sigma=0.005, seed=5)
-        records = quantized_records(generate_corpus(spec), k_max=64, bits=5)
+        records = records_of(generate_corpus(spec), k_max=64, bits=5)
         ks = [rec.pca.k for rec in records]
         assert all(k == 24 for k in ks)
         bodies = [payload_bytes(rec.pca) + payload_bytes(rec.nmf) for rec in records]
@@ -167,10 +176,28 @@ class TestFactorizeImage:
         _, _, k = factorize_image(m, fixed_k=10 * m.T)
         assert k == min(m.T, m.N)
 
+    def test_nmf_seeded_with_the_crc32_of_the_image_id(self, corpus):
+        for m in corpus[:3]:
+            _, nmf, k = factorize_image(m)
+            seed = zlib.crc32(m.image_id.encode("utf-8"))
+            assert np.array_equal(nmf.columns, nmf_loadings(m, k, seed=seed)[0].columns)
+            assert not np.array_equal(nmf.columns, nmf_loadings(m, k, seed=seed ^ 1)[0].columns)
+
+
+class TestRecordPath:
+    @pytest.mark.parametrize("bits", [2, 5, 12])
+    def test_index_records_are_the_client_uploads(self, corpus, bits):
+        records = quantized(factorized(corpus, K_MAX), bits)
+        for m, rec in zip(corpus, records, strict=True):
+            q_pca, q_nmf = client_blobs(m, bits, K_MAX)
+            assert rec.object_id == m.object_id
+            assert codec.encode(rec.pca) == codec.encode(q_pca)
+            assert codec.encode(rec.nmf) == codec.encode(q_nmf)
+
 
 class TestIndexFile:
     def test_round_trip(self, corpus, index, tmp_path):
-        records = quantized_records(corpus, k_max=K_MAX, bits=5)
+        records = records_of(corpus, k_max=K_MAX, bits=5)
         path = tmp_path / "corpus.idx"
         write_index(path, records)
         loaded = read_index(path)
@@ -231,7 +258,7 @@ class TestIndexFile:
 
     @pytest.fixture
     def four_records(self, corpus):
-        return quantized_records(corpus[:4], k_max=K_MAX, bits=5)
+        return records_of(corpus[:4], k_max=K_MAX, bits=5)
 
     def test_every_truncation_rejected(self, four_records, tmp_path):
         path = tmp_path / "four.idx"
@@ -280,7 +307,7 @@ class TestIndexFile:
 
     def test_mixed_descriptor_dims_rejected(self, four_records, tmp_path):
         path = tmp_path / "mixed.idx"
-        other = quantized_records(other_T_corpus()[:1], k_max=4)
+        other = records_of(other_T_corpus()[:1], k_max=4)
         write_index(path, [*four_records[1:3], *other])
         with pytest.raises(ProtocolError, match="descriptor dims"):
             read_index(path)
@@ -432,7 +459,7 @@ class TestIndexFileFuzz:
     @pytest.fixture(scope="class")
     def index_bytes(self, corpus, tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "two.idx"
-        write_index(path, quantized_records(corpus[:2], k_max=K_MAX, bits=5))
+        write_index(path, records_of(corpus[:2], k_max=K_MAX, bits=5))
         return path.read_bytes()
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -720,9 +747,9 @@ def _run_threads(targets, timeout=60.0):
 class TestConcurrentFills:
     def test_threads_on_one_cold_index_answer_as_one_thread(self, corpus):
         payloads = _payloads(corpus)
-        serial_index = build_index(corpus, k_max=K_MAX, bits=5)
+        serial_index = index_of(corpus, k_max=K_MAX, bits=5)
         serial = [answer_query(serial_index, p) for p in payloads]
-        cold = build_index(corpus, k_max=K_MAX, bits=5)
+        cold = index_of(corpus, k_max=K_MAX, bits=5)
         start = threading.Barrier(6)
         answers: dict[int, list[bytes]] = {}
 
@@ -739,9 +766,9 @@ class TestConcurrentFills:
         """Threads that rank by NMF correlation at once, on an index no query
         has touched, rank as one thread does."""
         queries = [factorize_image(m, K_MAX)[1] for m in corpus]
-        serial_index = build_index(corpus, k_max=K_MAX, bits=5)
+        serial_index = index_of(corpus, k_max=K_MAX, bits=5)
         serial = [rank_database(q, serial_index, "correlation", eta=6) for q in queries]
-        cold = build_index(corpus, k_max=K_MAX, bits=5)
+        cold = index_of(corpus, k_max=K_MAX, bits=5)
         start = threading.Barrier(6)
         answers: dict[int, list] = {}
 
@@ -836,7 +863,7 @@ class TestLiveServer:
 
     def test_two_connections_on_a_fresh_server(self, corpus):
         payloads = _payloads(corpus)
-        serial = [answer_query(build_index(corpus, k_max=K_MAX, bits=5), p) for p in payloads]
+        serial = [answer_query(index_of(corpus, k_max=K_MAX, bits=5), p) for p in payloads]
         answers: dict[int, list[bytes]] = {}
 
         def client(address, t):
@@ -849,7 +876,7 @@ class TestLiveServer:
                     got.append(read_frame(stream))
             answers[t] = got
 
-        with serve(build_index(corpus, k_max=K_MAX, bits=5)) as fresh:
+        with serve(index_of(corpus, k_max=K_MAX, bits=5)) as fresh:
             _run_threads([lambda t=t: client(fresh.address, t) for t in range(2)])
         for t in range(2):
             assert answers[t] == serial[t::2] + serial[1 - t::2]
@@ -863,11 +890,11 @@ class TestLiveServer:
         the limit, then the connection ends; the server keeps serving."""
         with (socket.create_connection(server.address, timeout=10) as sock,
               sock.makefile("rwb") as stream):
-            stream.write(struct.pack("<I", DEFAULT_MAX_FRAME + 1))
+            stream.write(struct.pack("<I", MAX_FRAME + 1))
             stream.flush()
             status, entries, err = decode_response(read_frame(stream))
             assert (status, entries) == (STATUS_MALFORMED, [])
-            assert f"exceeds limit {DEFAULT_MAX_FRAME}" in err
+            assert f"exceeds limit {MAX_FRAME}" in err
             assert read_frame(stream) is None
         ranked = query_remote(server.address, corpus[0], eta=4, alpha=1, bits=5, k_max=K_MAX)
         assert ranked.entries[0].object_id == corpus[0].object_id
