@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from . import factorization
 from .descriptors import DescriptorMatrix, view_index
 from .fusion import FusionParams, RankedList, fuse
 from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, ObjectIndex, combined_hypotheses,
@@ -171,11 +172,12 @@ def _sweep(
     """Top-n accuracy of ``pipelines`` at every (rank, rate, alpha) point.
 
     Rank ``None`` is the estimated model order, rate ``None`` full precision.
-    Every image is factorized once per rank and the database is indexed once
-    per rate; each query's two hypotheses are computed once per rate and
-    fused once per alpha, and each single-metric pipeline is ranked once per
-    rate (its records keep ``alpha=None``). Records come out rank by rate by
-    pipeline, with the alphas inside ``combined``.
+    Every image is factorized once per rank, all ranks from one SVD, and the
+    database is indexed once per rate; each query's two hypotheses are
+    computed once per rate and fused once per alpha, and each single-metric
+    pipeline is ranked once per rate (its records keep ``alpha=None``).
+    Records come out rank by rate by pipeline, with the alphas inside
+    ``combined``.
     """
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
@@ -194,11 +196,19 @@ def _sweep(
     queries, database = split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
     report = EvalReport(corpus_label, eta, runtime={"index_build": 0.0, "queries": 0.0})
+    db_svds = query_svds = None
+    if len(ranks) > 1:  # each image's one SVD serves every rank
+        t0 = time.perf_counter()
+        db_svds = [factorization.compute_svd(m) for m in database]
+        t1 = time.perf_counter()
+        query_svds = [factorization.compute_svd(m) for m in queries]
+        report.runtime["index_build"] += t1 - t0
+        report.runtime["queries"] += time.perf_counter() - t1
     for fixed_k in ranks:
         t0 = time.perf_counter()
-        db_loadings = list(factorized(database, k_max, fixed_k))
+        db_loadings = list(factorized(database, k_max, fixed_k, db_svds))
         t1 = time.perf_counter()
-        query_loadings = list(factorized(queries, k_max, fixed_k))
+        query_loadings = list(factorized(queries, k_max, fixed_k, query_svds))
         report.runtime["index_build"] += t1 - t0
         report.runtime["queries"] += time.perf_counter() - t1
         for bits in rates:

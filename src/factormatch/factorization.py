@@ -4,7 +4,10 @@ Both factorizations compress a ``T x N`` descriptor matrix into a ``T x k``
 loading matrix with unit-norm columns:
 
 * PCA loadings are the top-k left singular vectors (orthonormal, signed so
-  each column's largest-magnitude entry is positive).
+  each column's largest-magnitude entry is positive), read from the SVD of
+  ``Rᵀ`` for ``Mᵀ = QR``, so the ``N``-long right singular vectors are never
+  formed (the R-SVD: Chan, "An improved algorithm for computing the singular
+  value decomposition", ACM TOMS 8(1), 1982).
 * NMF loadings come from an alternating minimization of
   ``0.5 * ||M - L R||_F^2`` where every column of ``R`` has a single
   non-negative nonzero — i.e. each descriptor is explained by exactly one
@@ -13,7 +16,10 @@ loading matrix with unit-norm columns:
   with the largest inner product, the update step replaces each loading by
   the (scale-weighted) normalized sum of its assigned descriptors. Both
   half-steps are exact coordinate minimizers, so the objective never
-  increases.
+  increases. A unit-norm loading and the best scale ``s_j = max(L_cᵀ m_j, 0)``
+  leave ``||m_j||² − s_j²`` of descriptor ``j``, so the objective is
+  ``0.5 * (||M||_F² − s·s)`` (Dhillon & Modha, "Concept decompositions for
+  large sparse text data using clustering", Machine Learning 42, 2001).
 """
 
 from __future__ import annotations
@@ -89,32 +95,27 @@ class FactorAssignment:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD of a descriptor matrix: ``U @ diag(s) @ Vt`` reconstructs it."""
+    """``T x min(T, N)`` left singular vectors and non-increasing singular values."""
 
     U: np.ndarray = field(repr=False)
     singular_values: np.ndarray
-    Vt: np.ndarray = field(repr=False)
 
 
 def compute_svd(m: DescriptorMatrix) -> SvdResult:
-    """SVD with a full ``T x T`` orthogonal U and non-increasing singular values."""
+    """``M = Rᵀ Qᵀ`` has the left singular vectors and singular values of ``Rᵀ``."""
     values = m.values.astype(np.float64)
-    T, N = values.shape
     try:
-        U, s, Vt = np.linalg.svd(values, full_matrices=(T > N))
+        R = np.linalg.qr(values.T, mode="r")
+        U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed on image {m.image_id!r}: {exc}") from exc
-    return SvdResult(U=U, singular_values=s, Vt=Vt)
+    return SvdResult(U=U, singular_values=s)
 
 
 def _canonical_signs(H: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-|entry| (first on ties) is positive."""
-    H = H.copy()
-    for j in range(H.shape[1]):
-        pivot = int(np.argmax(np.abs(H[:, j])))
-        if H[pivot, j] < 0:
-            H[:, j] = -H[:, j]
-    return H
+    pivot = np.argmax(np.abs(H), axis=0)
+    return H * np.where(H[pivot, np.arange(H.shape[1])] < 0, -1.0, 1.0)
 
 
 def pca_loadings(m: DescriptorMatrix, k: int, svd: SvdResult | None = None) -> FactorLoadings:
@@ -129,16 +130,20 @@ def pca_loadings(m: DescriptorMatrix, k: int, svd: SvdResult | None = None) -> F
 
 
 def _farthest_point_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Pick k descriptor columns: seeded first pick, then max-min-distance greedy."""
-    N = values.shape[1]
-    rng = np.random.default_rng(seed)
-    chosen = [int(rng.integers(N))]
-    dist2 = np.sum((values - values[:, chosen[0]][:, None]) ** 2, axis=0)
+    """Pick k descriptor columns: seeded first pick, then max-min-distance
+    greedy, each distance ``||v||² − 2 vᵀc + ||c||²`` from one GEMV. Once all
+    left lie within that sum's rounding error (fewer than k distinct
+    descriptors), they are summed from differences: a repeat is exactly 0."""
+    sq = np.einsum("ij,ij->j", values, values)
+    floor = 4 * values.shape[0] * np.finfo(np.float64).eps * sq.max()
+    chosen = [int(np.random.default_rng(seed).integers(values.shape[1]))]
+    dist2 = sq - 2.0 * (values[:, chosen[0]] @ values) + sq[chosen[0]]
     for _ in range(k - 1):
+        if dist2.max() <= floor:
+            dist2 = np.min([np.sum((values - values[:, [c]]) ** 2, axis=0) for c in chosen], 0)
         nxt = int(np.argmax(dist2))  # argmax takes the first index on ties
         chosen.append(nxt)
-        cand = np.sum((values - values[:, nxt][:, None]) ** 2, axis=0)
-        dist2 = np.minimum(dist2, cand)
+        dist2 = np.minimum(dist2, sq - 2.0 * (values[:, nxt] @ values) + sq[nxt])
     L = values[:, chosen].copy()
     norms = np.linalg.norm(L, axis=0)
     norms[norms == 0] = 1.0
@@ -159,9 +164,8 @@ def nmf_loadings(
     if not 1 <= k <= m.N:
         raise ValueError(f"k={k} out of range [1, N={m.N}]")
     values = m.values.astype(np.float64)
-    N = m.N
-    col_idx = np.arange(N)
-    row_idx = np.arange(m.T)[:, None]
+    col_idx = np.arange(m.N)
+    total = float(np.einsum("ij,ij->", values, values))
 
     def assign(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S = L.T @ values  # k x N inner products
@@ -169,24 +173,21 @@ def nmf_loadings(
         scale = np.maximum(S[cluster, col_idx], 0.0)
         return cluster, scale
 
-    def objective(L: np.ndarray, cluster: np.ndarray, scale: np.ndarray) -> float:
-        approx = L[:, cluster] * scale
-        return 0.5 * float(np.sum((values - approx) ** 2))
+    def objective(scale: np.ndarray) -> float:
+        # unit-norm (or zero) loadings: ||m_j - s_j L_c||^2 = ||m_j||^2 - s_j^2
+        return 0.5 * (total - float(scale @ scale))
 
     L = _farthest_point_init(values, k, seed)
     cluster, scale = assign(L)
-    trace = [objective(L, cluster, scale)]
+    trace = [objective(scale)]
 
     for _ in range(_NMF_MAX_ITERS - 1):
         # Exact minimizer of the objective over unit-norm columns for the
         # frozen assignment: scale-weighted sum of each cluster's members,
-        # one bincount over (cluster, descriptor row) bins, each summed in
-        # descriptor order. The k x T result is used transposed, so the
-        # column norms below reduce contiguous memory in pairwise order.
-        weighted = np.bincount(
-            (cluster * m.T + row_idx).ravel(), weights=(values * scale).ravel(),
-            minlength=k * m.T,
-        ).reshape(k, m.T).T
+        # one GEMM with the N x k matrix holding scale_j at (j, cluster_j).
+        R = np.zeros((m.N, k))
+        R[col_idx, cluster] = scale
+        weighted = values @ R
         norms = np.linalg.norm(weighted, axis=0)
         live = norms > 0
         L_new = np.zeros_like(L)
@@ -204,7 +205,7 @@ def nmf_loadings(
                 residual[pick] = -1.0
 
         cluster_new, scale_new = assign(L_new)
-        obj = objective(L_new, cluster_new, scale_new)
+        obj = objective(scale_new)
         if obj >= trace[-1]:
             break  # no measurable progress; keep the better iterate
         L, cluster, scale = L_new, cluster_new, scale_new
@@ -216,4 +217,3 @@ def nmf_loadings(
     loadings = FactorLoadings(image_id=m.image_id, kind=KIND_NMF, columns=L)
     assignment = FactorAssignment(k=k, cluster_of=cluster, scale_of=scale)
     return loadings, assignment, np.array(trace)
-

@@ -35,7 +35,8 @@ from . import codec, factorization
 from .binary import Reader, blob, text
 from .codec import QuantizedLoadings
 from .descriptors import DescriptorMatrix
-from .factorization import KIND_NMF, KIND_PCA, FactorLoadings, nmf_loadings, pca_loadings
+from .factorization import (KIND_NMF, KIND_PCA, FactorLoadings, SvdResult, nmf_loadings,
+                            pca_loadings)
 from .fusion import RankedEntry, RankedList
 from .matcher import IndexRecord, ObjectIndex, retrieve_combined
 from .model_order import estimate_order
@@ -73,12 +74,15 @@ def factorize_image(
     m: DescriptorMatrix,
     k_max: int | None = None,
     fixed_k: int | None = None,
+    svd: SvdResult | None = None,
 ) -> tuple[FactorLoadings, FactorLoadings, int]:
-    """Both loadings of one image from one SVD, at its estimated model order
-    or at ``fixed_k`` (capped at the matrix rank); the NMF is seeded with
-    the crc32 of the image id, so an image factorizes the same everywhere."""
-    # through the module, so a wrapper on factorization.compute_svd sees it
-    svd = factorization.compute_svd(m)
+    """Both loadings of one image from one SVD (``svd`` if given), at its
+    estimated model order or at ``fixed_k`` (capped at the matrix rank); the
+    NMF is seeded with the crc32 of the image id, so an image factorizes the
+    same everywhere."""
+    if svd is None:
+        # through the module, so a wrapper on factorization.compute_svd sees it
+        svd = factorization.compute_svd(m)
     if fixed_k is None:
         k = estimate_order(m, k_max, svd=svd).k_star
     else:
@@ -102,10 +106,12 @@ def factorized(
     corpus: Iterable[DescriptorMatrix],
     k_max: int | None = None,
     fixed_k: int | None = None,
+    svds: Sequence[SvdResult] | None = None,
 ) -> Iterator[IndexRecord]:
-    """The float-loadings record of each image, factorized as it is consumed."""
-    for m in corpus:
-        pca, nmf, _ = factorize_image(m, k_max, fixed_k)
+    """The float-loadings record of each image, factorized as it is consumed
+    (from ``svds[i]``, the SVD of image ``i``, if given)."""
+    for i, m in enumerate(corpus):
+        pca, nmf, _ = factorize_image(m, k_max, fixed_k, None if svds is None else svds[i])
         yield IndexRecord(m.object_id, pca, nmf)
 
 

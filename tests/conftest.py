@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from factormatch import SynthCorpusSpec, generate_corpus, matcher
+from factormatch import SynthCorpusSpec, factorization, generate_corpus, matcher
 from factormatch.codec import QuantizedLoadings
 from factormatch.descriptors import DescriptorMatrix
 from factormatch.factorization import (
@@ -66,6 +66,23 @@ def index_of(corpus, k_max: int | None = None, bits: int | None = 5) -> ObjectIn
     return ObjectIndex(records_of(corpus, k_max, bits))
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count compute_svd calls through every module that binds it."""
+    from factormatch import model_order, service
+
+    calls = []
+    original = factorization.compute_svd
+
+    def counted(m):
+        calls.append(m.image_id)
+        return original(m)
+
+    for module in (factorization, model_order, service):
+        monkeypatch.setattr(module, "compute_svd", counted, raising=False)
+    return calls
+
+
 @contextlib.contextmanager
 def serve(index: ObjectIndex, **kw):
     """A :class:`RetrievalServer` on an ephemeral loopback port, its accept
@@ -82,6 +99,78 @@ def serve(index: ObjectIndex, **kw):
 
 
 # --- oracles: one-value forms of what the package computes in bulk -----------
+
+
+def gesdd_svd(m: DescriptorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, singular values)`` of LAPACK's divide-and-conquer SVD of the
+    whole descriptor matrix, with a full ``T x T`` ``U`` when ``T > N``."""
+    values = m.values.astype(np.float64)
+    U, s, _ = np.linalg.svd(values, full_matrices=values.shape[0] > values.shape[1])
+    return U, s
+
+
+def farthest_point_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """The NMF's initial loadings with every distance from its own
+    difference vector: seeded first pick, then max-min-distance greedy."""
+    N = values.shape[1]
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(N))]
+    dist2 = np.sum((values - values[:, chosen[0]][:, None]) ** 2, axis=0)
+    for _ in range(k - 1):
+        nxt = int(np.argmax(dist2))
+        chosen.append(nxt)
+        cand = np.sum((values - values[:, nxt][:, None]) ** 2, axis=0)
+        dist2 = np.minimum(dist2, cand)
+    L = values[:, chosen].copy()
+    norms = np.linalg.norm(L, axis=0)
+    norms[norms == 0] = 1.0
+    return L / norms
+
+
+def explicit_nmf(m: DescriptorMatrix, k: int, seed: int = 0):
+    """The sparse NMF with the objective summed from its ``T x N`` residual
+    and each cluster sum a bincount in descriptor order: returns
+    ``(L, cluster_of, scale_of, trace)`` under the package's stopping rule."""
+    values = m.values.astype(np.float64)
+    col_idx = np.arange(m.N)
+    row_idx = np.arange(m.T)[:, None]
+
+    def assign(L):
+        S = L.T @ values
+        cluster = np.argmax(S, axis=0)
+        return cluster, np.maximum(S[cluster, col_idx], 0.0)
+
+    def objective(L, cluster, scale):
+        return 0.5 * float(np.sum((values - L[:, cluster] * scale) ** 2))
+
+    L = farthest_point_init(values, k, seed)
+    cluster, scale = assign(L)
+    trace = [objective(L, cluster, scale)]
+    for _ in range(factorization._NMF_MAX_ITERS - 1):
+        weighted = np.bincount(
+            (cluster * m.T + row_idx).ravel(), weights=(values * scale).ravel(),
+            minlength=k * m.T,
+        ).reshape(k, m.T).T
+        norms = np.linalg.norm(weighted, axis=0)
+        live = norms > 0
+        L_new = np.zeros_like(L)
+        L_new[:, live] = weighted[:, live] / norms[live]
+        if not live.all():
+            residual = np.sum((values - L_new[:, cluster] * scale) ** 2, axis=0)
+            for j in np.where(~live)[0]:
+                pick = int(np.argmax(residual))
+                L_new[:, j] = values[:, pick] / np.linalg.norm(values[:, pick])
+                residual[pick] = -1.0
+        cluster_new, scale_new = assign(L_new)
+        obj = objective(L_new, cluster_new, scale_new)
+        if obj >= trace[-1]:
+            break
+        L, cluster, scale = L_new, cluster_new, scale_new
+        converged = (trace[-1] - obj) < factorization._NMF_TOL * trace[-1]
+        trace.append(obj)
+        if converged:
+            break
+    return L, cluster, scale, np.array(trace)
 
 
 def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:

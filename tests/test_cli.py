@@ -5,7 +5,7 @@ import socketserver
 
 import pytest
 
-from factormatch import cli
+from factormatch import cli, service
 from factormatch.cli import main
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus, save_corpus
 from factormatch.service import read_index
@@ -159,6 +159,24 @@ def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("factormatch: error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-index", "--corpus", f"synthetic:{SPEC}", "--out", "{tmp}/db.idx", "--bits", "0"],
+    ["serve", "--index", f"synthetic:{SPEC}", "--listen", "127.0.0.1:0", "--bits", "0"],
+    ["query", "--server", "127.0.0.1:1", "--descriptors", "{tmp}/q.dmt", "--bits", "17"],
+    ["evaluate", "--corpus", f"synthetic:{SPEC}", "--bits", "0"],
+    ["sweep-alpha", "--corpus", f"synthetic:{SPEC}", "--bits", "17"],
+    ["sweep-rank", "--corpus", f"synthetic:{SPEC}", "--bits", "-1"],
+], ids=["build-index", "serve", "query", "evaluate", "sweep-alpha", "sweep-rank"])
+def test_bits_checked_before_any_corpus_is_read(argv, tmp_path, monkeypatch, capsys):
+    factorized = []
+    monkeypatch.setattr(service, "factorize_image", lambda *a, **kw: factorized.append(a))
+    for name in ("load_corpus_arg", "load_index_arg", "load_descriptors"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(f"{argv[0]} read its input"))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert factorized == []
+    assert "bits must lie in 1..16, got " + argv[-1] in capsys.readouterr().err
 
 
 def test_gen_corpus_rejects_a_non_finite_sigma(tmp_path, capsys):

@@ -197,6 +197,11 @@ class TestSweepRank:
                                      k_max=K_MAX, fixed_k=fixed_k).records)
         assert report.records == expected
 
+    def test_one_svd_per_image_for_every_rank(self, noisy_corpus, svd_calls):
+        sweep_rank(noisy_corpus, fixed_ranks=(1, 2, 4), eta=ETA, alpha=2, bits=5, top=2,
+                   k_max=K_MAX)
+        assert sorted(svd_calls) == sorted(m.image_id for m in noisy_corpus)
+
     def test_estimated_row_reported_with_every_fixed_rank(self, noisy_corpus):
         report = sweep_rank(noisy_corpus, fixed_ranks=(1, 3), eta=ETA,
                             alpha=2, bits=5, top=2, k_max=K_MAX)

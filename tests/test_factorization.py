@@ -1,16 +1,28 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factormatch import SynthCorpusSpec, codec, generate_corpus
 from factormatch.descriptors import DescriptorMatrix
 from factormatch.factorization import (
+    KIND_NMF,
+    KIND_PCA,
     FactorAssignment,
     FactorLoadings,
+    SvdResult,
+    _farthest_point_init,
     compute_svd,
     nmf_loadings,
     pca_loadings,
 )
+from factormatch.model_order import estimate_order
+from factormatch.service import factorize_image
 
-from conftest import nmf_objective, to_matrix, validate_loadings
+from conftest import (explicit_nmf, farthest_point_init, gesdd_svd, nmf_objective, to_matrix,
+                      validate_loadings)
 
 
 def matrix_of(values, image_id="m"):
@@ -73,15 +85,19 @@ class TestPcaLoadings:
             pca_loadings(m, 0)
 
     def test_svd_reconstructs(self):
+        """``U`` is ``T x min(T, N)`` with orthonormal columns, and
+        ``Uᵀ M Mᵀ U = diag(s²)``: the left half of ``M``'s SVD."""
         rng = np.random.default_rng(3)
         for T, N in [(4, 9), (9, 4)]:
             m = random_matrix(rng, T, N)
             svd = compute_svd(m)
-            assert svd.U.shape == (T, T)
-            k = svd.singular_values.size
-            reconstructed = (svd.U[:, :k] * svd.singular_values) @ svd.Vt[:k, :]
-            rel = np.linalg.norm(reconstructed - m.values) / np.linalg.norm(m.values)
-            assert rel < 1e-6
+            r = min(T, N)
+            assert svd.U.shape == (T, r)
+            assert svd.singular_values.shape == (r,)
+            assert np.allclose(svd.U.T @ svd.U, np.eye(r), atol=1e-12)
+            gram = svd.U.T @ m.values @ m.values.T @ svd.U
+            s2 = svd.singular_values ** 2
+            assert np.allclose(gram, np.diag(s2), rtol=0, atol=1e-12 * s2[0])
             assert np.all(np.diff(svd.singular_values) <= 1e-12)
 
 
@@ -213,3 +229,135 @@ class TestNmfObjective:
 def test_loadings_kind_checked():
     with pytest.raises(ValueError, match="kind"):
         FactorLoadings(image_id="x", kind="svd", columns=np.eye(2))
+
+
+# --- against the explicit algorithms (conftest oracles) ----------------------
+
+
+@st.composite
+def descriptor_matrices(draw):
+    """``T`` in 2..40 and ``N`` in 1..60 (``T > N`` included), with uniform,
+    exactly low-rank, small-integer or repeated columns."""
+    T, N = draw(st.integers(2, 40)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["uniform", "low_rank", "integers", "repeated"]))
+    if form == "uniform":
+        values = rng.random((T, N)) + 1e-3
+    elif form == "low_rank":
+        r = int(rng.integers(1, 4))
+        values = rng.random((T, r)) @ rng.random((r, N)) + 1e-6
+    elif form == "integers":
+        values = rng.integers(0, 3, (T, N)).astype(float)
+        values[0, ~values.any(axis=0)] = 1.0  # descriptors are never all-zero
+    else:
+        base = rng.random((T, int(rng.integers(1, 6)))) + 1e-3
+        values = base[:, rng.integers(0, base.shape[1], N)]
+    return matrix_of(values)
+
+
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+def canonical_signs(H: np.ndarray) -> np.ndarray:
+    """Column by column: flip so the largest-|entry| (first on ties) is positive."""
+    H = H.copy()
+    for j in range(H.shape[1]):
+        if H[int(np.argmax(np.abs(H[:, j]))), j] < 0:
+            H[:, j] = -H[:, j]
+    return H
+
+
+class TestAgainstExplicitAlgorithms:
+    @ORACLE_SETTINGS
+    @given(descriptor_matrices())
+    def test_singular_values(self, m):
+        _, s_ref = gesdd_svd(m)
+        s = compute_svd(m).singular_values
+        assert s.shape == s_ref.shape
+        assert np.allclose(s, s_ref, rtol=0, atol=1e-12 * s_ref[0])
+
+    @ORACLE_SETTINGS
+    @given(descriptor_matrices())
+    def test_pca_subspaces_where_the_gap_is_clear(self, m):
+        U_ref, s = gesdd_svd(m)
+        U = compute_svd(m).U
+        r = s.size
+        for k in range(1, r + 1):
+            gap = s[k - 1] - (s[k] if k < r else 0.0)
+            if gap <= 1e-6 * s[0]:
+                continue
+            P = U[:, :k]
+            off = U_ref[:, :k] - P @ (P.T @ U_ref[:, :k])  # sin of the principal angles
+            assert np.linalg.norm(off, 2) < 1e-8, k
+
+    @ORACLE_SETTINGS
+    @given(descriptor_matrices(), st.data())
+    def test_nmf(self, m, data):
+        k = data.draw(st.integers(1, m.N), label="k")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        L_ref, cluster_ref, scale_ref, trace_ref = explicit_nmf(m, k, seed)
+        loadings, assign, trace = nmf_loadings(m, k, seed=seed)
+        total = float(np.sum(m.values.astype(np.float64) ** 2))
+        # The objective 0.5 * (||M||² - s·s) carries an absolute rounding
+        # error near eps * ||M||²; a step that moves the explicit objective by
+        # less than that (an exact fit, or a last sub-rounding decrease) may
+        # stop either way, so there only the final objectives must agree.
+        resolved = all((np.diff(t) < -1e-12 * total).all() and t[-1] > 1e-12 * total
+                       for t in (trace, trace_ref))
+        assert trace[-1] == pytest.approx(trace_ref[-1], abs=1e-10 * max(1.0, total))
+        if resolved:
+            assert len(trace) == len(trace_ref)
+            assert np.array_equal(assign.cluster_of, cluster_ref)
+            assert np.allclose(loadings.columns, L_ref, rtol=0, atol=1e-10)
+            assert np.allclose(assign.scale_of, scale_ref, rtol=0, atol=1e-10)
+            assert np.allclose(trace, trace_ref, rtol=0, atol=1e-10)
+
+    @ORACLE_SETTINGS
+    @given(st.integers(2, 160), st.integers(1, 6), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_init_picks_every_distinct_descriptor_first(self, T, d, extra, seed):
+        """``d`` distinct descriptors, repeated, for ``k > d`` clusters: the
+        first ``d`` picks are the ``d`` distinct descriptors, and the repeats
+        picked after them are the explicit algorithm's, not rounding noise."""
+        rng = np.random.default_rng(seed)
+        base = rng.random((T, d)) + 1e-3
+        m = matrix_of(base[:, np.concatenate([np.arange(d), rng.integers(0, d, extra)])])
+        values = m.values.astype(np.float64)  # float32 descriptors, as nmf_loadings sees them
+        k = min(m.N, d + 1 + extra // 2)
+        L = _farthest_point_init(values, k, seed)
+        assert np.array_equal(L, farthest_point_init(values, k, seed))
+        unit = base / np.linalg.norm(base, axis=0)
+        matched = np.argmax(unit.T @ L[:, :d], axis=0)
+        assert sorted(matched) == list(range(d))
+
+    @pytest.mark.parametrize("form", ["zero_scales", "duplicates"])
+    def test_trace_ends_at_the_objective(self, form):
+        """Descriptors with zero scale (zero columns of ``R``) or repeated
+        descriptors: the last trace value is the explicit objective."""
+        rng = np.random.default_rng(12)
+        if form == "zero_scales":
+            values = np.eye(12)[:, rng.integers(0, 12, 40)]  # disjoint one-hot supports
+        else:
+            values = (rng.random((12, 4)) + 1e-3)[:, rng.integers(0, 4, 40)]
+        m = matrix_of(values)
+        for k in (2, 5, 8):
+            loadings, assign, trace = nmf_loadings(m, k, seed=k)
+            if form == "zero_scales":
+                assert (assign.scale_of == 0).any()
+            assert trace[-1] == pytest.approx(nmf_objective(m, loadings, assign), abs=1e-10)
+
+    def test_paper_scale_levels_equal_the_explicit_path(self):
+        """T=128, N=800, k*=24: the 5-bit levels of the first 8 ingest-shape
+        images equal those from the gesdd SVD, loop sign fix and explicit NMF."""
+        spec = SynthCorpusSpec.from_string(
+            "objects=48,views=4,T=128,N=800,r=24,sigma=0.002,seed=1")
+        for m in generate_corpus(spec)[:8]:
+            U_ref, s_ref = gesdd_svd(m)
+            k = estimate_order(m, svd=SvdResult(U_ref, s_ref)).k_star
+            assert k == estimate_order(m).k_star == 24
+            seed = zlib.crc32(m.image_id.encode("utf-8"))
+            pca_ref = FactorLoadings(m.image_id, KIND_PCA, canonical_signs(U_ref[:, :k]))
+            nmf_ref = FactorLoadings(m.image_id, KIND_NMF, explicit_nmf(m, k, seed)[0])
+            pca, nmf, _ = factorize_image(m)
+            for got, ref in ((pca, pca_ref), (nmf, nmf_ref)):
+                assert np.array_equal(codec.quantize(got, 5).levels,
+                                      codec.quantize(ref, 5).levels)

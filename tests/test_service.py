@@ -145,22 +145,6 @@ class TestBuildIndex:
 
 
 class TestFactorizeImage:
-    @pytest.fixture
-    def svd_calls(self, monkeypatch):
-        """Count compute_svd calls through every module that binds it."""
-        from factormatch import factorization, model_order, service
-
-        calls = []
-        original = factorization.compute_svd
-
-        def counted(m):
-            calls.append(m.image_id)
-            return original(m)
-
-        for module in (factorization, model_order, service):
-            monkeypatch.setattr(module, "compute_svd", counted, raising=False)
-        return calls
-
     def test_one_svd_per_image(self, corpus, svd_calls):
         for m in corpus[:3]:
             factorize_image(m, K_MAX)
