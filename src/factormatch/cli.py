@@ -138,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     # before any corpus is generated or loaded, or an image factorized
-    if getattr(args, "bits", None) is not None and not 1 <= args.bits <= 16:
-        raise ValueError(f"bits must lie in 1..16, got {args.bits}")
+    if getattr(args, "bits", None) is not None:
+        codec.check_bits(args.bits)
     if args.command == "gen-corpus":
         corpus = generate_corpus(SynthCorpusSpec.from_string(args.spec))
         save_corpus(corpus, args.out)

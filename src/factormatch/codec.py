@@ -55,6 +55,12 @@ def kind_range(kind: str) -> tuple[float, float]:
     raise ValueError(f"unknown loadings kind {kind!r}")
 
 
+def check_bits(bits: int) -> None:
+    """Reject a rate the codec cannot pack: anything but an integer in 1..16."""
+    if not (isinstance(bits, (int, np.integer)) and 1 <= bits <= 16):
+        raise ValueError(f"bits must lie in 1..16, got {bits!r}")
+
+
 @dataclass(frozen=True)
 class QuantizedLoadings:
     """One ``T x k`` loading matrix quantized at ``bits`` bits over its
@@ -70,8 +76,7 @@ class QuantizedLoadings:
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODE:
             raise ValueError(f"unknown loadings kind {self.kind!r}")
-        if not 1 <= self.bits <= 16:
-            raise ValueError(f"bits must lie in 1..16, got {self.bits}")
+        check_bits(self.bits)
         levels = np.asarray(self.levels)
         if levels.ndim != 2 or levels.size == 0:
             raise ValueError(f"levels must be a non-empty T x k matrix, got shape {levels.shape}")
@@ -129,8 +134,7 @@ def quantize(f: FactorLoadings, bits: int) -> QuantizedLoadings:
     most ``RANGE_SLACK`` (rounding headroom), anything worse is an error.
     """
     lo, hi = kind_range(f.kind)
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must lie in 1..16, got {bits}")
+    check_bits(bits)
     x = f.columns
     # written so that a NaN entry fails it too
     if not lo - RANGE_SLACK <= float(x.min()) <= float(x.max()) <= hi + RANGE_SLACK:

@@ -15,12 +15,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import factorization
+from . import codec, factorization, service
 from .descriptors import DescriptorMatrix, view_index
 from .fusion import FusionParams, RankedList, fuse
-from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, ObjectIndex, combined_hypotheses,
-                      rank_database)
-from .service import factorized, quantized
+from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex,
+                      combined_hypotheses, rank_database)
+from .service import quantized
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
 from .factorization import nmf_loadings, pca_loadings  # noqa: F401
@@ -157,6 +157,23 @@ def _true_object_rank(ranked: RankedList, object_id: str) -> int | None:
 # --- evaluate and sweeps ----------------------------------------------------
 
 
+def _factorized_by_rank(
+    images: Sequence[DescriptorMatrix],
+    k_max: int | None,
+    ranks: Sequence[int | None],
+) -> list[list[IndexRecord]]:
+    """The float-loadings records of ``images`` at each rank, every image's
+    ranks all factorized from its one SVD."""
+    by_rank: list[list[IndexRecord]] = [[] for _ in ranks]
+    for m in images:
+        # through the modules, so wrappers on either function see the calls
+        svd = factorization.compute_svd(m)
+        for records, fixed_k in zip(by_rank, ranks):
+            pca, nmf, _ = service.factorize_image(m, k_max, fixed_k, svd)
+            records.append(IndexRecord(m.object_id, pca, nmf))
+    return by_rank
+
+
 def _sweep(
     corpus: Sequence[DescriptorMatrix],
     ranks: Sequence[int | None],
@@ -188,29 +205,21 @@ def _sweep(
     if any(not 0 <= a <= eta for a in alphas):
         raise ValueError(f"alphas must lie in [0, {eta}]")
     for bits in rates:
-        if bits is not None and not (isinstance(bits, int) and 1 <= bits <= 16):
-            raise ValueError(f"bits must lie in 1..16, got {bits!r}")
+        if bits is not None:
+            codec.check_bits(bits)
     if top < 1:
         raise ValueError("top must be >= 1")
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
     report = EvalReport(corpus_label, eta, runtime={"index_build": 0.0, "queries": 0.0})
-    db_svds = query_svds = None
-    if len(ranks) > 1:  # each image's one SVD serves every rank
-        t0 = time.perf_counter()
-        db_svds = [factorization.compute_svd(m) for m in database]
-        t1 = time.perf_counter()
-        query_svds = [factorization.compute_svd(m) for m in queries]
-        report.runtime["index_build"] += t1 - t0
-        report.runtime["queries"] += time.perf_counter() - t1
-    for fixed_k in ranks:
-        t0 = time.perf_counter()
-        db_loadings = list(factorized(database, k_max, fixed_k, db_svds))
-        t1 = time.perf_counter()
-        query_loadings = list(factorized(queries, k_max, fixed_k, query_svds))
-        report.runtime["index_build"] += t1 - t0
-        report.runtime["queries"] += time.perf_counter() - t1
+    t0 = time.perf_counter()
+    db_by_rank = _factorized_by_rank(database, k_max, ranks)
+    t1 = time.perf_counter()
+    query_by_rank = _factorized_by_rank(queries, k_max, ranks)
+    report.runtime["index_build"] += t1 - t0
+    report.runtime["queries"] += time.perf_counter() - t1
+    for fixed_k, db_loadings, query_loadings in zip(ranks, db_by_rank, query_by_rank):
         for bits in rates:
             t0 = time.perf_counter()
             index = ObjectIndex(quantized(db_loadings, bits))

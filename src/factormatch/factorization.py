@@ -156,9 +156,10 @@ def nmf_loadings(
     """Sparse NMF via alternating assignment/update; returns the objective trace.
 
     The trace holds ``0.5 * ||M - L R||_F^2`` once per iteration (measured
-    after the assignment step) and is non-increasing. Iteration stops when
-    the relative decrease falls below ``_NMF_TOL``, when a step yields no
-    measured improvement (the previous iterate is kept), or at
+    after the assignment step, exact to about ``eps * ||M||_F^2``, so an
+    exact fit may read just below 0) and is non-increasing. Iteration stops
+    when the relative decrease falls below ``_NMF_TOL``, when a step yields
+    no measured improvement (the previous iterate is kept), or at
     ``_NMF_MAX_ITERS``.
     """
     if not 1 <= k <= m.N:
@@ -200,8 +201,7 @@ def nmf_loadings(
             residual = np.sum((values - L_new[:, cluster] * scale) ** 2, axis=0)
             for j in np.where(~live)[0]:
                 pick = int(np.argmax(residual))
-                col = values[:, pick]
-                L_new[:, j] = col / np.linalg.norm(col)
+                L_new[:, j] = values[:, pick] / np.linalg.norm(values[:, pick])
                 residual[pick] = -1.0
 
         cluster_new, scale_new = assign(L_new)

@@ -106,12 +106,10 @@ def factorized(
     corpus: Iterable[DescriptorMatrix],
     k_max: int | None = None,
     fixed_k: int | None = None,
-    svds: Sequence[SvdResult] | None = None,
 ) -> Iterator[IndexRecord]:
-    """The float-loadings record of each image, factorized as it is consumed
-    (from ``svds[i]``, the SVD of image ``i``, if given)."""
-    for i, m in enumerate(corpus):
-        pca, nmf, _ = factorize_image(m, k_max, fixed_k, None if svds is None else svds[i])
+    """The float-loadings record of each image, factorized as it is consumed."""
+    for m in corpus:
+        pca, nmf, _ = factorize_image(m, k_max, fixed_k)
         yield IndexRecord(m.object_id, pca, nmf)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factormatch import evaluation
+from factormatch import service
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.evaluation import (
     EvalRecord,
@@ -43,10 +43,10 @@ def noiseless_corpus():
                          ids=["alpha_above_eta", "eta_zero"])
 def test_eta_and_alpha_checked_before_factorizing(noisy_corpus, monkeypatch, sweep, alpha,
                                                   eta, message):
-    def factorized(*_args):
+    def factorize_image(*_args):
         pytest.fail("factorized the corpus before checking eta and alpha")
 
-    monkeypatch.setattr(evaluation, "factorized", factorized)
+    monkeypatch.setattr(service, "factorize_image", factorize_image)
     with pytest.raises(ValueError, match=message):
         sweep(noisy_corpus, eta=eta, k_max=K_MAX, **alpha)
 
@@ -67,10 +67,10 @@ def test_eta_and_alpha_checked_before_factorizing(noisy_corpus, monkeypatch, swe
         "sweep_bits_top", "sweep_rank_top"])
 def test_rates_and_top_checked_before_factorizing(noisy_corpus, monkeypatch, sweep, kwargs,
                                                   message):
-    def factorized(*_args):
+    def factorize_image(*_args):
         pytest.fail("factorized the corpus before checking the rates and top")
 
-    monkeypatch.setattr(evaluation, "factorized", factorized)
+    monkeypatch.setattr(service, "factorize_image", factorize_image)
     with pytest.raises(ValueError, match=message):
         sweep(noisy_corpus, eta=ETA, k_max=K_MAX, **kwargs)
 

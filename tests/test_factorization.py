@@ -332,7 +332,8 @@ class TestAgainstExplicitAlgorithms:
     @pytest.mark.parametrize("form", ["zero_scales", "duplicates"])
     def test_trace_ends_at_the_objective(self, form):
         """Descriptors with zero scale (zero columns of ``R``) or repeated
-        descriptors: the last trace value is the explicit objective."""
+        descriptors: the last trace value is the explicit objective. On an
+        exact fit it is rounding error of ``||M||_F^2``, of either sign."""
         rng = np.random.default_rng(12)
         if form == "zero_scales":
             values = np.eye(12)[:, rng.integers(0, 12, 40)]  # disjoint one-hot supports
@@ -344,6 +345,9 @@ class TestAgainstExplicitAlgorithms:
             if form == "zero_scales":
                 assert (assign.scale_of == 0).any()
             assert trace[-1] == pytest.approx(nmf_objective(m, loadings, assign), abs=1e-10)
+            if form == "duplicates" and k > 4:  # the 4 distinct descriptors are loadings
+                total = float(np.sum(m.values.astype(np.float64) ** 2))
+                assert abs(trace[-1]) <= 16 * np.finfo(np.float64).eps * total
 
     def test_paper_scale_levels_equal_the_explicit_path(self):
         """T=128, N=800, k*=24: the 5-bit levels of the first 8 ingest-shape
