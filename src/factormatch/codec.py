@@ -18,8 +18,6 @@ partial last group is padded with zero levels. :func:`encode_many` and
 :func:`unpack_many` work that way over many blobs, in chunks of whole blobs
 of about :data:`CHUNK_LEVELS` levels, and :func:`encode` and
 :func:`decode` are the one-blob case of the same packer pair.
-:func:`dequantize_levels` dequantizes a stack of equally shaped level
-matrices at once, bit for bit as one matrix at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ _KIND_CODE = {KIND_PCA: 0, KIND_NMF: 1}
 _CODE_KIND = {0: KIND_PCA, 1: KIND_NMF}
 RANGE_SLACK = 1e-9
 # levels per chunk of whole blobs that encode_many and unpack_many work on at
-# once, and per chunk of the index's basis fills; bounds their temporaries
+# once; bounds their temporaries
 CHUNK_LEVELS = 1 << 16
 _HEADER = struct.Struct("<BBHHff")
 
@@ -150,28 +148,20 @@ def quantize(f: FactorLoadings, bits: int) -> QuantizedLoadings:
 
 
 def dequantize(q: QuantizedLoadings) -> FactorLoadings:
-    """Reconstruct loadings from levels, each column rescaled back to unit
-    norm (downstream metrics assume it). An all-zero column (possible for
-    coarse NMF quantization) has no norm to restore and is left as zeros;
-    the matcher flags it when the loadings are actually used. The lattice
-    values ``lo + level * step`` before the rescaling are those for which
-    ``quantize`` is the exact inverse.
+    """Reconstruct loadings from levels: each column is its integer lattice
+    vector ``M`` (``2L - (2^b - 1)`` for PCA levels ``L``, ``L`` itself for
+    NMF), proportional to the lattice values ``lo + L * step`` that
+    ``quantize`` inverts exactly, divided by ``sqrt(sum(M^2))`` of an exact
+    int64 sum, so back to unit norm (downstream metrics assume it). An
+    all-zero column (possible for coarse NMF quantization) has no norm to
+    restore and is left as zeros; the matcher flags it when the loadings
+    are actually used.
     """
-    return FactorLoadings(q.image_id, q.kind, dequantize_levels(q.levels, q.kind, q.bits))
-
-
-def dequantize_levels(levels: np.ndarray, kind: str, bits: int) -> np.ndarray:
-    """:func:`dequantize` of a ``T x k`` level matrix, or of an ``(n, T, k)``
-    stack of them at once: each matrix gives the same float64 bits alone or
-    in a stack of any size."""
-    lo, hi = kind_range(kind)
-    # one C-order array, so every norm sums its column in the same order
-    x = levels.astype(np.float64, order="C")
-    x *= (hi - lo) / ((1 << bits) - 1)
-    x += lo
-    norms = np.linalg.norm(x, axis=-2, keepdims=True)
-    x /= np.where(norms > 0, norms, 1.0)
-    return x
+    lattice = q.levels.astype(np.int64)
+    if q.kind == KIND_PCA:
+        lattice = 2 * lattice - ((1 << q.bits) - 1)
+    norms = np.sqrt(np.einsum("ij,ij->j", lattice, lattice), dtype=np.float64)
+    return FactorLoadings(q.image_id, q.kind, lattice / np.where(norms > 0, norms, 1.0))
 
 
 def blob_size(q: QuantizedLoadings) -> int:

@@ -4,8 +4,8 @@ Two metrics compare a query loading matrix ``A`` against a database loading
 matrix ``B`` sharing the descriptor dimension T:
 
 * the angle between the column spans: ``arccos`` of the largest singular
-  value of ``Qa^T Qb`` for orthonormal bases ``Qa, Qb`` (Björck & Golub,
-  Math. Comp. 27, 1973), each side's left singular vectors; it equals the
+  value of ``Qa Qb^T`` for matrices ``Qa, Qb`` of orthonormal rows spanning
+  each side (Björck & Golub, Math. Comp. 27, 1973); it equals the
   projection-matrix form ``arccos(||P_A P_B||_2)`` at ``O(T k^2 + k^3)`` per
   pair instead of ``O(T^3)``. Smaller is better.
 * the correlation score: the sum over B's columns of the best correlation
@@ -18,9 +18,11 @@ form (:class:`_Lattice`), stored in the narrowest integer dtype that holds
 it (``int8`` for 5-bit PCA, ``uint8`` for NMF up to 8 bits) and widened a
 chunk of rows at a time for the GEMM, so a correlation is one GEMM of
 integer vectors, exact in any blocking, and no score depends on the rows or
-queries that share it. The angle reads database bases cached in the index,
-each image's computed once from its loadings dequantized bit for bit like
-its own ``codec.dequantize``. ``rank_database`` scores the whole database or
+queries that share it. The angle whitens each side's unit columns ``U``
+(``M / ||M||``, bit for bit ``codec.dequantize``) by the Cholesky factor
+``L`` of ``U U^T + delta I`` (:func:`_whitener`), so ``Q = L^-1 U``, per
+query and from the stored lattice: the index holds no basis and never
+changes after it is built. ``rank_database`` scores the whole database or
 a candidate subset at once, keeps each object's best view and truncates to
 the top eta; ``retrieve_combined`` runs the full pipeline: PCA-correlation
 prefilter, NMF-angle rerank on the surviving objects' views, rank fusion.
@@ -35,7 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import codec
 from .binary import MAX_TEXT_BYTES
 from .codec import QuantizedLoadings
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
@@ -47,12 +48,9 @@ METRIC_CORRELATION = "correlation"
 WORST_ANGLE = math.pi / 2
 
 # database rows per step of the correlation kernel: at T=128, its widened
-# float32 rows take 1 MB, so the GEMM reads them from cache
+# float32 rows take 1 MB, so the GEMM reads them from cache; the angle kernel
+# steps over as many rows in whole images
 _CHUNK_ROWS = 2048
-
-
-class DegenerateLoadingsError(ValueError):
-    """Loadings whose columns do not span a full-rank subspace."""
 
 
 class DimensionMismatchError(ValueError):
@@ -137,6 +135,13 @@ def _lattice(kind: str, parts: list[np.ndarray], bits: list[int | None]) -> _Lat
     return lattice
 
 
+def _unit_rows(lattice: _Lattice, columns: np.ndarray) -> np.ndarray:
+    """The dequantized ``columns`` of a lattice, one row each: ``M / ||M||``,
+    the definition ``codec.dequantize`` shares; float columns have norm 1
+    and pass through, and an all-zero vector stays zero."""
+    return lattice.vectors[columns] / lattice.norms[columns, None]
+
+
 def _query_lattice(query: FactorLoadings | QuantizedLoadings) -> _Lattice:
     if isinstance(query, QuantizedLoadings):
         return _lattice(query.kind, [query.levels.T], [query.bits])
@@ -155,8 +160,8 @@ def _gemm_dtype(T: int, bits_a: np.ndarray | None, bits_b: np.ndarray | None) ->
 
 
 class ObjectIndex:
-    """Server-side database of one descriptor dimension T, stored by column:
-    immutable loadings plus a derived basis cache.
+    """Server-side database of one descriptor dimension T, stored by column
+    and immutable once built.
 
     Built from :class:`IndexRecord` triples, consumed one at a time; the
     constructor is the one place that checks an image: its image id
@@ -172,12 +177,10 @@ class ObjectIndex:
     loadings are held as given, levels in the narrowest unsigned dtype,
     until every image is in, so the constructor never holds a second stack.
     An image's float64 columns are rebuilt where they are needed
-    (:meth:`_gather`): for its angle basis and in ``images``, a read-only
-    image id -> :class:`IndexRecord` view that rebuilds each record, with
-    float loadings, on access. The angle metric fills, per kind and on
-    first use of each image, its orthonormal basis and numerical rank
-    (:meth:`_basis_cache`); those are a function of the loadings alone, so
-    no answer depends on what was cached.
+    (:meth:`_gather`): for each angle query that scores it, and in
+    ``images``, a read-only image id -> :class:`IndexRecord` view that
+    rebuilds each record, with float loadings, on access. Nothing is
+    cached, so threads share an index with no lock.
     """
 
     def __init__(self, images: Iterable[IndexRecord]):
@@ -246,7 +249,6 @@ class ObjectIndex:
         self._id_rank = np.empty(n, dtype=np.intp)
         self._id_rank[sorted(range(n), key=self._image_ids.__getitem__)] = np.arange(n)
         self.images: Mapping[str, IndexRecord] = _ImageView(self)
-        self._basis_caches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def num_images(self) -> int:
@@ -267,8 +269,8 @@ class ObjectIndex:
         image_id = self._image_ids[row]
         return IndexRecord(
             self._object_ids[row],
-            FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows, k)[0]),
-            FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows, k)[0]),
+            FactorLoadings(image_id, KIND_PCA, self._gather(KIND_PCA, rows, k)[0].T),
+            FactorLoadings(image_id, KIND_NMF, self._gather(KIND_NMF, rows, k)[0].T),
         )
 
     def _rows(self, candidates: set[str] | None) -> np.ndarray:
@@ -281,73 +283,16 @@ class ObjectIndex:
         return np.array(sorted(row[i] for i in candidates if i in row), dtype=np.intp)
 
     def _gather(self, kind: str, rows: np.ndarray, k: int) -> np.ndarray:
-        """The float64 loadings of ``rows``, all of rank ``k``, as an
-        ``(n, T, k)`` stack: float loadings as given; quantized ones each
-        bit for bit its own ``codec.dequantize``, from the levels read back
-        from its lattice vectors (widened first, as ``M + 2^b - 1`` may not
-        fit the stored dtype), one ``codec.dequantize_levels`` per bit
-        width."""
-        lattice = self._lattices[kind]
-        n = rows.size
-        vectors = lattice.vectors[_columns(self._offsets[rows], np.full(n, k))]
-        stack = vectors.reshape(n, k, self.T).transpose(0, 2, 1)
-        if lattice.bits is None:
-            return stack
-        bits = lattice.bits[rows]
-        out = np.empty(stack.shape)
-        for b in np.unique(bits).tolist():
-            same = bits == b
-            levels = stack[same]
-            if kind == KIND_PCA:  # L = (M + 2^b - 1) / 2
-                levels = (levels.astype(np.int32) + ((1 << b) - 1)) >> 1
-            out[same] = codec.dequantize_levels(levels, kind, b)
-        return out
-
-    def _basis_cache(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(bases, ranks)`` of this kind's images, allocated on first use:
-        image ``r``'s orthonormal basis is the ``T x k`` C-order block at
-        ``bases[T * offsets[r]:T * offsets[r + 1]]``, valid once ``ranks[r]``
-        (its numerical rank) is no longer -1. Writers store the basis before
-        the rank, and two writers of one image store identical bytes, so
-        threads share the cache without a lock."""
-        cache = self._basis_caches.get(kind)
-        if cache is None:  # setdefault: threads that race here share one cache
-            cache = self._basis_caches.setdefault(kind, (
-                np.empty(self.T * int(self._offsets[-1])),
-                np.full(self.num_images, -1, dtype=np.intp)))
-        return cache
+        """The float64 unit columns of ``rows``, all of rank ``k``, as an
+        ``(n, k, T)`` stack of rows (:func:`_unit_rows`): float loadings as
+        given, quantized ones each bit for bit its own ``codec.dequantize``."""
+        columns = _columns(self._offsets[rows], np.full(rows.size, k))
+        return _unit_rows(self._lattices[kind], columns).reshape(rows.size, k, self.T)
 
 
 # --- scoring kernels ------------------------------------------------------
 
 _EPS = np.finfo(np.float64).eps
-
-
-def _bases(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of an ``(n, T, k)`` stack of loadings from one
-    batched SVD, and each matrix's numerical rank: its singular values above
-    ``max(T, k) * eps * s_max`` (0 for an all-zero matrix)."""
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    tol = max(stack.shape[1:]) * _EPS * s[:, :1]
-    return u, np.sum(s > tol, axis=1)
-
-
-def _basis(f: FactorLoadings) -> np.ndarray:
-    """Orthonormal basis of one loading matrix; raise if it is rank-deficient."""
-    q, rank = _bases(f.columns[None])
-    if rank[0] == 0:
-        raise DegenerateLoadingsError(f"loadings of {f.image_id!r} are all zero")
-    if rank[0] < f.k:
-        raise DegenerateLoadingsError(
-            f"loadings of {f.image_id!r} have rank {rank[0]} < k={f.k}"
-        )
-    return q[0]
-
-
-def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Angle between the span of ``qa`` and that of each basis in ``qb``."""
-    top = np.linalg.svd(qa.T @ qb, compute_uv=False)[:, 0]
-    return np.arccos(np.clip(top, -1.0, 1.0))
 
 
 def _rank_groups(ks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -420,34 +365,60 @@ def _correlation_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIn
                           vectors, norms, ks, dtype)[0]
 
 
+def _whitener(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factors ``L`` of ``G = U Uᵀ + δI`` for an ``(n, k, T)``
+    stack of unit rows, and which of the ``n`` are degenerate.
+
+    ``δ = 2·k·T·eps`` is twice a bound on the rounding of the computed Gram
+    of unit rows, so ``G`` stays positive definite and the factorization
+    never fails. Then ``L⁻¹ U`` has orthonormal rows, up to a shrink by
+    ``δ`` that puts a floor of about ``sqrt(2δ / λ_max(U Uᵀ))`` under the
+    angle between two equal spans: at T=128, k=24, 5 bits, about 4e-7 for
+    NMF and 1.2e-6 for PCA loadings. A row that is a combination ``v`` of
+    the rows before it leaves a pivot ``L_jj²`` of at most ``1.5·δ·||v||²``:
+    ``1.5·δ`` for a zero row and ``3·δ`` for a duplicate one. A stack is
+    degenerate where some ``L_jj² ≤ 4δ``. Each step factors one matrix at a
+    time."""
+    _, k, T = U.shape
+    delta = 2 * k * T * _EPS
+    gram = U @ U.transpose(0, 2, 1)
+    gram[:, np.arange(k), np.arange(k)] += delta
+    L = np.linalg.cholesky(gram)
+    pivots = np.diagonal(L, axis1=1, axis2=2)
+    return L, (pivots * pivots <= 4 * delta).any(axis=1)
+
+
 def _angle_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIndex,
                 rows: np.ndarray) -> np.ndarray:
-    """Angle of the query to each image of ``rows``: the query is
-    dequantized and orthonormalized once; each image's basis comes from the
-    index's cache, where the images not yet cached are first filled by
-    batched SVDs, per rank and chunk of images. A degenerate image, and every image for a
-    degenerate query, scores ``WORST_ANGLE``."""
+    """Angle of the query to each image of ``rows``, from the index's
+    lattice on each call: the query is whitened once to ``W_a = L_a⁻¹ U_a``;
+    per rank and chunk of images, each image's ``Y = L_b⁻¹ (U_b W_aᵀ)``
+    gives ``cos = sqrt(λ_max(YᵀY))``. Every step works on one matrix at a
+    time, so no angle depends on the images that share its chunk. A
+    degenerate image, and every image for a degenerate query, scores
+    ``WORST_ANGLE``; so does a side with more columns than T, which is
+    rank-deficient and skipped before any ``k x k`` Gram is formed."""
     keys = np.full(rows.size, WORST_ANGLE)
-    if isinstance(query, QuantizedLoadings):
-        query = codec.dequantize(query)
-    try:
-        qa = _basis(query)
-    except DegenerateLoadingsError:
+    if query.k > index.T:
         return keys
-    bases, ranks = index._basis_cache(query.kind)
-    T = index.T
+    query_lattice = _query_lattice(query)
+    U_a = _unit_rows(query_lattice, np.arange(query.k))[None]
+    L_a, degenerate = _whitener(U_a)
+    if degenerate[0]:
+        return keys
+    W_a = np.linalg.solve(L_a, U_a)[0]
     starts = index._offsets[rows]
     for k, pos in _rank_groups(index._offsets[rows + 1] - starts):
-        if k > T:  # more columns than dimensions: rank-deficient, WORST_ANGLE
+        if k > index.T:
             continue
-        missing = pos[ranks[rows[pos]] < 0]
-        step = max(1, codec.CHUNK_LEVELS // (T * k))  # bounds the fill's temporaries
-        for part in (missing[i:i + step] for i in range(0, missing.size, step)):
-            qb, rank = _bases(index._gather(query.kind, rows[part], k))
-            bases[_columns(T * starts[part], np.full(part.size, T * k))] = qb.ravel()
-            ranks[rows[part]] = rank  # after the bases: publishes them
-        qb = bases[_columns(T * starts[pos], np.full(pos.size, T * k))].reshape(-1, T, k)
-        keys[pos] = np.where(ranks[rows[pos]] == k, _angles(qa, qb), WORST_ANGLE)
+        step = max(1, _CHUNK_ROWS // k)  # bounds the temporaries of a full scan
+        for part in (pos[i:i + step] for i in range(0, pos.size, step)):
+            U_b = index._gather(query.kind, rows[part], k)
+            L_b, degenerate = _whitener(U_b)
+            Y = np.linalg.solve(L_b, U_b @ W_a.T)
+            top = np.linalg.eigvalsh(Y.transpose(0, 2, 1) @ Y)[:, -1]
+            angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
+            keys[part] = np.where(degenerate, WORST_ANGLE, angles)
     return keys
 
 

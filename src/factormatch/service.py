@@ -283,6 +283,8 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
 
 class _Handler(socketserver.StreamRequestHandler):
     server: RetrievalServer
+    # a connection idle this long, or stalled inside a frame, is closed
+    timeout = DEFAULT_TIMEOUT
 
     def handle(self) -> None:
         while True:
@@ -296,6 +298,8 @@ class _Handler(socketserver.StreamRequestHandler):
                         STATUS_MALFORMED, error_text=f"malformed frame: {exc}"))
                 except OSError:
                     pass
+                return
+            except OSError:  # timed out or reset: close without a word
                 return
             if payload is None:
                 return

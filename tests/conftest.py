@@ -10,6 +10,7 @@ from factormatch import SynthCorpusSpec, factorization, generate_corpus, matcher
 from factormatch.codec import QuantizedLoadings
 from factormatch.descriptors import DescriptorMatrix
 from factormatch.factorization import (
+    KIND_NMF,
     KIND_PCA,
     FactorAssignment,
     FactorLoadings,
@@ -175,9 +176,12 @@ def explicit_nmf(m: DescriptorMatrix, k: int, seed: int = 0):
 
 def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:
     """Smallest principal angle between the column spans, in [0, pi/2]: the
-    index's angle kernel on one pair, each side orthonormalized in float64."""
+    index's angle kernel on a one-image index that holds ``b``'s columns as
+    both kinds; ``WORST_ANGLE`` where either side is degenerate."""
     matcher._check_dims(a.T, b.T)
-    return float(matcher._angles(matcher._basis(a), matcher._basis(b)[None])[0])
+    index = ObjectIndex([("b", FactorLoadings(b.image_id, KIND_PCA, b.columns),
+                          FactorLoadings(b.image_id, KIND_NMF, b.columns))])
+    return float(matcher._angle_keys(a, index, index._rows(None))[0])
 
 
 def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:

@@ -12,13 +12,13 @@ from factormatch.codec import (
     blob_size,
     decode,
     dequantize,
-    dequantize_levels,
     encode,
     kind_range,
     quantize,
     unpack_many,
 )
 from factormatch.factorization import FactorLoadings
+from factormatch.matcher import ObjectIndex
 from factormatch.service import IndexRecord, write_index
 
 from conftest import (
@@ -116,23 +116,25 @@ class TestDequantize:
     @pytest.mark.parametrize("k", [1, 2, 4, 24])
     @pytest.mark.parametrize("T", [7, 32, 128])
     def test_a_stack_dequantizes_bit_for_bit_like_each_matrix(self, T, k, bits, kind):
-        """One ``(n, T, k)`` stack gives each matrix the float64 bits that
-        dequantizing it alone gives; the reference is the one-matrix
-        formula, written out. ``k = 1`` is the case where a reduction over
-        the whole stack would sum each column's norm in another order."""
+        """Each matrix dequantizes to ``M / sqrt(sum(M^2))``, written out
+        here, and an index that stacks the same levels gathers each matrix
+        to the same float64 bits."""
         rng = np.random.default_rng(T * 1000 + k * 20 + bits)
         stack = rng.integers(0, 1 << bits, size=(9, T, k)).astype(np.uint32)
         stack[3] = 0  # all-zero columns stay zero
         stack[5, :, 0] = 0
-        lo, hi = kind_range(kind)
-        got = dequantize_levels(stack, kind, bits)
-        for levels, matrix in zip(stack, got):
-            x = lo + levels.astype(np.float64) * ((hi - lo) / ((1 << bits) - 1))
-            norms = np.linalg.norm(x, axis=0)
-            want = x / np.where(norms > 0, norms, 1.0)
-            assert np.array_equal(matrix, want)
-            q = QuantizedLoadings("s", kind, bits, levels)
-            assert np.array_equal(matrix, dequantize(q).columns)
+        index = ObjectIndex((f"s{i}", *(QuantizedLoadings(f"s{i}", kind, bits, levels)
+                                        for kind in ("pca", "nmf")))
+                            for i, levels in enumerate(stack))
+        for i, levels in enumerate(stack):
+            lattice = levels.astype(np.int64)
+            if kind == "pca":
+                lattice = 2 * lattice - ((1 << bits) - 1)
+            norms = np.sqrt(np.sum(lattice * lattice, axis=0))
+            want = lattice / np.where(norms > 0, norms, 1.0)
+            assert np.array_equal(dequantize(QuantizedLoadings("s", kind, bits, levels)).columns,
+                                  want)
+            assert np.array_equal(index._gather(kind, np.array([i]), k)[0].T, want)
 
     def test_all_zero_nmf_block_stays_zero(self):
         q = QuantizedLoadings(image_id="z", kind="nmf", bits=3,

@@ -1,6 +1,10 @@
+import copy
 import dataclasses
+import functools
 import gc
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -13,7 +17,6 @@ from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
     _CHUNK_ROWS,
     WORST_ANGLE,
-    DegenerateLoadingsError,
     DimensionMismatchError,
     ObjectIndex,
     RankedEntry,
@@ -112,15 +115,17 @@ class TestSubspaceAngle:
                 subspace_angle(pca_of(mixed), b), abs=1e-9
             )
 
-    def test_rank_deficient_raises(self):
+    def test_rank_deficient_scores_worst_angle(self):
         dup = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateLoadingsError, match="rank"):
-            subspace_angle(pca_of(dup), pca_of([[1.0], [0.0], [0.0]]))
+        line = pca_of([[1.0], [0.0], [0.0]])
+        assert subspace_angle(pca_of(dup), line) == WORST_ANGLE
+        assert subspace_angle(line, pca_of(dup)) == WORST_ANGLE
 
-    def test_zero_column_raises(self):
+    def test_zero_column_scores_worst_angle(self):
         z = nmf_of([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateLoadingsError):
-            subspace_angle(z, nmf_of([[1.0], [0.0], [0.0]]))
+        line = nmf_of([[1.0], [0.0], [0.0]])
+        assert subspace_angle(z, line) == WORST_ANGLE
+        assert subspace_angle(line, z) == WORST_ANGLE
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
@@ -272,13 +277,8 @@ def per_pair_ranking(query, entries, metric, eta, candidates=None):
         if candidates is not None and image_id not in candidates:
             continue
         db = make(pca_cols if query.kind == "pca" else nmf_cols, image_id)
-        if metric == "angle":
-            try:
-                key = subspace_angle(query, db)
-            except DegenerateLoadingsError:
-                key = WORST_ANGLE
-        else:
-            key = -correlation_score(query, db)
+        key = (subspace_angle(query, db) if metric == "angle"
+               else -correlation_score(query, db))
         scored.append((key, image_id, obj))
     scored.sort(key=lambda t: (t[0], t[1]))
     ranked, seen = [], set()
@@ -407,7 +407,7 @@ class TestColumnarRanking:
         assert index.num_objects == len({e[1] for e in entries})
 
 
-def cache_case(seed, T=12):
+def angle_case(seed, T=12):
     """mixed_case plus an all-zero image and one with more columns than T."""
     rng, entries = mixed_case(seed, T)
     entries.append(("z_zero", "zero", random_unit_columns(rng, T, 2), np.zeros((T, 2))))
@@ -416,88 +416,248 @@ def cache_case(seed, T=12):
     return rng, entries
 
 
+def assert_same_state(got, want):
+    """Equal index state: the same keys, dtypes and values, all the way down."""
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    elif isinstance(want, dict) or dataclasses.is_dataclass(want):
+        got, want = (vars(got), vars(want)) if dataclasses.is_dataclass(want) else (got, want)
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_state(got[key], want[key])
+    else:
+        assert got == want
+
+
+BATCH_IMAGES = 300
+
+
+@functools.cache
+def batch_case(bits):
+    """An index of ``BATCH_IMAGES`` images at T = 32 and ranks 24 and 28,
+    more than one kernel chunk of each rank, quantized at ``bits`` (None:
+    the 5-bit images dequantized), every 50th with a duplicated NMF column;
+    one 5-bit query per kind and its angle to each image scored alone."""
+    rng = np.random.default_rng(31)
+    images = []
+    for i in range(BATCH_IMAGES):
+        k, image_id = (24, 28)[i % 2], f"o{i // 2}_v{i % 2}"
+        pca, nmf = random_unit_columns(rng, 32, k), random_nmf_columns(rng, 32, k)
+        if i % 50 == 7:
+            nmf[:, 1] = nmf[:, 0]
+        images.append((f"o{i // 2}", codec.quantize(pca_of(pca, image_id), 5),
+                       codec.quantize(nmf_of(nmf, image_id), 5)))
+    if bits is None:
+        images = [(obj, codec.dequantize(pca), codec.dequantize(nmf))
+                  for obj, pca, nmf in images]
+    index = ObjectIndex(images)
+    queries = {kind: random_query(rng, kind, 20, 5, T=32) for kind in ("pca", "nmf")}
+    alone = {kind: np.array([_angle_keys(query, index, np.array([r]))[0]
+                             for r in range(BATCH_IMAGES)]) for kind, query in queries.items()}
+    return index, queries, alone
+
+
+def angles(index, query, candidates):
+    """The angle keys of the candidates' rows, and the ranking."""
+    rows = index._rows(candidates)
+    return (_angle_keys(query, index, rows),
+            rank_database(query, index, "angle", eta=50, candidates=candidates))
+
+
+def angle_queries(rng, kind, T=12):
+    make, cols = ((pca_of, random_unit_columns) if kind == "pca"
+                  else (nmf_of, random_nmf_columns))
+    return [make(cols(rng, T, k)) for k in (1, 2, 3, 5)]
+
+
 class TestBasisCache:
-    """Angles from cached database bases equal those of a cold index, bit for bit."""
-
-    @staticmethod
-    def angles(index, query, candidates):
-        rows = index._rows(candidates)
-        return (_angle_keys(query, index, rows),
-                rank_database(query, index, "angle", eta=50, candidates=candidates))
-
-    def queries(self, rng, kind):
-        make, cols = ((pca_of, random_unit_columns) if kind == "pca"
-                      else (nmf_of, random_nmf_columns))
-        return [make(cols(rng, 12, k)) for k in (1, 2, 3, 5)]
+    """No basis is cached: an index that has answered angle queries, of
+    either kind and over any candidates, scores like a fresh one, bit for
+    bit, whatever the order of the queries."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("warm_up", ["subset", "full", "other_kind", "subset_then_full"])
     def test_warm_index_scores_like_a_cold_one(self, seed, warm_up):
-        rng, entries = cache_case(seed)
+        rng, entries = angle_case(seed)
         ids = [e[0] for e in entries]
         subset = set(rng.choice(ids, size=len(ids) // 3, replace=False)) | {"z_zero"}
         for kind in ("pca", "nmf"):
             other = "nmf" if kind == "pca" else "pca"
             warmed = toy_index(entries)
-            warmer = self.queries(rng, other if warm_up == "other_kind" else kind)[2]
+            warmer = angle_queries(rng, other if warm_up == "other_kind" else kind)[2]
             if warm_up in ("subset", "subset_then_full"):
                 rank_database(warmer, warmed, "angle", candidates=subset)
             if warm_up in ("full", "subset_then_full", "other_kind"):
                 rank_database(warmer, warmed, "angle")
-            for query in self.queries(rng, kind):
+            for query in angle_queries(rng, kind):
                 for candidates in (None, subset):
-                    cold_keys, cold_ranked = self.angles(toy_index(entries), query, candidates)
-                    keys, ranked = self.angles(warmed, query, candidates)
+                    cold_keys, cold_ranked = angles(toy_index(entries), query, candidates)
+                    keys, ranked = angles(warmed, query, candidates)
                     assert np.array_equal(keys, cold_keys)
                     assert ranked == cold_ranked
-            assert set(warmed._basis_caches) == (
-                {kind, other} if warm_up == "other_kind" else {kind})
 
-    def test_degenerate_images_keep_worst_angle_once_cached(self):
-        rng, entries = cache_case(1)
+
+class TestAngleKernel:
+    """Angles come from the stored lattice on each query: a candidate's
+    angle is the same bit for bit whatever candidates share its batch,
+    degenerate images score ``WORST_ANGLE`` at every width, and the index
+    does not change."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_order_does_not_matter(self, seed):
+        rng, entries = angle_case(seed)
+        ids = [e[0] for e in entries]
+        subset = set(rng.choice(ids, size=len(ids) // 3, replace=False)) | {"z_zero"}
+        order = rng.permutation(len(entries))
+        index, shuffled = toy_index(entries), toy_index([entries[i] for i in order])
+        every = index._rows(None)
+        for kind in ("pca", "nmf"):
+            for query in angle_queries(rng, kind):
+                alone = np.array([_angle_keys(query, index, np.array([r]))[0] for r in every])
+                assert np.array_equal(_angle_keys(query, index, every), alone)
+                assert np.array_equal(_angle_keys(query, index, index._rows(subset)),
+                                      alone[index._rows(subset)])
+                assert np.array_equal(_angle_keys(query, index, every[::-1]), alone[::-1])
+                assert np.array_equal(_angle_keys(query, shuffled, every), alone[order])
+
+    def test_degenerate_images_score_worst_angle(self):
+        rng, entries = angle_case(1)
         index = toy_index(entries)
         dead = next(e[0] for e in entries if e[0] != "z_zero" and not e[3].any(axis=0).all())
         query = nmf_of(random_nmf_columns(rng, 12, 2))
-        for _ in range(2):  # the first scan fills the cache, the second reads it
-            keys, _ = self.angles(index, query, None)
-            by_id = dict(zip(index.images, keys))
-            assert by_id["z_zero"] == by_id[dead] == by_id["z_wide"] == WORST_ANGLE
-        _, ranks = index._basis_cache("nmf")
-        rank_of = dict(zip(index.images, ranks))
-        assert rank_of["z_zero"] == 0
-        assert 0 < rank_of[dead] < index.images[dead].nmf.k
-        assert rank_of["z_wide"] == -1  # never needs a basis
-        assert all(r > 0 for i, r in rank_of.items() if i not in ("z_zero", "z_wide"))
+        keys, _ = angles(index, query, None)
+        by_id = dict(zip(index.images, keys))
+        assert by_id["z_zero"] == by_id[dead] == by_id["z_wide"] == WORST_ANGLE
+        assert all(key < WORST_ANGLE for i, key in by_id.items()
+                   if i not in ("z_zero", "z_wide", dead))
 
-    def test_duplicate_loadings_share_cached_bases(self):
-        rng, entries = cache_case(0)
+    def test_duplicate_loadings_tie(self):
+        rng, entries = angle_case(0)
         index = toy_index(entries)
         (_, _, _, nmf_cols), = [e for e in entries if e[0] == "a_dup"]
         twin = next(e[0] for e in entries if e[0] != "a_dup" and e[3] is nmf_cols)
         query = nmf_of(random_nmf_columns(rng, 12, 3))
-        rank_database(query, index, "angle")
-        bases, _ = index._basis_cache("nmf")
-        T, offsets = index.T, index._offsets
-        dup, tw = index._row["a_dup"], index._row[twin]
-        assert np.array_equal(bases[T * offsets[dup]:T * offsets[dup + 1]],
-                              bases[T * offsets[tw]:T * offsets[tw + 1]])
+        keys = dict(zip(index.images, _angle_keys(query, index, index._rows(None))))
+        assert keys["a_dup"] == keys[twin]
         ranked = rank_database(query, index, "angle", eta=2, candidates={twin, "a_dup"})
         assert [e.image_id for e in ranked.entries] == ["a_dup", twin]
         assert ranked.entries[0].score == ranked.entries[1].score
 
-    def test_cache_allocated_at_the_first_angle_query_of_a_kind(self):
-        rng, entries = cache_case(2)
-        index = toy_index(entries)
-        assert index._basis_caches == {}
-        rank_database(pca_of(random_unit_columns(rng, 12, 2)), index, "correlation")
+    @pytest.mark.parametrize("bits", [None, 5])
+    def test_angle_queries_leave_the_index_unchanged(self, bits):
+        rng, entries = angle_case(2)
+        images = [(obj, pca_of(p, i), nmf_of(n, i)) for i, obj, p, n in entries]
+        if bits is not None:
+            images = [(obj, codec.quantize(pca, bits), codec.quantize(nmf, bits))
+                      for obj, pca, nmf in images]
+        index = ObjectIndex(images)
+        view = index.images
+
+        def state():
+            return {name: value for name, value in vars(index).items() if name != "images"}
+
+        before = copy.deepcopy(state())
+        for kind in ("pca", "nmf"):
+            for query in angle_queries(rng, kind):
+                rank_database(query, index, "angle")
+                rank_database(query, index, "angle", candidates=set(list(index.images)[:3]))
+                rank_database(codec.quantize(query, 5), index, "angle")
         rank_database(nmf_of(np.zeros((12, 2))), index, "angle")  # degenerate query
-        assert index._basis_caches == {}
-        rank_database(nmf_of(random_nmf_columns(rng, 12, 2)), index, "angle")
-        bases, ranks = index._basis_caches["nmf"]
-        # at most one mirror of the kind's float64 loadings stack
-        assert bases.nbytes == index._lattices["nmf"].vectors.nbytes
-        assert ranks.shape == (index.num_images,)
-        assert list(index._basis_caches) == ["nmf"]
+        assert index.images is view
+        assert_same_state(state(), before)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(bits=st.sampled_from([None, 5]), kind=st.sampled_from(["pca", "nmf"]),
+           rows=st.lists(st.integers(0, BATCH_IMAGES - 1), min_size=1, unique=True))
+    def test_an_angle_alone_equals_it_in_any_batch(self, bits, kind, rows):
+        index, queries, alone = batch_case(bits)
+        rows = np.array(rows)
+        assert np.array_equal(_angle_keys(queries[kind], index, rows), alone[kind][rows])
+
+    def test_levels_and_float_indexes_agree_bit_for_bit(self):
+        for kind in ("pca", "nmf"):
+            assert np.array_equal(batch_case(5)[2][kind], batch_case(None)[2][kind])
+        keys = batch_case(5)[2]["nmf"]
+        assert np.sum(keys == WORST_ANGLE) == BATCH_IMAGES // 50  # the duplicated columns
+        assert np.all(keys[keys < WORST_ANGLE] > 0)
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_degenerate_images_at_every_width(self, bits):
+        """At T = 8: a duplicate column, a zero NMF column, a column that is
+        a combination of two others, and more columns than T all score
+        ``WORST_ANGLE``; ``k == T`` at full rank and a good ``k = 3`` image
+        do not; a degenerate query gives every image ``WORST_ANGLE``."""
+        T, top = 8, (1 << bits) - 1
+        rng = np.random.default_rng(bits)
+        hadamard = np.ones((1, 1), dtype=np.int64)
+        while len(hadamard) < T:
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        odd = 2 * rng.integers(0, top + 1, size=(T, 3)) - top  # PCA lattice vectors
+        duplicate = odd.copy()
+        duplicate[:, 2] = duplicate[:, 0]
+        # (x + y) and (x - y) for x odd and y even, whose half sum is x
+        x = (rng.choice(np.arange(2 - top, top - 1, 2), size=T) if top > 1
+             else rng.choice([-1, 1], size=T))
+        spare = (top - np.abs(x)) // 2
+        y = 2 * rng.integers(-spare, spare + 1)
+        combination = np.stack([x + y, x - y, x], axis=1)
+        disjoint = np.zeros((T, 3), dtype=np.int64)  # NMF levels: column 2 = column 0 + column 1
+        disjoint[:T // 2, 0] = rng.integers(1, top + 1, size=T // 2)
+        disjoint[T // 2:, 1] = rng.integers(1, top + 1, size=T // 2)
+        disjoint[:, 2] = disjoint[:, 0] + disjoint[:, 1]
+        positive = rng.integers(1, top + 1, size=(T, 3))
+        nmf_duplicate, nmf_zero = positive.copy(), positive.copy()
+        nmf_duplicate[:, 2] = nmf_duplicate[:, 0]
+        nmf_zero[:, 1] = 0
+        good, wide = [0, 3, 5], 2 * rng.integers(0, top + 1, size=(T, T + 1)) - top
+        cases = {  # image id -> (PCA lattice vectors, NMF levels)
+            "full": (hadamard, top * np.eye(T, dtype=np.int64)),
+            "good": (hadamard[:, good], top * np.eye(T, dtype=np.int64)[:, good]),
+            "duplicate": (duplicate, nmf_duplicate),
+            "combination": (combination, disjoint),
+            "zero": (hadamard[:, :3], nmf_zero),
+            "wide": (wide, rng.integers(0, top + 1, size=(T, T + 1))),
+        }
+        images = [(image_id, levels_of("pca", bits, (pca + top) // 2, image_id),
+                   levels_of("nmf", bits, nmf, image_id))
+                  for image_id, (pca, nmf) in cases.items()]
+        degenerate = {"pca": {"duplicate", "combination", "wide"},
+                      "nmf": {"duplicate", "combination", "zero", "wide"}}
+        queries = {"pca": levels_of("pca", bits, (hadamard[:, :2] + top) // 2, "q"),
+                   "nmf": levels_of("nmf", bits, top * np.eye(T, dtype=np.int64)[:, :2], "q")}
+        dead = {"pca": levels_of("pca", bits, (duplicate + top) // 2, "q"),
+                "nmf": levels_of("nmf", bits, nmf_zero, "q")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for index in (ObjectIndex(images), ObjectIndex(
+                    (obj, codec.dequantize(pca), codec.dequantize(nmf)) for obj, pca, nmf in images)):
+                every = index._rows(None)
+                for kind in ("pca", "nmf"):
+                    keys = dict(zip(index.images, _angle_keys(queries[kind], index, every)))
+                    assert {i for i, key in keys.items() if key == WORST_ANGLE} == degenerate[kind]
+                    assert keys["full"] < 1e-6 and keys["good"] < 1e-6
+                    assert np.all(_angle_keys(dead[kind], index, every) == WORST_ANGLE)
+
+    def test_full_scan_temporaries_are_bounded(self):
+        """A full angle scan of 1000 random 5-bit images at T=128, k=24
+        allocates at its peak no more than the index holds plus a fixed
+        8 MiB: it works in chunks of images."""
+        rng = np.random.default_rng(72)
+        index = ObjectIndex((f"o{i}", *(levels_of(kind, 5, rng.integers(0, 32, size=(128, 24)),
+                                                  f"o{i}_v1") for kind in ("pca", "nmf")))
+                            for i in range(1000))
+        size = sum(lattice.vectors.nbytes + lattice.norms.nbytes
+                   for lattice in index._lattices.values())
+        query = random_query(rng, "nmf", 24, 5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keys = _angle_keys(query, index, index._rows(None))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.all(keys < WORST_ANGLE)
+        assert peak < size + (8 << 20)
 
 
 LEVEL_BITS = (2, 5, 8, 12)
@@ -536,7 +696,7 @@ def dequantized(images):
 
 
 class TestLevelsBackedNmf:
-    """An index that keeps NMF loadings quantized gives the angles, bases and
+    """An index that keeps NMF loadings quantized gives the angles and
     records of one given the same loadings dequantized to float64 bit for
     bit, and its correlation ranking up to rounding."""
 
@@ -554,11 +714,9 @@ class TestLevelsBackedNmf:
                                       _angle_keys(query, floats, rows))
                 assert (rank_database(query, levels, "angle", eta=50, candidates=candidates)
                         == rank_database(query, floats, "angle", eta=50, candidates=candidates))
-        for got, want in zip(levels._basis_cache("nmf"), floats._basis_cache("nmf")):
-            assert np.array_equal(got, want)
-        _, ranks = levels._basis_cache("nmf")
         assert not images[-1][2].levels[:, 1].any()
-        assert ranks[levels._row["z_one_bit"]] < 3
+        one_bit = np.array([levels._row["z_one_bit"]])
+        assert _angle_keys(queries[2], levels, one_bit)[0] == WORST_ANGLE
         for query in queries:  # lattice cosines against float64 dot products
             for candidates in (None, subset):
                 assert_same_correlation_ranking(
@@ -736,7 +894,7 @@ class TestIntegerStack:
             assert np.array_equal(lattice.norms, np.where(squares > 0, np.sqrt(squares), 1.0))
             gathered = index._gather(kind, index._rows(None), k)
             for stack, image in zip(gathered, images):
-                assert np.array_equal(stack, codec.dequantize(image[position]).columns)
+                assert np.array_equal(stack, codec.dequantize(image[position]).columns.T)
 
     @settings(max_examples=120, deadline=None, database=None, derandomize=True)
     @given(kind=st.sampled_from(["pca", "nmf"]), query_bits=st.integers(1, 16),
