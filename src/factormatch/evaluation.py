@@ -5,7 +5,9 @@ remaining views; accuracy at depth n is the fraction of queries whose true
 object lands in the top n. The sweeps rerun that measurement along one axis:
 fusion weight alpha, quantization rate, fixed factorization rank versus the
 estimated model order. ``evaluate`` and the three sweeps are each one call
-into the same loop over (rank, rate, alpha) points.
+into the same loop over (rank, rate, alpha) points, which scores every
+query of a (rank, rate) point at once with the matcher's multi-query
+kernels and gives each query the lists it would get on its own.
 """
 
 from __future__ import annotations
@@ -15,24 +17,29 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from . import codec, factorization, service
 from .descriptors import DescriptorMatrix, view_index
+from .factorization import KIND_NMF, KIND_PCA
 from .fusion import FusionParams, RankedList, fuse
-from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex,
-                      combined_hypotheses, rank_database)
+from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex, _angle_keys,
+                      _correlation_keys, _top_eta)
 from .service import quantized
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
 from .factorization import nmf_loadings, pca_loadings  # noqa: F401
+from .matcher import rank_database  # noqa: F401
 from .model_order import estimate_order  # noqa: F401
 
 PIPELINES = ("pca_corr", "pca_angle", "nmf_corr", "nmf_angle", "combined")
 _SINGLE_METRIC = {
-    "pca_corr": ("pca", METRIC_CORRELATION),
-    "pca_angle": ("pca", METRIC_ANGLE),
-    "nmf_corr": ("nmf", METRIC_CORRELATION),
-    "nmf_angle": ("nmf", METRIC_ANGLE),
+    "pca_corr": (KIND_PCA, METRIC_CORRELATION),
+    "pca_angle": (KIND_PCA, METRIC_ANGLE),
+    "nmf_corr": (KIND_NMF, METRIC_CORRELATION),
+    "nmf_angle": (KIND_NMF, METRIC_ANGLE),
 }
+_KERNELS = {METRIC_ANGLE: _angle_keys, METRIC_CORRELATION: _correlation_keys}
 
 RANK_ESTIMATED = "estimated"
 
@@ -174,6 +181,44 @@ def _factorized_by_rank(
     return by_rank
 
 
+def _ranked_lists(index: ObjectIndex, queries: Sequence[IndexRecord],
+                  pipelines: Sequence[str], eta: int) -> dict[str, list]:
+    """Each query's top-eta list for each requested single-metric pipeline,
+    and its ``(v_pri, v_sec)`` hypotheses for ``combined``, each list the one
+    ``rank_database`` or ``combined_hypotheses`` gives.
+
+    Every query is scored at once, one key matrix per kind and metric that a
+    requested pipeline reads, over every image: the PCA correlation serves
+    ``pca_corr`` and gives ``combined`` its ``v_sec``. ``combined``'s
+    ``v_pri`` is the top eta of a query's NMF angles restricted to its
+    candidates' rows, read from the ``nmf_angle`` matrix where that is
+    requested and otherwise from one over the union of every query's
+    candidates; no angle depends on the rows scored beside it."""
+    every = np.arange(index.num_images)
+    loadings = {KIND_PCA: [q.pca for q in queries], KIND_NMF: [q.nmf for q in queries]}
+    needed = {_SINGLE_METRIC[p] for p in pipelines if p != "combined"}
+    if "combined" in pipelines:
+        needed.add((KIND_PCA, METRIC_CORRELATION))
+    keys = {(kind, metric): _KERNELS[metric](loadings[kind], index, every)
+            for kind, metric in needed}
+    ranked = {(kind, metric): [_top_eta(index, every, row, metric, eta) for row in matrix]
+              for (kind, metric), matrix in keys.items()}
+    lists: dict[str, list] = {p: ranked[_SINGLE_METRIC[p]] for p in pipelines
+                              if p != "combined"}
+    if "combined" in pipelines:
+        v_secs = ranked[KIND_PCA, METRIC_CORRELATION]
+        candidates = [index._rows(index.images_of_objects(v.object_ids())) for v in v_secs]
+        if (KIND_NMF, METRIC_ANGLE) in keys:
+            rows, angles = every, keys[KIND_NMF, METRIC_ANGLE]
+        else:
+            rows = np.unique(np.concatenate(candidates))
+            angles = _angle_keys(loadings[KIND_NMF], index, rows)
+        v_pris = [_top_eta(index, own, row[np.searchsorted(rows, own)], METRIC_ANGLE, eta)
+                  for own, row in zip(candidates, angles)]
+        lists["combined"] = list(zip(v_pris, v_secs))
+    return lists
+
+
 def _sweep(
     corpus: Sequence[DescriptorMatrix],
     ranks: Sequence[int | None],
@@ -190,11 +235,12 @@ def _sweep(
 
     Rank ``None`` is the estimated model order, rate ``None`` full precision.
     Every image is factorized once per rank, all ranks from one SVD, and the
-    database is indexed once per rate; each query's two hypotheses are
-    computed once per rate and fused once per alpha, and each single-metric
-    pipeline is ranked once per rate (its records keep ``alpha=None``).
-    Records come out rank by rate by pipeline, with the alphas inside
-    ``combined``.
+    database is indexed once per rate. At each rate, :func:`_ranked_lists`
+    scores all queries together, one key matrix per kind and metric that a
+    requested pipeline reads; each query's two hypotheses are fused once per
+    alpha, and each single-metric pipeline's lists are read once per rate
+    (its records keep ``alpha=None``). Records come out rank by rate by
+    pipeline, with the alphas inside ``combined``.
     """
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
@@ -224,18 +270,17 @@ def _sweep(
             t0 = time.perf_counter()
             index = ObjectIndex(quantized(db_loadings, bits))
             t1 = time.perf_counter()
-            positions: list[list[int | None]] = [[] for _ in points]
-            for object_id, q_pca, q_nmf in quantized(query_loadings, bits):
-                if "combined" in pipelines:
-                    v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
-                for (pipeline, alpha), found in zip(points, positions):
-                    if pipeline == "combined":
-                        ranked = fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
-                    else:
-                        kind, metric = _SINGLE_METRIC[pipeline]
-                        query = q_pca if kind == "pca" else q_nmf
-                        ranked = rank_database(query, index, metric, eta)
-                    found.append(_true_object_rank(ranked, object_id))
+            query_records = list(quantized(query_loadings, bits))
+            lists = _ranked_lists(index, query_records, pipelines, eta)
+            positions: list[list[int | None]] = []
+            for pipeline, alpha in points:
+                if pipeline == "combined":
+                    params = FusionParams(alpha=alpha, eta=eta)
+                    ranked = [fuse(v_pri, v_sec, params) for v_pri, v_sec in lists[pipeline]]
+                else:
+                    ranked = lists[pipeline]
+                positions.append([_true_object_rank(r, q.object_id)
+                                  for r, q in zip(ranked, query_records)])
             report.runtime["index_build"] += t1 - t0
             report.runtime["queries"] += time.perf_counter() - t1
             for (pipeline, alpha), found in zip(points, positions):

@@ -76,20 +76,23 @@ def fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> RankedLi
     sec_rank = {obj: pos for pos, obj in enumerate(v_sec.object_ids(), start=1)}
     absent = eta + 1
     working = list(v_pri.entries)
+    # each entry's secondary rank, swapped together with the entries
+    ranks = [sec_rank.get(entry.object_id, absent) for entry in working]
     n = len(working)
-
     # pairs past the end of the list (i + j > n) never swap: stop at n, not eta
+    last = min(eta, n)
     for _ in range(eta * eta):
         swapped = False
-        i = 1
-        while i < min(eta / 2, n):
-            for j in range(1, min(eta, n) - i + 1):
-                a = sec_rank.get(working[i - 1].object_id, absent)
-                b = sec_rank.get(working[i + j - 1].object_id, absent)
-                if a > b + alpha + j:
-                    working[i - 1], working[i + j - 1] = working[i + j - 1], working[i - 1]
+        # the pair (i, i + j) at positions a = i - 1 and b = i + j - 1, so
+        # j = b - a, swaps iff ranks[a] > ranks[b] + alpha + b - a
+        for a in range(min((eta + 1) // 2, n) - 1):
+            gate = ranks[a] - alpha + a
+            for b in range(a + 1, last):
+                if gate > ranks[b] + b:
+                    ranks[a], ranks[b] = ranks[b], ranks[a]
+                    working[a], working[b] = working[b], working[a]
+                    gate = ranks[a] - alpha + a
                     swapped = True
-            i += 1
         if not swapped:
             break
 

@@ -22,16 +22,22 @@ queries that share it. The angle whitens each side's unit columns ``U``
 (``M / ||M||``, bit for bit ``codec.dequantize``) by the Cholesky factor
 ``L`` of ``U U^T + delta I`` (:func:`_whitener`), so ``Q = L^-1 U``, per
 query and from the stored lattice: the index holds no basis and never
-changes after it is built. ``rank_database`` scores the whole database or
-a candidate subset at once, keeps each object's best view and truncates to
-the top eta; ``retrieve_combined`` runs the full pipeline: PCA-correlation
-prefilter, NMF-angle rerank on the surviving objects' views, rank fusion.
+changes after it is built. Both kernels score a list of queries of one
+kind against the whole database or a candidate subset into one key matrix,
+one row per query equal to the query's keys alone: the angle kernel gathers
+and whitens each chunk of images once for every query, and quantized
+queries of one rank share each correlation GEMM. ``rank_database`` is their
+one-query call: it keeps each object's best view and truncates to the top
+eta (:func:`_top_eta`, which the evaluation's sweeps call on each row of
+their key matrices); ``retrieve_combined`` runs the full pipeline:
+PCA-correlation prefilter, NMF-angle rerank on the surviving objects'
+views, rank fusion.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +57,9 @@ WORST_ANGLE = math.pi / 2
 # float32 rows take 1 MB, so the GEMM reads them from cache; the angle kernel
 # steps over as many rows in whole images
 _CHUNK_ROWS = 2048
+# query columns per correlation GEMM, so that its float64 copy of a chunk's
+# products takes at most 8 MB
+_QUERY_COLUMNS = 512
 
 
 class DimensionMismatchError(ValueError):
@@ -347,22 +356,38 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     return sums
 
 
-def _correlation_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIndex,
-                      rows: np.ndarray) -> np.ndarray:
-    """Negated correlation score of the query against each image of
-    ``rows``; all rows read the stored stack in place, a subset gathers its
-    own. A float on either side, or bit widths whose sums could reach
-    2^24, take the GEMM to float64."""
-    stored, query_lattice = index._lattices[query.kind], _query_lattice(query)
+def _correlation_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
+                      index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
+    """Negated correlation scores, ``(m, rows.size)``, of ``m`` queries of
+    one kind against each image of ``rows``; all rows read the stored stack
+    in place, a subset gathers its own once for every query. Lattice
+    queries of one rank against a lattice index share a GEMM, at most
+    ``_QUERY_COLUMNS`` query columns at a time: a GEMM of lattice vectors is
+    exact in any blocking (:func:`_gemm_dtype`). A float on either side
+    takes the GEMM to float64 values it rounds, so each such query has a
+    GEMM of its own."""
+    stored = index._lattices[queries[0].kind]
     starts = index._offsets[rows]
     ks = index._offsets[rows + 1] - starts
     vectors, norms = stored.vectors, stored.norms
     if rows.size < index.num_images:
         columns = _columns(starts, ks)
         vectors, norms = vectors[columns], norms[columns]
-    dtype = _gemm_dtype(index.T, query_lattice.bits, stored.bits)
-    return -_correlations(query_lattice.vectors[None], query_lattice.norms[None],
-                          vectors, norms, ks, dtype)[0]
+    lattices = [_query_lattice(query) for query in queries]
+    groups: dict[tuple[int, int], list[int]] = {}  # (rank, -1 or a float query's own number)
+    for i, lattice in enumerate(lattices):
+        exact = lattice.bits is not None and stored.bits is not None
+        groups.setdefault((len(lattice.vectors), -1 if exact else i), []).append(i)
+    keys = np.empty((len(queries), rows.size))
+    for (k, _), group in groups.items():
+        step = max(1, _QUERY_COLUMNS // k)
+        for part in (group[i:i + step] for i in range(0, len(group), step)):
+            batch = [lattices[i] for i in part]
+            bits = None if batch[0].bits is None else np.concatenate([q.bits for q in batch])
+            keys[part] = -_correlations(
+                np.stack([q.vectors for q in batch]), np.stack([q.norms for q in batch]),
+                vectors, norms, ks, _gemm_dtype(index.T, bits, stored.bits))
+    return keys
 
 
 def _whitener(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,38 +413,59 @@ def _whitener(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, (pivots * pivots <= 4 * delta).any(axis=1)
 
 
-def _angle_keys(query: FactorLoadings | QuantizedLoadings, index: ObjectIndex,
-                rows: np.ndarray) -> np.ndarray:
-    """Angle of the query to each image of ``rows``, from the index's
-    lattice on each call: the query is whitened once to ``W_a = L_a⁻¹ U_a``;
-    per rank and chunk of images, each image's ``Y = L_b⁻¹ (U_b W_aᵀ)``
-    gives ``cos = sqrt(λ_max(YᵀY))``. Every step works on one matrix at a
-    time, so no angle depends on the images that share its chunk. A
-    degenerate image, and every image for a degenerate query, scores
-    ``WORST_ANGLE``; so does a side with more columns than T, which is
-    rank-deficient and skipped before any ``k x k`` Gram is formed."""
-    keys = np.full(rows.size, WORST_ANGLE)
-    if query.k > index.T:
+def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
+                index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
+    """Angles, ``(m, rows.size)``, of ``m`` queries of one kind to each
+    image of ``rows``, from the index's lattice on each call: each query is
+    whitened once to ``W_a = L_a⁻¹ U_a``; per rank and chunk of images, the
+    chunk is gathered and whitened once, and for each query each image's
+    ``Y = L_b⁻¹ (U_b W_aᵀ)`` gives ``cos = sqrt(λ_max(YᵀY))``. Every step
+    works on one matrix and one query at a time, so no angle depends on the
+    images or the queries that share its call. A degenerate image, and
+    every image for a degenerate query, scores ``WORST_ANGLE``; so does a
+    side with more columns than T, which is rank-deficient and skipped
+    before any ``k x k`` Gram is formed."""
+    keys = np.full((len(queries), rows.size), WORST_ANGLE)
+    whitened = []  # (row of keys, W_a) of each query that is not degenerate
+    for i, query in enumerate(queries):
+        if query.k > index.T:
+            continue
+        U_a = _unit_rows(_query_lattice(query), np.arange(query.k))[None]
+        L_a, degenerate = _whitener(U_a)
+        if not degenerate[0]:
+            whitened.append((i, np.linalg.solve(L_a, U_a)[0]))
+    if not whitened:
         return keys
-    query_lattice = _query_lattice(query)
-    U_a = _unit_rows(query_lattice, np.arange(query.k))[None]
-    L_a, degenerate = _whitener(U_a)
-    if degenerate[0]:
-        return keys
-    W_a = np.linalg.solve(L_a, U_a)[0]
+    kind = queries[0].kind
     starts = index._offsets[rows]
     for k, pos in _rank_groups(index._offsets[rows + 1] - starts):
         if k > index.T:
             continue
         step = max(1, _CHUNK_ROWS // k)  # bounds the temporaries of a full scan
         for part in (pos[i:i + step] for i in range(0, pos.size, step)):
-            U_b = index._gather(query.kind, rows[part], k)
+            U_b = index._gather(kind, rows[part], k)
             L_b, degenerate = _whitener(U_b)
-            Y = np.linalg.solve(L_b, U_b @ W_a.T)
-            top = np.linalg.eigvalsh(Y.transpose(0, 2, 1) @ Y)[:, -1]
-            angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
-            keys[part] = np.where(degenerate, WORST_ANGLE, angles)
+            for i, W_a in whitened:
+                Y = np.linalg.solve(L_b, U_b @ W_a.T)
+                top = np.linalg.eigvalsh(Y.transpose(0, 2, 1) @ Y)[:, -1]
+                angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
+                keys[i, part] = np.where(degenerate, WORST_ANGLE, angles)
     return keys
+
+
+def _top_eta(index: ObjectIndex, rows: np.ndarray, keys: np.ndarray, metric: str,
+             eta: int) -> RankedList:
+    """The top-eta objects of the images of ``rows`` by their ``keys`` (for
+    correlation, the negated scores): best-first by (key, image id), each
+    object at its best view, with the scores the metric reports."""
+    order = np.lexsort((index._id_rank[rows], keys))
+    _, first = np.unique(index._object_code[rows[order]], return_index=True)
+    best = order[np.sort(first)[:eta]]
+    sign = -1.0 if metric == METRIC_CORRELATION else 1.0
+    return RankedList(entries=tuple(
+        RankedEntry(index._object_ids[r], index._image_ids[r], sign * key)
+        for r, key in zip(rows[best].tolist(), keys[best].tolist())
+    ), eta=eta)
 
 
 def rank_database(
@@ -437,6 +483,7 @@ def rank_database(
     lexicographic image-id tie-breaking; multiple views of one object
     collapse to the best view. Images whose loadings are degenerate under
     the angle metric sort last (angle pi/2) rather than aborting the query.
+    This is the one-query call of the kernels that score many queries.
     """
     if metric not in (METRIC_ANGLE, METRIC_CORRELATION):
         raise ValueError(f"unknown metric {metric!r}")
@@ -446,19 +493,8 @@ def rank_database(
     rows = index._rows(candidates)
     if rows.size == 0:
         raise ValueError("no candidate images to rank")
-    if metric == METRIC_ANGLE:
-        keys = _angle_keys(query, index, rows)
-    else:
-        keys = _correlation_keys(query, index, rows)
-    # best-first by (key, image id); each object's first row is its best view
-    order = np.lexsort((index._id_rank[rows], keys))
-    _, first = np.unique(index._object_code[rows[order]], return_index=True)
-    best = order[np.sort(first)[:eta]]
-    sign = -1.0 if metric == METRIC_CORRELATION else 1.0
-    return RankedList(entries=tuple(
-        RankedEntry(index._object_ids[r], index._image_ids[r], sign * key)
-        for r, key in zip(rows[best].tolist(), keys[best].tolist())
-    ), eta=eta)
+    kernel = _angle_keys if metric == METRIC_ANGLE else _correlation_keys
+    return _top_eta(index, rows, kernel([query], index, rows)[0], metric, eta)
 
 
 def combined_hypotheses(

@@ -12,9 +12,10 @@ and ships the blobs. Transport is a plain TCP stream of frames:
                 | count * (u16 id_len | object_id | f32 score | u16 rank)
                 | u16 err_len | error_text
 
-Status 0 = ok, 1 = malformed frame, 2 = invalid parameters (including blobs
-that are not PCA then NMF of one rank, of another descriptor dimension T
-than the index's, or of a rank above T), 3 = query failed.
+Status 0 = ok, 1 = malformed frame, 2 = invalid parameters (an eta outside
+1..MAX_ETA or an alpha above it, and blobs that are not PCA then NMF of one
+rank, of another descriptor dimension T than the index's, or of a rank
+above T), 3 = query failed.
 A bad query never kills the connection; only an oversized declared frame
 closes it (the stream can no longer be trusted).
 """
@@ -52,6 +53,8 @@ STATUS_INVALID_PARAMS = 2
 STATUS_QUERY_FAILED = 3
 
 MAX_FRAME = 1 << 20  # 1 MiB, the limit of every frame read
+# the longest list a query may ask for: fusion makes up to eta^2 passes
+MAX_ETA = 64
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -257,8 +260,9 @@ def answer_query(index: ObjectIndex, payload: bytes) -> bytes:
         return encode_response(STATUS_MALFORMED, error_text=f"malformed frame: {exc}")
     if version != PROTOCOL_VERSION:
         invalid = f"unsupported protocol version {version}"
-    elif eta < 1 or alpha > eta:
-        invalid = f"invalid parameters: eta={eta}, alpha={alpha}"
+    elif not 1 <= eta <= MAX_ETA or alpha > eta:
+        invalid = (f"invalid parameters: eta={eta}, alpha={alpha} "
+                   f"(eta must lie in 1..{MAX_ETA}, alpha in 0..eta)")
     elif query_pca.T != query_nmf.T:
         invalid = f"blob descriptor dims differ: {query_pca.T} vs {query_nmf.T}"
     elif query_pca.T != index.T:

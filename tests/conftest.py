@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from factormatch import SynthCorpusSpec, factorization, generate_corpus, matcher
+from factormatch import SynthCorpusSpec, evaluation, factorization, generate_corpus, matcher
 from factormatch.codec import QuantizedLoadings
 from factormatch.descriptors import DescriptorMatrix
 from factormatch.factorization import (
@@ -16,6 +16,7 @@ from factormatch.factorization import (
     FactorLoadings,
     SvdResult,
 )
+from factormatch.fusion import FusionParams, RankedList
 from factormatch.matcher import IndexRecord, ObjectIndex
 from factormatch.model_order import RESIDUAL_FLOOR
 from factormatch.service import RetrievalServer, factorized, quantized
@@ -181,7 +182,68 @@ def subspace_angle(a: FactorLoadings, b: FactorLoadings) -> float:
     matcher._check_dims(a.T, b.T)
     index = ObjectIndex([("b", FactorLoadings(b.image_id, KIND_PCA, b.columns),
                           FactorLoadings(b.image_id, KIND_NMF, b.columns))])
-    return float(matcher._angle_keys(a, index, index._rows(None))[0])
+    return float(matcher._angle_keys([a], index, index._rows(None))[0, 0])
+
+
+def lookup_fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> RankedList:
+    """``fusion.fuse`` with one dict lookup of each secondary rank per pair."""
+    eta, alpha = params.eta, params.alpha
+    for name, lst in (("primary", v_pri), ("secondary", v_sec)):
+        if len(lst) > eta:
+            raise ValueError(f"{name} list length {len(lst)} exceeds eta={eta}")
+    sec_rank = {obj: pos for pos, obj in enumerate(v_sec.object_ids(), start=1)}
+    absent = eta + 1
+    working = list(v_pri.entries)
+    n = len(working)
+    for _ in range(eta * eta):
+        swapped = False
+        i = 1
+        while i < min(eta / 2, n):
+            for j in range(1, min(eta, n) - i + 1):
+                a = sec_rank.get(working[i - 1].object_id, absent)
+                b = sec_rank.get(working[i + j - 1].object_id, absent)
+                if a > b + alpha + j:
+                    working[i - 1], working[i + j - 1] = working[i + j - 1], working[i - 1]
+                    swapped = True
+            i += 1
+        if not swapped:
+            break
+    return RankedList(entries=tuple(working), eta=eta)
+
+
+def per_query_sweep(corpus, ranks, rates, alphas, pipelines, eta, top, k_max, query_view,
+                    corpus_label) -> evaluation.EvalReport:
+    """``evaluation._sweep`` on valid arguments with each query ranked on its
+    own: one ``rank_database`` call per single-metric pipeline and one
+    ``combined_hypotheses`` call per query, fused with :func:`lookup_fuse`."""
+    top = min(top, eta)
+    queries, database = evaluation.split_queries(corpus, query_view)
+    points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
+    report = evaluation.EvalReport(corpus_label, eta)
+    db_by_rank = evaluation._factorized_by_rank(database, k_max, ranks)
+    query_by_rank = evaluation._factorized_by_rank(queries, k_max, ranks)
+    for fixed_k, db_loadings, query_loadings in zip(ranks, db_by_rank, query_by_rank):
+        for bits in rates:
+            index = ObjectIndex(quantized(db_loadings, bits))
+            positions = [[] for _ in points]
+            for object_id, q_pca, q_nmf in quantized(query_loadings, bits):
+                if "combined" in pipelines:
+                    v_pri, v_sec = matcher.combined_hypotheses(q_pca, q_nmf, index, eta)
+                for (pipeline, alpha), found in zip(points, positions):
+                    if pipeline == "combined":
+                        ranked = lookup_fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))
+                    else:
+                        kind, metric = evaluation._SINGLE_METRIC[pipeline]
+                        query = q_pca if kind == KIND_PCA else q_nmf
+                        ranked = matcher.rank_database(query, index, metric, eta)
+                    found.append(evaluation._true_object_rank(ranked, object_id))
+            for (pipeline, alpha), found in zip(points, positions):
+                report.records.extend(
+                    evaluation.EvalRecord(
+                        pipeline, evaluation.rank_mode_label(fixed_k), bits, alpha, n,
+                        sum(1 for p in found if p is not None and p <= n) / len(found))
+                    for n in range(1, top + 1))
+    return report
 
 
 def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:

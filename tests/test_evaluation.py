@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from factormatch import service
+from factormatch import evaluation, service
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.evaluation import (
     EvalRecord,
@@ -13,6 +13,8 @@ from factormatch.evaluation import (
     sweep_bits,
     sweep_rank,
 )
+
+from conftest import per_query_sweep
 
 K_MAX = 8  # toy corpora: T=16, planted rank <= 3
 ETA = 6
@@ -242,6 +244,39 @@ def test_runtime_split_into_index_build_and_queries(noisy_corpus, run):
     runtime = run(noisy_corpus).runtime
     assert set(runtime) == {"index_build", "queries"}
     assert all(seconds > 0 for seconds in runtime.values())
+
+
+@pytest.fixture(scope="module")
+def factorizations():
+    """Float records by (image ids, k_max, ranks), shared by the tests below."""
+    return {}
+
+
+@pytest.mark.parametrize("run", [
+    lambda c: evaluate(c, k_max=16),
+    lambda c: sweep_alpha(c, k_max=16),
+    lambda c: sweep_bits(c, bit_grid=(1, 2, 3, 5, 8), k_max=16),
+    lambda c: sweep_rank(c, k_max=16),
+    lambda c: evaluate(c, k_max=16, pipelines=("combined",)),
+    lambda c: evaluate(c, k_max=16, pipelines=("pca_angle",)),
+    lambda c: evaluate(c, k_max=16, pipelines=("nmf_corr", "combined")),
+], ids=["evaluate", "sweep_alpha", "sweep_bits", "sweep_rank", "combined", "pca_angle",
+        "nmf_corr_and_combined"])
+def test_sweeps_equal_the_per_query_loop(eval_corpus, factorizations, monkeypatch, run):
+    """Every report byte equals that of ranking each query on its own, on
+    the README's corpus; each image is factorized once for both runs."""
+    factorize = evaluation._factorized_by_rank
+
+    def factorized_once(images, k_max, ranks):
+        key = (tuple(m.image_id for m in images), k_max, tuple(ranks))
+        if key not in factorizations:
+            factorizations[key] = factorize(images, k_max, ranks)
+        return factorizations[key]
+
+    monkeypatch.setattr(evaluation, "_factorized_by_rank", factorized_once)
+    got = run(eval_corpus).to_jsonl()
+    monkeypatch.setattr(evaluation, "_sweep", per_query_sweep)
+    assert got == run(eval_corpus).to_jsonl()
 
 
 class TestReportValidation:

@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factormatch import fusion, matcher
 from factormatch.fusion import FusionParams, fuse
 from factormatch.matcher import RankedEntry, RankedList
+
+from conftest import lookup_fuse
 
 
 def ranked(object_ids, eta):
@@ -151,6 +155,24 @@ class TestLengthBoundedLoop:
                    FusionParams(alpha=0, eta=65535))
         assert time.perf_counter() - start < 0.5
         assert sorted(out.object_ids()) == sorted(pri)
+
+
+@st.composite
+def fusion_cases(draw):
+    """Primary and secondary lists of up to eta of eta + 4 objects, and an alpha."""
+    eta = draw(st.integers(1, 40))
+    pool = [f"obj{c}" for c in range(eta + 4)]
+    pri, sec = (draw(st.lists(st.sampled_from(pool), max_size=eta, unique=True))
+                for _ in range(2))
+    return ranked(pri, eta), ranked(sec, eta), FusionParams(draw(st.integers(0, eta)), eta)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(case=fusion_cases())
+def test_matches_the_dict_lookup_form(case):
+    """The passes over a list of secondary ranks give the lists of the form
+    that looks each rank up per pair."""
+    assert fuse(*case) == lookup_fuse(*case)
 
 
 class TestProperties:

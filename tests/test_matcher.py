@@ -16,6 +16,7 @@ from factormatch import codec
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
     _CHUNK_ROWS,
+    _QUERY_COLUMNS,
     WORST_ANGLE,
     DimensionMismatchError,
     ObjectIndex,
@@ -32,6 +33,16 @@ from factormatch.matcher import (
 )
 
 from conftest import correlation_score, random_unit_columns, subspace_angle
+
+
+def angle_keys(query, index, rows):
+    """The angle kernel's keys of one query."""
+    return _angle_keys([query], index, rows)[0]
+
+
+def correlation_keys(query, index, rows):
+    """The correlation kernel's keys of one query."""
+    return _correlation_keys([query], index, rows)[0]
 
 
 def pca_of(columns, image_id="q"):
@@ -432,12 +443,18 @@ def assert_same_state(got, want):
 BATCH_IMAGES = 300
 
 
+# ranks of the batch case's queries: mixed, a degenerate one (3, with a
+# duplicated column) and one with more columns than T = 32
+BATCH_QUERY_RANKS = (20, 24, 28, 3, 33)
+
+
 @functools.cache
 def batch_case(bits):
     """An index of ``BATCH_IMAGES`` images at T = 32 and ranks 24 and 28,
     more than one kernel chunk of each rank, quantized at ``bits`` (None:
     the 5-bit images dequantized), every 50th with a duplicated NMF column;
-    one 5-bit query per kind and its angle to each image scored alone."""
+    per kind, 5-bit queries of ``BATCH_QUERY_RANKS`` (dequantized at None)
+    and each one's angle to each image scored alone."""
     rng = np.random.default_rng(31)
     images = []
     for i in range(BATCH_IMAGES):
@@ -447,20 +464,28 @@ def batch_case(bits):
             nmf[:, 1] = nmf[:, 0]
         images.append((f"o{i // 2}", codec.quantize(pca_of(pca, image_id), 5),
                        codec.quantize(nmf_of(nmf, image_id), 5)))
+    queries = {kind: [random_query(rng, kind, k, 5, T=32) for k in BATCH_QUERY_RANKS]
+               for kind in ("pca", "nmf")}
+    for kind_queries in queries.values():
+        levels = kind_queries[3].levels.copy()
+        levels[:, 2] = levels[:, 0]
+        kind_queries[3] = dataclasses.replace(kind_queries[3], levels=levels)
     if bits is None:
         images = [(obj, codec.dequantize(pca), codec.dequantize(nmf))
                   for obj, pca, nmf in images]
+        queries = {kind: [codec.dequantize(q) for q in kind_queries]
+                   for kind, kind_queries in queries.items()}
     index = ObjectIndex(images)
-    queries = {kind: random_query(rng, kind, 20, 5, T=32) for kind in ("pca", "nmf")}
-    alone = {kind: np.array([_angle_keys(query, index, np.array([r]))[0]
-                             for r in range(BATCH_IMAGES)]) for kind, query in queries.items()}
+    alone = {kind: np.array([[angle_keys(query, index, np.array([r]))[0]
+                              for r in range(BATCH_IMAGES)] for query in kind_queries])
+             for kind, kind_queries in queries.items()}
     return index, queries, alone
 
 
 def angles(index, query, candidates):
     """The angle keys of the candidates' rows, and the ranking."""
     rows = index._rows(candidates)
-    return (_angle_keys(query, index, rows),
+    return (angle_keys(query, index, rows),
             rank_database(query, index, "angle", eta=50, candidates=candidates))
 
 
@@ -513,12 +538,12 @@ class TestAngleKernel:
         every = index._rows(None)
         for kind in ("pca", "nmf"):
             for query in angle_queries(rng, kind):
-                alone = np.array([_angle_keys(query, index, np.array([r]))[0] for r in every])
-                assert np.array_equal(_angle_keys(query, index, every), alone)
-                assert np.array_equal(_angle_keys(query, index, index._rows(subset)),
+                alone = np.array([angle_keys(query, index, np.array([r]))[0] for r in every])
+                assert np.array_equal(angle_keys(query, index, every), alone)
+                assert np.array_equal(angle_keys(query, index, index._rows(subset)),
                                       alone[index._rows(subset)])
-                assert np.array_equal(_angle_keys(query, index, every[::-1]), alone[::-1])
-                assert np.array_equal(_angle_keys(query, shuffled, every), alone[order])
+                assert np.array_equal(angle_keys(query, index, every[::-1]), alone[::-1])
+                assert np.array_equal(angle_keys(query, shuffled, every), alone[order])
 
     def test_degenerate_images_score_worst_angle(self):
         rng, entries = angle_case(1)
@@ -537,7 +562,7 @@ class TestAngleKernel:
         (_, _, _, nmf_cols), = [e for e in entries if e[0] == "a_dup"]
         twin = next(e[0] for e in entries if e[0] != "a_dup" and e[3] is nmf_cols)
         query = nmf_of(random_nmf_columns(rng, 12, 3))
-        keys = dict(zip(index.images, _angle_keys(query, index, index._rows(None))))
+        keys = dict(zip(index.images, angle_keys(query, index, index._rows(None))))
         assert keys["a_dup"] == keys[twin]
         ranked = rank_database(query, index, "angle", eta=2, candidates={twin, "a_dup"})
         assert [e.image_id for e in ranked.entries] == ["a_dup", twin]
@@ -568,18 +593,26 @@ class TestAngleKernel:
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(bits=st.sampled_from([None, 5]), kind=st.sampled_from(["pca", "nmf"]),
-           rows=st.lists(st.integers(0, BATCH_IMAGES - 1), min_size=1, unique=True))
-    def test_an_angle_alone_equals_it_in_any_batch(self, bits, kind, rows):
-        index, queries, alone = batch_case(bits)
-        rows = np.array(rows)
-        assert np.array_equal(_angle_keys(queries[kind], index, rows), alone[kind][rows])
+           rows=st.lists(st.integers(0, BATCH_IMAGES - 1), min_size=1, unique=True),
+           queries=st.lists(st.integers(0, len(BATCH_QUERY_RANKS) - 1), min_size=1))
+    def test_an_angle_alone_equals_it_in_any_batch(self, bits, kind, rows, queries):
+        """Each angle of a batch of queries and rows is the one of its query
+        scored alone against its row alone."""
+        index, pool, alone = batch_case(bits)
+        keys = _angle_keys([pool[kind][q] for q in queries], index, np.array(rows))
+        assert np.array_equal(keys, alone[kind][np.ix_(queries, rows)])
 
     def test_levels_and_float_indexes_agree_bit_for_bit(self):
         for kind in ("pca", "nmf"):
             assert np.array_equal(batch_case(5)[2][kind], batch_case(None)[2][kind])
+            every = np.arange(BATCH_IMAGES)
+            for bits in (5, None):  # the whole pool over every row, in one call
+                index, pool, alone = batch_case(bits)
+                assert np.array_equal(_angle_keys(pool[kind], index, every), alone[kind])
         keys = batch_case(5)[2]["nmf"]
-        assert np.sum(keys == WORST_ANGLE) == BATCH_IMAGES // 50  # the duplicated columns
-        assert np.all(keys[keys < WORST_ANGLE] > 0)
+        assert np.sum(keys[0] == WORST_ANGLE) == BATCH_IMAGES // 50  # the duplicated columns
+        assert np.all(keys[:3][keys[:3] < WORST_ANGLE] > 0)
+        assert np.all(keys[3:] == WORST_ANGLE)  # the degenerate and the wide query
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_degenerate_images_at_every_width(self, bits):
@@ -633,10 +666,10 @@ class TestAngleKernel:
                     (obj, codec.dequantize(pca), codec.dequantize(nmf)) for obj, pca, nmf in images)):
                 every = index._rows(None)
                 for kind in ("pca", "nmf"):
-                    keys = dict(zip(index.images, _angle_keys(queries[kind], index, every)))
+                    keys = dict(zip(index.images, angle_keys(queries[kind], index, every)))
                     assert {i for i, key in keys.items() if key == WORST_ANGLE} == degenerate[kind]
                     assert keys["full"] < 1e-6 and keys["good"] < 1e-6
-                    assert np.all(_angle_keys(dead[kind], index, every) == WORST_ANGLE)
+                    assert np.all(angle_keys(dead[kind], index, every) == WORST_ANGLE)
 
     def test_full_scan_temporaries_are_bounded(self):
         """A full angle scan of 1000 random 5-bit images at T=128, k=24
@@ -652,7 +685,7 @@ class TestAngleKernel:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            keys = _angle_keys(query, index, index._rows(None))
+            keys = angle_keys(query, index, index._rows(None))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -710,13 +743,13 @@ class TestLevelsBackedNmf:
         for query in queries:
             for candidates in (subset, None):
                 rows = levels._rows(candidates)
-                assert np.array_equal(_angle_keys(query, levels, rows),
-                                      _angle_keys(query, floats, rows))
+                assert np.array_equal(angle_keys(query, levels, rows),
+                                      angle_keys(query, floats, rows))
                 assert (rank_database(query, levels, "angle", eta=50, candidates=candidates)
                         == rank_database(query, floats, "angle", eta=50, candidates=candidates))
         assert not images[-1][2].levels[:, 1].any()
         one_bit = np.array([levels._row["z_one_bit"]])
-        assert _angle_keys(queries[2], levels, one_bit)[0] == WORST_ANGLE
+        assert angle_keys(queries[2], levels, one_bit)[0] == WORST_ANGLE
         for query in queries:  # lattice cosines against float64 dot products
             for candidates in (None, subset):
                 assert_same_correlation_ranking(
@@ -804,19 +837,45 @@ class TestLatticeKernel:
         assert len(stored.vectors) > 2 * _CHUNK_ROWS
         every = index._rows(None)
         queries = [random_query(rng, kind, 24, 5) for _ in range(4)]
-        full = np.stack([_correlation_keys(q, index, every) for q in queries])
+        full = np.stack([correlation_keys(q, index, every) for q in queries])
         subset = np.sort(rng.choice(every, size=every.size // 3, replace=False))
         order = rng.permutation(every.size)
         shuffled = ObjectIndex([images[i] for i in order])
         for q, keys in zip(queries, full):
-            assert np.array_equal(_correlation_keys(q, index, subset), keys[subset])
-            assert np.array_equal(_correlation_keys(q, shuffled, every), keys[order])
+            assert np.array_equal(correlation_keys(q, index, subset), keys[subset])
+            assert np.array_equal(correlation_keys(q, shuffled, every), keys[order])
+        assert np.array_equal(_correlation_keys(queries, index, every), full)
+        assert np.array_equal(_correlation_keys(queries, index, subset), full[:, subset])
         lattices = [_query_lattice(q) for q in queries]
         for dtype in (np.float32, np.float64):
             batch = _correlations(np.stack([lattice.vectors for lattice in lattices]),
                                   np.stack([lattice.norms for lattice in lattices]),
                                   stored.vectors, stored.norms, np.diff(index._offsets), dtype)
             assert np.array_equal(-batch, full)
+
+    @pytest.mark.parametrize("kind", ["pca", "nmf"])
+    def test_mixed_rank_and_float_query_lists_score_each_query_alone(self, kind):
+        """Lists of queries of mixed ranks, quantized and float, against a
+        lattice index and its dequantized float index, give each query the
+        keys it gets alone; so do lists whose rank group spans more than one
+        GEMM of ``_QUERY_COLUMNS`` columns."""
+        rng, images = lattice_case(2, n=60)
+        index = ObjectIndex(images)
+        floats = ObjectIndex((obj, codec.dequantize(pca), codec.dequantize(nmf))
+                             for obj, pca, nmf in images)
+        quantized = [random_query(rng, kind, k, bits)
+                     for k, bits in ((4, 5), (20, 5), (4, 5), (28, 8), (2, 5), (4, 12), (24, 5),
+                                     (2, 5))]
+        lists = [quantized, [codec.dequantize(q) for q in quantized],
+                 [q if i % 2 else codec.dequantize(q) for i, q in enumerate(quantized)],
+                 [random_query(rng, kind, 24, 5) for _ in range(_QUERY_COLUMNS // 24 + 3)]]
+        for db in (index, floats):
+            every = db._rows(None)
+            subset = np.sort(rng.choice(every, size=every.size // 3, replace=False))
+            for queries in lists:
+                for rows in (every, subset, every[::-1]):
+                    alone = np.stack([correlation_keys(q, db, rows) for q in queries])
+                    assert np.array_equal(_correlation_keys(queries, db, rows), alone)
 
     def test_all_zero_nmf_columns_add_zero(self):
         rng = np.random.default_rng(14)
@@ -838,7 +897,7 @@ class TestLatticeKernel:
                       for lattice in (_query_lattice(query), _query_lattice(without))]
         assert per_column[0][1] == 0.0
         assert np.array_equal(per_column[0], per_column[1])
-        score = -_correlation_keys(query, index, index._rows(None))[0]
+        score = -correlation_keys(query, index, index._rows(None))[0]
         assert np.isfinite(score)
         # the float64 dot products of the dequantized columns, zeros where a column is zero
         assert abs(score - correlation_score(codec.dequantize(query), codec.dequantize(nmf))) <= 1e-13
@@ -858,7 +917,7 @@ class TestLatticeKernel:
             assert _gemm_dtype(index.T, query_lattice.bits, index._lattices[kind].bits) is dtype
             assert _gemm_dtype(index.T, query_lattice.bits, floats._lattices[kind].bits) is np.float64
             for db, q in ((index, query), (floats, query), (floats, codec.dequantize(query))):
-                keys = _correlation_keys(q, db, every)
+                keys = correlation_keys(q, db, every)
                 for key, image_id in zip(keys, db.images):
                     oracle = correlation_score(codec.dequantize(query),
                                                getattr(db.images[image_id], kind))
@@ -915,7 +974,7 @@ class TestIntegerStack:
         query = random_levels(kind, query_bits, int(rng.integers(1, 4)), "q")
         lattice, stored = _query_lattice(query), index._lattices[kind]
         assert np.issubdtype(stored.vectors.dtype, np.integer)
-        keys = _correlation_keys(query, index, index._rows(None))
+        keys = correlation_keys(query, index, index._rows(None))
         dtype = _gemm_dtype(T, lattice.bits, stored.bits)
         for float_dtype in dict.fromkeys((dtype, np.float64)):  # float32 only where exact
             floats = -_correlations(lattice.vectors[None], lattice.norms[None],

@@ -21,6 +21,7 @@ from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.factorization import nmf_loadings
 from factormatch.matcher import ObjectIndex, rank_database, retrieve_combined
 from factormatch.service import (
+    MAX_ETA,
     MAX_FRAME,
     STATUS_INVALID_PARAMS,
     STATUS_MALFORMED,
@@ -636,6 +637,28 @@ class TestAnswerQuery:
         assert status == STATUS_INVALID_PARAMS
         assert "eta" in err
 
+    @pytest.mark.parametrize("eta, status", [(MAX_ETA, STATUS_OK),
+                                             (MAX_ETA + 1, STATUS_INVALID_PARAMS),
+                                             (0xFFFF, STATUS_INVALID_PARAMS)])
+    def test_eta_capped_at_max_eta(self, corpus, index, monkeypatch, eta, status):
+        """A u16 eta above ``MAX_ETA`` is refused before any scoring, so no
+        client can ask for up to eta^2 fusion passes."""
+        scored = []
+
+        def counted(*args, eta, alpha):
+            scored.append(eta)
+            return retrieve_combined(*args, eta=eta, alpha=alpha)
+
+        monkeypatch.setattr(service, "retrieve_combined", counted)
+        got, entries, err = decode_response(
+            answer_query(index, encode_query(eta, 1, *self._blobs(corpus))))
+        assert got == status
+        if status == STATUS_OK:
+            assert entries and scored == [MAX_ETA]
+        else:
+            assert (entries, scored) == ([], [])
+            assert f"eta must lie in 1..{MAX_ETA}" in err
+
     def test_alpha_beyond_eta_invalid(self, corpus, index):
         pca_blob, nmf_blob = self._blobs(corpus)
         status, _, _ = decode_response(
@@ -860,6 +883,20 @@ class TestLiveServer:
             assert (status, entries) == (STATUS_INVALID_PARAMS, [])
             assert "exceeds the descriptor dim" in err
             write_frame(stream, encode_query(3, 1, pca_blob, nmf_blob))
+            status, entries, _ = decode_response(read_frame(stream))
+            assert status == STATUS_OK
+            assert entries[0][0] == corpus[0].object_id
+
+    def test_connection_survives_eta_above_max_eta(self, corpus, server):
+        pca_blob, nmf_blob = (codec.encode(b) for b in
+                              client_blobs(corpus[0], bits=5, k_max=K_MAX))
+        with (socket.create_connection(server.address, timeout=10) as sock,
+              sock.makefile("rwb") as stream):
+            write_frame(stream, encode_query(MAX_ETA + 1, 1, pca_blob, nmf_blob))
+            status, entries, err = decode_response(read_frame(stream))
+            assert (status, entries) == (STATUS_INVALID_PARAMS, [])
+            assert f"eta must lie in 1..{MAX_ETA}" in err
+            write_frame(stream, encode_query(MAX_ETA, 1, pca_blob, nmf_blob))
             status, entries, _ = decode_response(read_frame(stream))
             assert status == STATUS_OK
             assert entries[0][0] == corpus[0].object_id
