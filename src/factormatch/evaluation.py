@@ -6,8 +6,8 @@ object lands in the top n. The sweeps rerun that measurement along one axis:
 fusion weight alpha, quantization rate, fixed factorization rank versus the
 estimated model order. ``evaluate`` and the three sweeps are each one call
 into the same loop over (rank, rate, alpha) points, which scores every
-query of a (rank, rate) point at once with the matcher's multi-query
-kernels and gives each query the lists it would get on its own.
+query of a (rank, rate) point at once as one ``matcher.QueryBatch``, whose
+lists are the ones each query gets on its own.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import codec, factorization, service
 from .descriptors import DescriptorMatrix, view_index
 from .factorization import KIND_NMF, KIND_PCA
 from .fusion import FusionParams, RankedList, fuse
-from .matcher import (METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex, _angle_keys,
-                      _correlation_keys, _top_eta)
+from .matcher import METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex, QueryBatch
 from .service import quantized
 
 # Not called here; the benchmark's tracer (bench/tracing.py) wraps these names on this module.
@@ -39,7 +36,6 @@ _SINGLE_METRIC = {
     "nmf_corr": (KIND_NMF, METRIC_CORRELATION),
     "nmf_angle": (KIND_NMF, METRIC_ANGLE),
 }
-_KERNELS = {METRIC_ANGLE: _angle_keys, METRIC_CORRELATION: _correlation_keys}
 
 RANK_ESTIMATED = "estimated"
 
@@ -181,44 +177,6 @@ def _factorized_by_rank(
     return by_rank
 
 
-def _ranked_lists(index: ObjectIndex, queries: Sequence[IndexRecord],
-                  pipelines: Sequence[str], eta: int) -> dict[str, list]:
-    """Each query's top-eta list for each requested single-metric pipeline,
-    and its ``(v_pri, v_sec)`` hypotheses for ``combined``, each list the one
-    ``rank_database`` or ``combined_hypotheses`` gives.
-
-    Every query is scored at once, one key matrix per kind and metric that a
-    requested pipeline reads, over every image: the PCA correlation serves
-    ``pca_corr`` and gives ``combined`` its ``v_sec``. ``combined``'s
-    ``v_pri`` is the top eta of a query's NMF angles restricted to its
-    candidates' rows, read from the ``nmf_angle`` matrix where that is
-    requested and otherwise from one over the union of every query's
-    candidates; no angle depends on the rows scored beside it."""
-    every = np.arange(index.num_images)
-    loadings = {KIND_PCA: [q.pca for q in queries], KIND_NMF: [q.nmf for q in queries]}
-    needed = {_SINGLE_METRIC[p] for p in pipelines if p != "combined"}
-    if "combined" in pipelines:
-        needed.add((KIND_PCA, METRIC_CORRELATION))
-    keys = {(kind, metric): _KERNELS[metric](loadings[kind], index, every)
-            for kind, metric in needed}
-    ranked = {(kind, metric): [_top_eta(index, every, row, metric, eta) for row in matrix]
-              for (kind, metric), matrix in keys.items()}
-    lists: dict[str, list] = {p: ranked[_SINGLE_METRIC[p]] for p in pipelines
-                              if p != "combined"}
-    if "combined" in pipelines:
-        v_secs = ranked[KIND_PCA, METRIC_CORRELATION]
-        candidates = [index._rows(index.images_of_objects(v.object_ids())) for v in v_secs]
-        if (KIND_NMF, METRIC_ANGLE) in keys:
-            rows, angles = every, keys[KIND_NMF, METRIC_ANGLE]
-        else:
-            rows = np.unique(np.concatenate(candidates))
-            angles = _angle_keys(loadings[KIND_NMF], index, rows)
-        v_pris = [_top_eta(index, own, row[np.searchsorted(rows, own)], METRIC_ANGLE, eta)
-                  for own, row in zip(candidates, angles)]
-        lists["combined"] = list(zip(v_pris, v_secs))
-    return lists
-
-
 def _sweep(
     corpus: Sequence[DescriptorMatrix],
     ranks: Sequence[int | None],
@@ -235,12 +193,13 @@ def _sweep(
 
     Rank ``None`` is the estimated model order, rate ``None`` full precision.
     Every image is factorized once per rank, all ranks from one SVD, and the
-    database is indexed once per rate. At each rate, :func:`_ranked_lists`
-    scores all queries together, one key matrix per kind and metric that a
-    requested pipeline reads; each query's two hypotheses are fused once per
-    alpha, and each single-metric pipeline's lists are read once per rate
-    (its records keep ``alpha=None``). Records come out rank by rate by
-    pipeline, with the alphas inside ``combined``.
+    database is indexed once per rate. At each rate, the queries are scored
+    together as one :class:`~factormatch.matcher.QueryBatch`, which scores
+    only the key matrices that the requested pipelines read; each query's
+    two hypotheses are fused once per alpha, and each single-metric
+    pipeline's lists are read once per rate (its records keep
+    ``alpha=None``). Records come out rank by rate by pipeline, with the
+    alphas inside ``combined``.
     """
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
@@ -271,7 +230,9 @@ def _sweep(
             index = ObjectIndex(quantized(db_loadings, bits))
             t1 = time.perf_counter()
             query_records = list(quantized(query_loadings, bits))
-            lists = _ranked_lists(index, query_records, pipelines, eta)
+            batch = QueryBatch(query_records, index, eta)
+            lists = {p: batch.hypotheses() if p == "combined" else batch.ranked(*_SINGLE_METRIC[p])
+                     for p in pipelines}
             positions: list[list[int | None]] = []
             for pipeline, alpha in points:
                 if pipeline == "combined":

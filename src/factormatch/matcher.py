@@ -28,10 +28,12 @@ one row per query equal to the query's keys alone: the angle kernel gathers
 and whitens each chunk of images once for every query, and quantized
 queries of one rank share each correlation GEMM. ``rank_database`` is their
 one-query call: it keeps each object's best view and truncates to the top
-eta (:func:`_top_eta`, which the evaluation's sweeps call on each row of
-their key matrices); ``retrieve_combined`` runs the full pipeline:
-PCA-correlation prefilter, NMF-angle rerank on the surviving objects'
-views, rank fusion.
+eta (:func:`_top_eta`); ``combined_hypotheses`` gives the combined
+pipeline's two lists, a PCA-correlation prefilter and an NMF-angle rerank
+on the surviving objects' views, which ``retrieve_combined`` fuses.
+:class:`QueryBatch` gives many queries at once the lists that these two
+give each of them, from one key matrix per kind and metric over every
+image.
 """
 
 from __future__ import annotations
@@ -57,9 +59,6 @@ WORST_ANGLE = math.pi / 2
 # float32 rows take 1 MB, so the GEMM reads them from cache; the angle kernel
 # steps over as many rows in whole images
 _CHUNK_ROWS = 2048
-# query columns per correlation GEMM, so that its float64 copy of a chunk's
-# products takes at most 8 MB
-_QUERY_COLUMNS = 512
 
 
 class DimensionMismatchError(ValueError):
@@ -356,17 +355,25 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     return sums
 
 
+def _kind_of(queries: Sequence[FactorLoadings | QuantizedLoadings]) -> str:
+    """The one kind of a non-empty list of queries, which a kernel scores
+    against the index's loadings of that kind."""
+    kinds = {query.kind for query in queries}
+    if len(kinds) != 1:
+        raise ValueError(f"a kernel scores queries of one kind, not of {sorted(kinds)}")
+    return kinds.pop()
+
+
 def _correlation_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
                       index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
     """Negated correlation scores, ``(m, rows.size)``, of ``m`` queries of
     one kind against each image of ``rows``; all rows read the stored stack
     in place, a subset gathers its own once for every query. Lattice
-    queries of one rank against a lattice index share a GEMM, at most
-    ``_QUERY_COLUMNS`` query columns at a time: a GEMM of lattice vectors is
-    exact in any blocking (:func:`_gemm_dtype`). A float on either side
-    takes the GEMM to float64 values it rounds, so each such query has a
-    GEMM of its own."""
-    stored = index._lattices[queries[0].kind]
+    queries of one rank against a lattice index share a GEMM: a GEMM of
+    lattice vectors is exact in any blocking (:func:`_gemm_dtype`). A float
+    on either side takes the GEMM to float64 values it rounds, so each such
+    query has a GEMM of its own."""
+    stored = index._lattices[_kind_of(queries)]
     starts = index._offsets[rows]
     ks = index._offsets[rows + 1] - starts
     vectors, norms = stored.vectors, stored.norms
@@ -379,14 +386,12 @@ def _correlation_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
         exact = lattice.bits is not None and stored.bits is not None
         groups.setdefault((len(lattice.vectors), -1 if exact else i), []).append(i)
     keys = np.empty((len(queries), rows.size))
-    for (k, _), group in groups.items():
-        step = max(1, _QUERY_COLUMNS // k)
-        for part in (group[i:i + step] for i in range(0, len(group), step)):
-            batch = [lattices[i] for i in part]
-            bits = None if batch[0].bits is None else np.concatenate([q.bits for q in batch])
-            keys[part] = -_correlations(
-                np.stack([q.vectors for q in batch]), np.stack([q.norms for q in batch]),
-                vectors, norms, ks, _gemm_dtype(index.T, bits, stored.bits))
+    for group in groups.values():
+        batch = [lattices[i] for i in group]
+        bits = None if batch[0].bits is None else np.concatenate([q.bits for q in batch])
+        keys[group] = -_correlations(
+            np.stack([q.vectors for q in batch]), np.stack([q.norms for q in batch]),
+            vectors, norms, ks, _gemm_dtype(index.T, bits, stored.bits))
     return keys
 
 
@@ -425,6 +430,7 @@ def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
     every image for a degenerate query, scores ``WORST_ANGLE``; so does a
     side with more columns than T, which is rank-deficient and skipped
     before any ``k x k`` Gram is formed."""
+    kind = _kind_of(queries)
     keys = np.full((len(queries), rows.size), WORST_ANGLE)
     whitened = []  # (row of keys, W_a) of each query that is not degenerate
     for i, query in enumerate(queries):
@@ -436,7 +442,6 @@ def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
             whitened.append((i, np.linalg.solve(L_a, U_a)[0]))
     if not whitened:
         return keys
-    kind = queries[0].kind
     starts = index._offsets[rows]
     for k, pos in _rank_groups(index._offsets[rows + 1] - starts):
         if k > index.T:
@@ -451,6 +456,9 @@ def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
                 angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
                 keys[i, part] = np.where(degenerate, WORST_ANGLE, angles)
     return keys
+
+
+_KERNELS = {METRIC_ANGLE: _angle_keys, METRIC_CORRELATION: _correlation_keys}
 
 
 def _top_eta(index: ObjectIndex, rows: np.ndarray, keys: np.ndarray, metric: str,
@@ -493,8 +501,7 @@ def rank_database(
     rows = index._rows(candidates)
     if rows.size == 0:
         raise ValueError("no candidate images to rank")
-    kernel = _angle_keys if metric == METRIC_ANGLE else _correlation_keys
-    return _top_eta(index, rows, kernel([query], index, rows)[0], metric, eta)
+    return _top_eta(index, rows, _KERNELS[metric]([query], index, rows)[0], metric, eta)
 
 
 def combined_hypotheses(
@@ -506,12 +513,72 @@ def combined_hypotheses(
     """The two retrieval hypotheses feeding fusion: (primary NMF, secondary PCA).
 
     The correlation pass over PCA loadings picks eta candidate objects; the
-    angle pass over NMF loadings re-scores every view of those objects.
+    angle pass over NMF loadings re-scores every view of those objects
+    (:func:`_candidates`).
     """
     v_sec = rank_database(query_pca, index, METRIC_CORRELATION, eta)
-    candidate_images = index.images_of_objects(v_sec.object_ids())
-    v_pri = rank_database(query_nmf, index, METRIC_ANGLE, eta, candidates=candidate_images)
+    v_pri = rank_database(query_nmf, index, METRIC_ANGLE, eta,
+                          candidates=_candidates(index, v_sec))
     return v_pri, v_sec
+
+
+def _candidates(index: ObjectIndex, v_sec: RankedList) -> set[str]:
+    """The images that the combined pipeline's angle pass re-scores: every
+    view of the objects of its correlation pass's list ``v_sec``."""
+    return index.images_of_objects(v_sec.object_ids())
+
+
+class QueryBatch:
+    """A list of query images scored at once against every image of an
+    index, each given the lists that :func:`rank_database` and
+    :func:`combined_hypotheses` give it alone.
+
+    Each kind and metric's key matrix is scored once, when a list first
+    reads it, and serves every list that reads it: the PCA correlation
+    gives both the ``(PCA, correlation)`` lists and the combined pipeline's
+    ``v_sec``, and the NMF angles to every image both the ``(NMF, angle)``
+    lists and the combined pipeline's angle pass, each query's candidates'
+    angles read from its row. No key depends on the queries or images
+    scored beside it.
+    """
+
+    def __init__(self, queries: Iterable[IndexRecord], index: ObjectIndex, eta: int = 20):
+        if eta < 1:
+            raise ValueError("eta must be >= 1")
+        self._loadings: dict[str, list[FactorLoadings | QuantizedLoadings]] = {
+            KIND_PCA: [], KIND_NMF: []}
+        for _, pca, nmf in queries:
+            for kind, loadings in ((KIND_PCA, pca), (KIND_NMF, nmf)):
+                _check_dims(loadings.T, index.T)
+                self._loadings[kind].append(loadings)
+        self._index = index
+        self._eta = eta
+        self._every = np.arange(index.num_images)
+        self._keys: dict[tuple[str, str], np.ndarray] = {}
+        self._ranked: dict[tuple[str, str], list[RankedList]] = {}
+
+    def _keys_of(self, kind: str, metric: str) -> np.ndarray:
+        if (kind, metric) not in self._keys:
+            self._keys[kind, metric] = _KERNELS[metric](self._loadings[kind], self._index,
+                                                        self._every)
+        return self._keys[kind, metric]
+
+    def ranked(self, kind: str, metric: str) -> list[RankedList]:
+        """Each query's ``rank_database`` list by its ``kind`` loadings."""
+        if (kind, metric) not in self._ranked:
+            self._ranked[kind, metric] = [
+                _top_eta(self._index, self._every, row, metric, self._eta)
+                for row in self._keys_of(kind, metric)]
+        return self._ranked[kind, metric]
+
+    def hypotheses(self) -> list[tuple[RankedList, RankedList]]:
+        """Each query's ``combined_hypotheses``, ``(v_pri, v_sec)``."""
+        index, pairs = self._index, []
+        angles = self._keys_of(KIND_NMF, METRIC_ANGLE)
+        for v_sec, row in zip(self.ranked(KIND_PCA, METRIC_CORRELATION), angles):
+            rows = index._rows(_candidates(index, v_sec))
+            pairs.append((_top_eta(index, rows, row[rows], METRIC_ANGLE, self._eta), v_sec))
+        return pairs
 
 
 def retrieve_combined(

@@ -16,10 +16,10 @@ from factormatch import codec
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
     _CHUNK_ROWS,
-    _QUERY_COLUMNS,
     WORST_ANGLE,
     DimensionMismatchError,
     ObjectIndex,
+    QueryBatch,
     RankedEntry,
     RankedList,
     _angle_keys,
@@ -857,8 +857,7 @@ class TestLatticeKernel:
     def test_mixed_rank_and_float_query_lists_score_each_query_alone(self, kind):
         """Lists of queries of mixed ranks, quantized and float, against a
         lattice index and its dequantized float index, give each query the
-        keys it gets alone; so do lists whose rank group spans more than one
-        GEMM of ``_QUERY_COLUMNS`` columns."""
+        keys it gets alone."""
         rng, images = lattice_case(2, n=60)
         index = ObjectIndex(images)
         floats = ObjectIndex((obj, codec.dequantize(pca), codec.dequantize(nmf))
@@ -867,8 +866,7 @@ class TestLatticeKernel:
                      for k, bits in ((4, 5), (20, 5), (4, 5), (28, 8), (2, 5), (4, 12), (24, 5),
                                      (2, 5))]
         lists = [quantized, [codec.dequantize(q) for q in quantized],
-                 [q if i % 2 else codec.dequantize(q) for i, q in enumerate(quantized)],
-                 [random_query(rng, kind, 24, 5) for _ in range(_QUERY_COLUMNS // 24 + 3)]]
+                 [q if i % 2 else codec.dequantize(q) for i, q in enumerate(quantized)]]
         for db in (index, floats):
             every = db._rows(None)
             subset = np.sort(rng.choice(every, size=every.size // 3, replace=False))
@@ -1066,6 +1064,58 @@ class TestRetrieveCombined:
         q_nmf = nmf_of(entries[0][3])
         with pytest.raises(ValueError, match="alpha"):
             retrieve_combined(q_pca, q_nmf, index, eta=4, alpha=5)
+
+
+class TestQueryBatch:
+    """A batch gives each query the lists that rank_database and
+    combined_hypotheses give it alone."""
+
+    @staticmethod
+    def case(seed, bits):
+        """mixed_case's images and, of ranks 1 to 5 and a degenerate rank 3,
+        queries, all quantized at ``bits`` (None: float)."""
+        rng, entries = mixed_case(seed)
+        images = [(obj, pca_of(pca_cols, image_id), nmf_of(nmf_cols, image_id))
+                  for image_id, obj, pca_cols, nmf_cols in entries]
+        queries = [(f"q{k}", pca_of(random_unit_columns(rng, 12, k), f"q{k}"),
+                    nmf_of(random_nmf_columns(rng, 12, k), f"q{k}")) for k in (1, 2, 3, 4, 5)]
+        twin = random_nmf_columns(rng, 12, 3)
+        twin[:, 2] = twin[:, 0]
+        queries.append(("qd", pca_of(random_unit_columns(rng, 12, 3), "qd"), nmf_of(twin, "qd")))
+        if bits is not None:
+            images, queries = ([(obj, codec.quantize(pca, bits), codec.quantize(nmf, bits))
+                                for obj, pca, nmf in records] for records in (images, queries))
+        return ObjectIndex(images), queries
+
+    @pytest.mark.parametrize("bits", [None, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lists_equal_each_query_alone(self, seed, bits):
+        index, queries = self.case(seed, bits)
+        for eta in (2, 20):  # candidates a subset of the images, and every image
+            batch = QueryBatch(queries, index, eta)
+            for metric in ("correlation", "angle"):
+                assert batch.ranked("pca", metric) == [
+                    rank_database(pca, index, metric, eta) for _, pca, _ in queries]
+                assert batch.ranked("nmf", metric) == [
+                    rank_database(nmf, index, metric, eta) for _, _, nmf in queries]
+            assert batch.hypotheses() == [combined_hypotheses(pca, nmf, index, eta)
+                                          for _, pca, nmf in queries]
+
+    def test_bad_eta_and_dims_rejected(self):
+        index, queries = self.case(0, None)
+        with pytest.raises(ValueError, match="eta"):
+            QueryBatch(queries, index, eta=0)
+        other_T = [("w", pca_of(np.eye(13, 2), "w"), nmf_of(np.eye(13, 2), "w"))]
+        with pytest.raises(DimensionMismatchError, match="dims differ: 13 vs 12"):
+            QueryBatch(other_T, index)
+
+    def test_kernels_take_queries_of_one_kind(self):
+        index, queries = self.case(0, 5)
+        every = index._rows(None)
+        for kernel in (_angle_keys, _correlation_keys):
+            for bad in ([queries[0][1], queries[1][2]], []):  # PCA and NMF, and none
+                with pytest.raises(ValueError, match="queries of one kind"):
+                    kernel(bad, index, every)
 
 
 def test_ranked_list_rejects_duplicates():
