@@ -37,7 +37,9 @@ class RankedList:
     def __post_init__(self) -> None:
         if self.eta < 1:
             raise ValueError("eta must be >= 1")
-        entries = tuple(RankedEntry(*e) for e in self.entries)
+        # the matcher's and fuse's lists hold RankedEntry already
+        entries = tuple(e if isinstance(e, RankedEntry) else RankedEntry(*e)
+                        for e in self.entries)
         if len(entries) > self.eta:
             raise ValueError(f"{len(entries)} entries exceed eta={self.eta}")
         objects = [e.object_id for e in entries]

@@ -34,14 +34,29 @@ on the surviving objects' views, which ``retrieve_combined`` fuses.
 :class:`QueryBatch` gives many queries at once the lists that these two
 give each of them, from one key matrix per kind and metric over every
 image.
+
+One kernel call is split across the CPUs this process may run on
+(``os.sched_getaffinity``): the calling thread scores one part and a private
+thread pool, made on first use with one thread fewer, the others
+(:func:`_in_parts`). The correlation scan splits into runs of whole chunks
+of rows, the angle kernel into runs of each rank's images; each part writes
+its own columns of the key matrix and computes them as one worker would, so
+every key is the same bit for bit in any split. Parts run numpy calls that
+release the GIL, so BLAS is meant to run one thread per process
+(``OPENBLAS_NUM_THREADS=1``), else each part's GEMM starts BLAS threads of
+its own on the same CPUs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait as wait_for
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -59,6 +74,9 @@ WORST_ANGLE = math.pi / 2
 # float32 rows take 1 MB, so the GEMM reads them from cache; the angle kernel
 # steps over as many rows in whole images
 _CHUNK_ROWS = 2048
+# queries of one rank per call of the angle kernel's gufuncs: bounds their
+# temporaries at this many times those of one query
+_QUERY_STACK = 16
 
 
 class DimensionMismatchError(ValueError):
@@ -188,7 +206,9 @@ class ObjectIndex:
     (:meth:`_gather`): for each angle query that scores it, and in
     ``images``, a read-only image id -> :class:`IndexRecord` view that
     rebuilds each record, with float loadings, on access. Nothing is
-    cached, so threads share an index with no lock.
+    cached, so threads share an index with no lock: the callers of a server
+    and the matcher's pool threads, which score parts of one caller's
+    query, only read it.
     """
 
     def __init__(self, images: Iterable[IndexRecord]):
@@ -302,6 +322,81 @@ class ObjectIndex:
 
 _EPS = np.finfo(np.float64).eps
 
+# the parts that one kernel call splits into at most, the calling thread's
+# included: one per CPU this process may run on
+_workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None  # its other _workers - 1, made on first use
+_pool_lock = threading.Lock()
+_callers = 0  # threads inside _in_parts, counted under _pool_lock
+# the least work that one part of a split kernel call carries, in
+# multiply-adds of the correlation GEMM and of the angle's U_b W_aᵀ products
+_PART_GEMM = 1 << 23
+_PART_ANGLE = 1 << 20
+# and the least of one image's U_b W_aᵀ product for the angle kernel to split
+_SPLIT_PRODUCT = 1 << 13
+_Part = TypeVar("_Part")
+
+
+def _part_count(work: int, least: int, most: int) -> int:
+    """How many parts a kernel call of ``work`` multiply-adds splits into:
+    one per worker, each of at least ``least`` of them, at most ``most``."""
+    return max(1, min(_workers, most, work // least))
+
+
+def _in_parts(task: Callable[[_Part], None], parts: Sequence[_Part]) -> None:
+    """Run ``task`` on each of ``parts``, at most :data:`_workers` of them,
+    and return once every part has finished. A caller alone in this helper
+    runs the first part and the matcher's thread pool the others; if any
+    raised, the first one's exception, in part order, is re-raised once all
+    have finished. A caller that finds another inside, whose parts already
+    hold the CPUs, runs its parts itself, in order, up to the first that
+    raises: on 2 vCPUs, two serve-k24 loopback clients whose every query
+    split got 90-92 answers per second, against 105-109 with no split. A task
+    writes its own slice of an output and calls no public matcher name (the
+    benchmark's tracer keeps one span stack), so the pool never waits on
+    itself.
+
+    A part's numpy calls release the GIL, but not all of them gain from a
+    second core: OpenBLAS's small per-matrix LAPACK calls contend inside the
+    library, and a hand-off to the pool costs tens of microseconds. So a
+    kernel splits only whole 2048-row GEMM chunks, and whole gufunc calls
+    over a stack of images and queries, into parts of at least
+    :data:`_PART_GEMM` or :data:`_PART_ANGLE` multiply-adds
+    (:func:`_part_count`), and the angle kernel only where one image's
+    product averages :data:`_SPLIT_PRODUCT`. On a 2-vCPU VM with one BLAS
+    thread, forced two-part splits below those sizes took 0.86-1.56 of one
+    worker's time: the T=32, k=4 correlation of one query against 1024-4096
+    images, its angles against 200-1600 images or of 4-16 queries against
+    200, and the T=128, k=24 correlation against 171 images or angles
+    against 16-24. Above them they took 0.67-0.96: the T=128, k=24 angles
+    against 32-80 images and its correlation against 342-1000 images, the
+    serve-k24 prefilter (K=1000) and rerank (80 candidates) among them. The
+    angles of a T=32 ``sweep_bits`` (50 queries against 200 images, k≈4,
+    products of 512) took 217 ms split against 177 ms whole, medians of 15
+    alternating runs."""
+    global _pool, _callers
+    with _pool_lock:
+        alone = _callers == 0
+        _callers += 1
+        if alone and len(parts) > 1 and _pool is None:
+            _pool = ThreadPoolExecutor(_workers - 1, thread_name_prefix="matcher")
+    try:
+        if not alone:  # the CPUs are busy with another caller's parts
+            for part in parts:
+                task(part)
+            return
+        others = [_pool.submit(task, part) for part in parts[1:]]
+        try:
+            task(parts[0])
+        finally:
+            wait_for(others)
+        for future in others:
+            future.result()
+    finally:
+        with _pool_lock:
+            _callers -= 1
+
 
 def _rank_groups(ks: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """``(k, positions)`` of the images of each rank ``k``."""
@@ -322,30 +417,40 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     images whose lattice vectors are the rows of ``vectors`` (image ``i``
     owns the next ``ks[i]``), with their ``norms``.
 
-    Per chunk of rows, widened into one buffer unless ``vectors`` are
-    already in ``dtype``, one GEMM in ``dtype`` gives ``G = rows @ queryᵀ``,
-    exact for lattice vectors; then, in float64, each row's best
-    ``G_i / ||q_i||`` over the query's columns, divided by the row's own
-    norm; then a sum per image in ``np.sum``'s order. Every step after the
-    GEMM is elementwise, so no score depends on the other rows or queries."""
+    Per chunk of rows, widened into a buffer unless ``vectors`` are already
+    in ``dtype``, one GEMM in ``dtype`` gives ``G = rows @ queryᵀ``, exact
+    for lattice vectors; then, in float64, each row's best ``G_i / ||q_i||``
+    over the query's columns, divided by the row's own norm; then a sum per
+    image in ``np.sum``'s order. Every step after the GEMM is elementwise,
+    so no score depends on the other rows or queries. The chunks are split
+    into contiguous runs of whole chunks, one per part (:func:`_in_parts`),
+    each with a widening buffer of its own, so every GEMM has the same shape
+    in any split."""
     m, kq, T = queries.shape
     columns = queries.reshape(m * kq, T).T.astype(dtype, order="C")
     divisors = query_norms.reshape(m * kq, 1)
     best = np.empty((m, len(vectors)))
-    widened = (None if vectors.dtype == dtype
-               else np.empty((min(_CHUNK_ROWS, len(vectors)), T), dtype))
-    for start in range(0, len(vectors), _CHUNK_ROWS):
-        rows = vectors[start:start + _CHUNK_ROWS]
-        if widened is not None:
-            widened[:len(rows)] = rows
-            rows = widened[:len(rows)]
-        # G transposed, one contiguous float64 row per query column, so the
-        # max over a query's columns runs along rows
-        g = (rows @ columns).T.astype(np.float64, order="C")
-        g /= divisors
-        out = best[:, start:start + len(rows)]
-        np.maximum.reduce(g.reshape(m, kq, -1), axis=1, out=out)
-        out /= norms[start:start + len(rows)]
+
+    def scan(starts: range) -> None:
+        widened = (None if vectors.dtype == dtype
+                   else np.empty((min(_CHUNK_ROWS, len(vectors)), T), dtype))
+        for start in starts:
+            rows = vectors[start:start + _CHUNK_ROWS]
+            if widened is not None:
+                widened[:len(rows)] = rows
+                rows = widened[:len(rows)]
+            # G transposed, one contiguous float64 row per query column, so
+            # the max over a query's columns runs along rows
+            g = (rows @ columns).T.astype(np.float64, order="C")
+            g /= divisors
+            out = best[:, start:start + len(rows)]
+            np.maximum.reduce(g.reshape(m, kq, -1), axis=1, out=out)
+            out /= norms[start:start + len(rows)]
+
+    chunks = range(0, len(vectors), _CHUNK_ROWS)
+    parts = _part_count(len(vectors) * T * m * kq, _PART_GEMM, len(chunks))
+    _in_parts(scan, [chunks[len(chunks) * p // parts:len(chunks) * (p + 1) // parts]
+                     for p in range(parts)])
     sums = np.empty((m, ks.size))
     starts = np.cumsum(ks) - ks
     for k, pos in _rank_groups(ks):
@@ -423,38 +528,59 @@ def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
     """Angles, ``(m, rows.size)``, of ``m`` queries of one kind to each
     image of ``rows``, from the index's lattice on each call: each query is
     whitened once to ``W_a = L_a⁻¹ U_a``; per rank and chunk of images, the
-    chunk is gathered and whitened once, and for each query each image's
-    ``Y = L_b⁻¹ (U_b W_aᵀ)`` gives ``cos = sqrt(λ_max(YᵀY))``. Every step
-    works on one matrix and one query at a time, so no angle depends on the
-    images or the queries that share its call. A degenerate image, and
-    every image for a degenerate query, scores ``WORST_ANGLE``; so does a
-    side with more columns than T, which is rank-deficient and skipped
-    before any ``k x k`` Gram is formed."""
+    chunk is gathered and whitened once, and each image's
+    ``Y = L_b⁻¹ (U_b W_aᵀ)`` gives ``cos = sqrt(λ_max(YᵀY))``. The queries of
+    one rank, up to :data:`_QUERY_STACK` at a time, are stacked on a leading
+    batch axis of these gufunc calls, which still factor, solve and
+    decompose one matrix at a time, so no angle depends on the images or the
+    queries that share its call. Each part (:func:`_in_parts`) takes a
+    contiguous run of each rank's images. A degenerate image, and every
+    image for a degenerate query, scores ``WORST_ANGLE``; so does a side with
+    more columns than T, which is rank-deficient and skipped before any
+    ``k x k`` Gram is formed."""
     kind = _kind_of(queries)
     keys = np.full((len(queries), rows.size), WORST_ANGLE)
-    whitened = []  # (row of keys, W_a) of each query that is not degenerate
+    whitened: dict[int, list[tuple[int, np.ndarray]]] = {}  # rank -> (row of keys, W_a)
     for i, query in enumerate(queries):
         if query.k > index.T:
             continue
         U_a = _unit_rows(_query_lattice(query), np.arange(query.k))[None]
         L_a, degenerate = _whitener(U_a)
         if not degenerate[0]:
-            whitened.append((i, np.linalg.solve(L_a, U_a)[0]))
-    if not whitened:
-        return keys
+            whitened.setdefault(query.k, []).append((i, np.linalg.solve(L_a, U_a)[0]))
+    stacks = []  # (rows of keys, (m', 1, T, kq) stack of W_aᵀ)
+    for same_rank in whitened.values():
+        for at in range(0, len(same_rank), _QUERY_STACK):
+            batch = same_rank[at:at + _QUERY_STACK]
+            stacks.append((np.array([i for i, _ in batch]),
+                           np.stack([W_a for _, W_a in batch]).transpose(0, 2, 1)[:, None]))
     starts = index._offsets[rows]
-    for k, pos in _rank_groups(index._offsets[rows + 1] - starts):
-        if k > index.T:
-            continue
-        step = max(1, _CHUNK_ROWS // k)  # bounds the temporaries of a full scan
-        for part in (pos[i:i + step] for i in range(0, pos.size, step)):
-            U_b = index._gather(kind, rows[part], k)
-            L_b, degenerate = _whitener(U_b)
-            for i, W_a in whitened:
-                Y = np.linalg.solve(L_b, U_b @ W_a.T)
-                top = np.linalg.eigvalsh(Y.transpose(0, 2, 1) @ Y)[:, -1]
-                angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
-                keys[i, part] = np.where(degenerate, WORST_ANGLE, angles)
+    groups = [(k, pos) for k, pos in _rank_groups(index._offsets[rows + 1] - starts)
+              if k <= index.T]
+    if not stacks or not groups:
+        return keys
+
+    def score(part: list[tuple[int, np.ndarray]]) -> None:
+        for k, pos in part:
+            step = max(1, _CHUNK_ROWS // k)  # bounds the temporaries of a full scan
+            for chunk in (pos[i:i + step] for i in range(0, pos.size, step)):
+                U_b = index._gather(kind, rows[chunk], k)
+                L_b, degenerate = _whitener(U_b)
+                for query_rows, W_t in stacks:
+                    Y = np.linalg.solve(L_b, U_b @ W_t)
+                    top = np.linalg.eigvalsh(np.swapaxes(Y, -1, -2) @ Y)[..., -1]
+                    angles = np.arccos(np.sqrt(np.clip(top, 0.0, 1.0)))
+                    keys[np.ix_(query_rows, chunk)] = np.where(degenerate, WORST_ANGLE, angles)
+
+    # the multiply-adds of the U_b W_aᵀ products, split only where one
+    # image's product holds _SPLIT_PRODUCT of them on average
+    work = (sum(kq * len(same_rank) for kq, same_rank in whitened.items())
+            * sum(k * pos.size for k, pos in groups) * index.T)
+    pairs = sum(map(len, whitened.values())) * sum(pos.size for _, pos in groups)
+    parts = _part_count(work, _PART_ANGLE, max(pos.size for _, pos in groups)
+                        if work >= pairs * _SPLIT_PRODUCT else 1)
+    splits = [(k, np.array_split(pos, parts)) for k, pos in groups]
+    _in_parts(score, [[(k, split[p]) for k, split in splits] for p in range(parts)])
     return keys
 
 

@@ -85,6 +85,22 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Set how many parts the matcher splits a kernel call into, on a
+    thread pool made afresh at that size, however little work a part
+    carries; all is restored after the test."""
+
+    def set_workers(n: int) -> None:
+        monkeypatch.setattr(matcher, "_workers", n)
+        monkeypatch.setattr(matcher, "_pool", None)
+        for least in ("_PART_GEMM", "_PART_ANGLE"):
+            monkeypatch.setattr(matcher, least, 1)
+        monkeypatch.setattr(matcher, "_SPLIT_PRODUCT", 0)
+
+    return set_workers
+
+
 @contextlib.contextmanager
 def serve(index: ObjectIndex, **kw):
     """A :class:`RetrievalServer` on an ephemeral loopback port, its accept

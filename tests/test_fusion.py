@@ -216,6 +216,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds eta"):
             fuse(v, v, FusionParams(alpha=1, eta=2))
 
+    def test_entries_become_ranked_entries_once(self):
+        """Plain triples are converted; RankedEntry objects are kept as they
+        are; both are checked for duplicate objects and the length bound."""
+        entry = RankedEntry("A", "A_v1", 1.0)
+        v = RankedList(entries=(entry, ("B", "B_v2", 0.5)), eta=2)
+        assert v.entries[0] is entry
+        assert v.entries[1] == RankedEntry("B", "B_v2", 0.5)
+        assert type(v.entries[1]) is RankedEntry
+        assert fuse(v, v, FusionParams(alpha=1, eta=2)).entries[0] is entry
+        for entries, match in (((entry, ("A", "A_v2", 0.5)), "duplicate"),
+                               ((entry, entry), "duplicate"),
+                               ((entry, ("B", "B_v2", 0.5), ("C", "C_v1", 0.1)), "exceed")):
+            with pytest.raises(ValueError, match=match):
+                RankedList(entries=entries, eta=2)
+
 
 def test_fusion_imports_nothing_from_matcher():
     # matcher imports fusion, so the ranked-list types live in fusion

@@ -3,6 +3,8 @@ import dataclasses
 import functools
 import gc
 import math
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factormatch import codec
+from factormatch import codec, matcher
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import (
     _CHUNK_ROWS,
+    _PART_ANGLE,
+    _PART_GEMM,
     WORST_ANGLE,
     DimensionMismatchError,
     ObjectIndex,
@@ -23,14 +27,18 @@ from factormatch.matcher import (
     RankedEntry,
     RankedList,
     _angle_keys,
+    _candidates,
     _correlation_keys,
     _correlations,
     _gemm_dtype,
+    _in_parts,
+    _part_count,
     _query_lattice,
     combined_hypotheses,
     rank_database,
     retrieve_combined,
 )
+from factormatch.service import answer_query, encode_query
 
 from conftest import correlation_score, random_unit_columns, subspace_angle
 
@@ -1116,6 +1124,144 @@ class TestQueryBatch:
             for bad in ([queries[0][1], queries[1][2]], []):  # PCA and NMF, and none
                 with pytest.raises(ValueError, match="queries of one kind"):
                     kernel(bad, index, every)
+
+
+class TestWorkerSplit:
+    """A kernel call split across 1, 2 or 3 workers gives the same bytes:
+    each part scores its own chunks of rows or its own images."""
+
+    DEGENERATE = 5  # the image whose NMF columns 0 and 1 are equal
+
+    @staticmethod
+    @functools.cache
+    def case():
+        """lattice_case's index, more than two chunks of rows with a ragged
+        last one and one degenerate NMF image, and IndexRecord queries:
+        that image's own loadings and random 5-bit ones of mixed ranks, and
+        two float ones."""
+        rng, images = lattice_case(4)
+        obj, pca, nmf = images[TestWorkerSplit.DEGENERATE]
+        levels = nmf.levels.copy()
+        levels[:, 1] = levels[:, 0]
+        images[TestWorkerSplit.DEGENERATE] = (obj, pca, dataclasses.replace(nmf, levels=levels))
+        queries = [(obj, pca, images[TestWorkerSplit.DEGENERATE][2])]
+        for i, k in enumerate((4, 20, 24, 28, 4, 24)):
+            queries.append((f"q{i}", random_query(rng, "pca", k, 5), random_query(rng, "nmf", k, 5)))
+        floats = [("f", codec.dequantize(pca), codec.dequantize(nmf)) for _, pca, nmf in queries[2:4]]
+        return ObjectIndex(images), queries, floats
+
+    def outputs(self):
+        """The key matrices of one batch of every query, the degenerate
+        image's query's rerank keys, and each quantized query's response."""
+        index, queries, floats = self.case()
+        batch = QueryBatch(queries + floats, index, eta=8)
+        keys = {(kind, metric): batch._keys_of(kind, metric)
+                for kind in ("pca", "nmf") for metric in ("angle", "correlation")}
+        keys["rerank"] = _angle_keys([queries[0][2]], index, self.reranked())
+        responses = [answer_query(index, encode_query(8, 2, codec.encode(pca), codec.encode(nmf)))
+                     for _, pca, nmf in queries]
+        return keys, responses
+
+    def reranked(self):
+        """The rows that the degenerate image's query reranks at eta 8."""
+        index, queries, _ = self.case()
+        v_sec = rank_database(queries[0][1], index, "correlation", eta=8)
+        return index._rows(_candidates(index, v_sec))
+
+    def test_one_two_and_three_workers_give_the_same_bytes(self, workers):
+        index, queries, _ = self.case()
+        rows = len(index._lattices["pca"].vectors)
+        assert rows > 2 * _CHUNK_ROWS and rows % _CHUNK_ROWS
+        assert len({q.k for _, q, _ in queries}) > 2
+        reranked = list(self.reranked())
+        assert len(reranked) > 3 and self.DEGENERATE in reranked
+        got = []
+        for n in (1, 2, 3):
+            workers(n)
+            got.append(self.outputs())
+        for keys, responses in got[1:]:
+            assert responses == got[0][1]
+            for which, matrix in keys.items():
+                assert matrix.tobytes() == got[0][0][which].tobytes(), which
+        assert got[0][0]["rerank"][0, reranked.index(self.DEGENERATE)] == WORST_ANGLE
+
+    def test_calls_split_by_their_work(self, monkeypatch):
+        """Each part carries at least the least work, and there are at most
+        as many parts as workers and as the call divides into."""
+        monkeypatch.setattr(matcher, "_workers", 3)
+        assert [_part_count(work, 100, 10) for work in (0, 199, 200, 299, 300, 10**6)] == [
+            1, 1, 2, 2, 3, 3]
+        assert _part_count(10**6, 100, 2) == 2
+        # the serve-k24 operating point splits both kernels on 2 CPUs
+        monkeypatch.setattr(matcher, "_workers", 2)
+        assert _part_count(1000 * 24 * 128 * 24, _PART_GEMM, 12) == 2
+        assert _part_count(80 * 24 * 128 * 24, _PART_ANGLE, 80) == 2
+
+    def test_angles_of_small_products_stay_whole(self, monkeypatch):
+        """T=128 images of rank 20-28 split their angles on 2 workers; the
+        products of T=12 images of rank 1-5 are too small to split, whatever
+        the call's work."""
+        monkeypatch.setattr(matcher, "_workers", 2)
+        monkeypatch.setattr(matcher, "_pool", None)
+        splits = []
+        run = matcher._in_parts
+        monkeypatch.setattr(matcher, "_in_parts",
+                            lambda task, parts: splits.append(len(parts)) or run(task, parts))
+        rng, images = lattice_case(4)
+        index = ObjectIndex(images)
+        _angle_keys([random_query(rng, "nmf", 24, 5)], index, index._rows(None))
+        small, queries = TestQueryBatch.case(0, 5)
+        monkeypatch.setattr(matcher, "_PART_ANGLE", 1)  # as if the call had work enough
+        _angle_keys([nmf for _, _, nmf in queries], small, small._rows(None))
+        monkeypatch.setattr(matcher, "_SPLIT_PRODUCT", 0)
+        _angle_keys([nmf for _, _, nmf in queries], small, small._rows(None))
+        assert splits == [2, 1, 2]
+
+    def test_a_caller_splits_only_while_no_other_caller_is_inside(self, workers):
+        """Alone, a caller runs its first part and the pool the others;
+        beside another caller's parts, it runs all its parts itself."""
+        workers(3)
+        threads = []
+        inside, release = threading.Event(), threading.Event()
+
+        def hold(part):
+            if part == 0:
+                inside.set()
+                assert release.wait(timeout=30)
+
+        def record(part):
+            threads.append((part, threading.current_thread()))
+
+        _in_parts(record, [0, 1, 2])
+        ran_on = dict(threads)
+        assert ran_on[0] is threading.current_thread()
+        assert all(ran_on[part].name.startswith("matcher") for part in (1, 2))
+        holder = threading.Thread(target=_in_parts, args=(hold, [0, 1]))
+        holder.start()
+        try:
+            assert inside.wait(timeout=30)
+            threads.clear()
+            _in_parts(record, [0, 1, 2])
+            assert threads == [(part, threading.current_thread()) for part in (0, 1, 2)]
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+
+    def test_a_failing_part_is_raised_once_every_part_has_finished(self, workers):
+        workers(3)
+        for failing in ({0}, {1}, {2}, {1, 2}):
+            finished = []
+
+            def task(part):
+                if part in failing:
+                    raise RuntimeError(f"part {part}")
+                time.sleep(0.05)
+                finished.append(part)
+
+            with pytest.raises(RuntimeError, match=f"part {min(failing)}"):
+                _in_parts(task, [0, 1, 2])
+            assert sorted(finished) == sorted({0, 1, 2} - failing)
 
 
 def test_ranked_list_rejects_duplicates():

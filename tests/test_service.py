@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factormatch import codec, service
+from factormatch import codec, matcher, service
 from factormatch.binary import Reader, blob, text
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus
 from factormatch.factorization import nmf_loadings
@@ -754,10 +754,18 @@ class TestConcurrentFills:
     """Threads share one index with no lock: it does not change once built,
     so threads that query it at once answer as one thread does."""
 
-    def test_threads_on_one_cold_index_answer_as_one_thread(self, corpus):
+    def test_threads_on_one_cold_index_answer_as_one_thread(self, corpus, workers,
+                                                             monkeypatch):
+        """Also with each kernel call split in three: a caller alone in the
+        kernels hands two parts to the matcher's pool, while the others run
+        their parts themselves beside it. Chunks of 16 rows give the
+        correlation scan parts too."""
         payloads = _payloads(corpus)
         serial_index = index_of(corpus, k_max=K_MAX, bits=5)
         serial = [answer_query(serial_index, p) for p in payloads]
+        workers(3)
+        monkeypatch.setattr(matcher, "_CHUNK_ROWS", 16)
+        assert len(serial_index._lattices["pca"].vectors) > 2 * 16
         cold = index_of(corpus, k_max=K_MAX, bits=5)
         start = threading.Barrier(6)
         answers: dict[int, list[bytes]] = {}
