@@ -12,7 +12,7 @@ from .descriptors import (
     SynthCorpusSpec,
     generate_corpus,
     load_corpus,
-    load_descriptors,
+    load_descriptor_file,
     save_corpus,
 )
 from .evaluation import evaluate, sweep_alpha, sweep_bits, sweep_rank
@@ -171,10 +171,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "query":
         endpoint = parse_endpoint(args.server)
-        data = Path(args.descriptors).read_bytes()
-        fmt = "csv" if args.descriptors.endswith(".csv") else "binary"
-        stem = Path(args.descriptors).stem
-        m = load_descriptors(data, fmt, image_id=stem, object_id=stem)
+        m = load_descriptor_file(args.descriptors)
         ranked = service.query_remote(endpoint, m, eta=args.eta, alpha=args.alpha, bits=args.bits,
                                       k_max=args.k_max, timeout=args.timeout)
         for rank, entry in enumerate(ranked.entries, start=1):

@@ -63,8 +63,8 @@ def check_bits(bits: int) -> None:
 class QuantizedLoadings:
     """One ``T x k`` loading matrix quantized at ``bits`` bits over its
     kind's fixed range (:func:`kind_range`): the levels and their bit width
-    are all that varies, so ``T``, ``k``, ``lo``, ``hi`` and ``step`` are
-    read from them and from the kind."""
+    are all that varies, so ``T``, ``k``, ``lo`` and ``hi`` are read from
+    them and from the kind."""
 
     image_id: str
     kind: str
@@ -108,10 +108,6 @@ class QuantizedLoadings:
     @property
     def hi(self) -> float:
         return kind_range(self.kind)[1]
-
-    @property
-    def step(self) -> float:
-        return (self.hi - self.lo) / ((1 << self.bits) - 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantizedLoadings):
@@ -215,8 +211,9 @@ def decode(data: bytes) -> QuantizedLoadings:
     """Parse a QFL1 blob back into :class:`QuantizedLoadings`; any blob that
     is not exactly one well-formed QFL1 blob raises :class:`CodecError`."""
     kind, bits, T, k, image_id, body = parse(data)
-    levels = _unpack(np.frombuffer(body, dtype=np.uint8)[None], T * k, bits)[0]
-    return QuantizedLoadings(image_id, kind, bits, levels.reshape(k, T).T)
+    # the packed levels end the blob
+    levels = next(unpack_many(data, np.array([[bits, T, k, len(data) - len(body)]])))
+    return QuantizedLoadings(image_id, kind, bits, levels)
 
 
 def unpack_many(data: bytes, blobs: np.ndarray) -> Iterator[np.ndarray]:

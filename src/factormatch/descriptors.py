@@ -78,29 +78,21 @@ class DescriptorMatrix:
         )
 
 
-def save_descriptors(m: DescriptorMatrix, fmt: str = "binary") -> bytes:
-    """Serialize a descriptor matrix to the binary or csv on-disk format.
-
-    Binary layout: magic ``DMT1``, u32 T, u32 N (little-endian), ``T*N``
-    float32 values column-major, then an optional UTF-8 trailer
+def save_descriptors(m: DescriptorMatrix) -> bytes:
+    """Serialize a descriptor matrix to the binary on-disk format: magic
+    ``DMT1``, u32 T, u32 N (little-endian), ``T*N`` float32 values
+    column-major, then an optional UTF-8 trailer
     ``\\nID:<image_id>;OBJ:<object_id>\\n`` (written whenever either id is
-    non-empty); ids the trailer cannot carry raise ``ValueError``. CSV: one
-    row per descriptor dimension, comma-separated.
+    non-empty); ids the trailer cannot carry raise ``ValueError``.
     """
-    if fmt == "binary":
-        _check_trailer_ids(m)
-        out = io.BytesIO()
-        out.write(BINARY_MAGIC)
-        out.write(struct.pack("<II", m.T, m.N))
-        out.write(np.asfortranarray(m.values).tobytes(order="F"))
-        if m.image_id or m.object_id:
-            out.write(f"\nID:{m.image_id};OBJ:{m.object_id}\n".encode("utf-8"))
-        return out.getvalue()
-    if fmt == "csv":
-        lines = [",".join(repr(float(x)) if x != int(x) else str(int(x)) for x in row)
-                 for row in m.values]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown descriptor format {fmt!r}")
+    _check_trailer_ids(m)
+    out = io.BytesIO()
+    out.write(BINARY_MAGIC)
+    out.write(struct.pack("<II", m.T, m.N))
+    out.write(np.asfortranarray(m.values).tobytes(order="F"))
+    if m.image_id or m.object_id:
+        out.write(f"\nID:{m.image_id};OBJ:{m.object_id}\n".encode("utf-8"))
+    return out.getvalue()
 
 
 def _check_trailer_ids(m: DescriptorMatrix) -> None:
@@ -117,7 +109,9 @@ def load_descriptors(
     image_id: str = "",
     object_id: str = "",
 ) -> DescriptorMatrix:
-    """Parse a descriptor file; exact inverse of :func:`save_descriptors`.
+    """Parse a descriptor file: the binary format, exact inverse of
+    :func:`save_descriptors`, or csv, one row per descriptor dimension,
+    comma-separated.
 
     ``image_id``/``object_id`` are fallbacks for payloads without a trailer
     (e.g. csv files, where ids live in the filename). Any payload that is not
@@ -323,26 +317,26 @@ def save_corpus(corpus: list[DescriptorMatrix], directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for m in corpus:
-        (directory / f"{m.image_id}.dmt").write_bytes(save_descriptors(m, "binary"))
+        (directory / f"{m.image_id}.dmt").write_bytes(save_descriptors(m))
+
+
+def load_descriptor_file(path: str | Path) -> DescriptorMatrix:
+    """Load one descriptor file: csv for a ``.csv`` suffix, binary
+    otherwise. Ids embedded in a binary trailer win; otherwise they derive
+    from the file name: the stem is the image id, and the object id is the
+    stem up to its last ``_v`` (``<object>_v<i>.<ext>``), or the whole stem."""
+    path = Path(path)
+    stem = path.stem
+    return load_descriptors(path.read_bytes(), "csv" if path.suffix == ".csv" else "binary",
+                            image_id=stem, object_id=stem.rsplit("_v", 1)[0])
 
 
 def load_corpus(directory: str | Path) -> list[DescriptorMatrix]:
-    """Load every ``.dmt``/``.csv`` descriptor file in a directory, sorted by name.
-
-    Ids embedded in binary trailers win; otherwise they derive from the
-    filename (``<object>_v<i>.<ext>`` or plain ``<stem>``).
-    """
+    """Load every ``.dmt``/``.csv`` descriptor file in a directory, sorted by
+    name, with :func:`load_descriptor_file`."""
     directory = Path(directory)
-    corpus = []
-    for path in sorted(directory.iterdir()):
-        stem = path.stem
-        obj = stem.rsplit("_v", 1)[0] if "_v" in stem else stem
-        if path.suffix == ".dmt":
-            corpus.append(load_descriptors(path.read_bytes(), "binary",
-                                           image_id=stem, object_id=obj))
-        elif path.suffix == ".csv":
-            corpus.append(load_descriptors(path.read_bytes(), "csv",
-                                           image_id=stem, object_id=obj))
+    corpus = [load_descriptor_file(path) for path in sorted(directory.iterdir())
+              if path.suffix in (".dmt", ".csv")]
     if not corpus:
         raise DescriptorFormatError(f"no descriptor files found in {directory}")
     return corpus

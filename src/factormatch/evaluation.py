@@ -38,6 +38,8 @@ _SINGLE_METRIC = {
 }
 
 RANK_ESTIMATED = "estimated"
+# the top-n columns of EvalReport.summary, those the report holds
+_SUMMARY_DEPTHS = (1, 2, 3, 5, 10)
 
 
 def rank_mode_label(fixed_k: int | None) -> str:
@@ -103,11 +105,11 @@ class EvalReport:
             }, sort_keys=True))
         return "\n".join(lines) + "\n"
 
-    def summary(self, depths: Sequence[int] = (1, 2, 3, 5, 10)) -> str:
+    def summary(self) -> str:
         configs: dict[tuple, dict[int, float]] = {}
         for rec in self.records:
             configs.setdefault(rec.config_key(), {})[rec.top_n] = rec.accuracy
-        depths = [d for d in depths if any(d in accs for accs in configs.values())]
+        depths = [d for d in _SUMMARY_DEPTHS if any(d in accs for accs in configs.values())]
         header = f"{'pipeline':<10} {'rank':<10} {'bits':>5} {'alpha':>5} " + " ".join(
             f"top-{d:<3}" for d in depths
         )
@@ -261,13 +263,13 @@ def evaluate(
     bits: int | None = 5,
     top: int = 20,
     k_max: int | None = None,
-    fixed_k: int | None = None,
     query_view: int = 1,
     pipelines: Sequence[str] = PIPELINES,
     corpus_label: str = "corpus",
 ) -> EvalReport:
-    """Measure top-n accuracy of the requested pipelines on one corpus."""
-    return _sweep(corpus, [fixed_k], [bits], [alpha], pipelines, eta, top, k_max,
+    """Measure top-n accuracy of the requested pipelines on one corpus, at
+    each image's estimated model order (fixed ranks: :func:`sweep_rank`)."""
+    return _sweep(corpus, [None], [bits], [alpha], pipelines, eta, top, k_max,
                   query_view, corpus_label)
 
 

@@ -460,15 +460,6 @@ def _correlations(queries: np.ndarray, query_norms: np.ndarray, vectors: np.ndar
     return sums
 
 
-def _kind_of(queries: Sequence[FactorLoadings | QuantizedLoadings]) -> str:
-    """The one kind of a non-empty list of queries, which a kernel scores
-    against the index's loadings of that kind."""
-    kinds = {query.kind for query in queries}
-    if len(kinds) != 1:
-        raise ValueError(f"a kernel scores queries of one kind, not of {sorted(kinds)}")
-    return kinds.pop()
-
-
 def _correlation_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
                       index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
     """Negated correlation scores, ``(m, rows.size)``, of ``m`` queries of
@@ -478,7 +469,7 @@ def _correlation_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
     lattice vectors is exact in any blocking (:func:`_gemm_dtype`). A float
     on either side takes the GEMM to float64 values it rounds, so each such
     query has a GEMM of its own."""
-    stored = index._lattices[_kind_of(queries)]
+    stored = index._lattices[queries[0].kind]
     starts = index._offsets[rows]
     ks = index._offsets[rows + 1] - starts
     vectors, norms = stored.vectors, stored.norms
@@ -526,34 +517,32 @@ def _whitener(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
                 index: ObjectIndex, rows: np.ndarray) -> np.ndarray:
     """Angles, ``(m, rows.size)``, of ``m`` queries of one kind to each
-    image of ``rows``, from the index's lattice on each call: each query is
-    whitened once to ``W_a = L_a⁻¹ U_a``; per rank and chunk of images, the
-    chunk is gathered and whitened once, and each image's
-    ``Y = L_b⁻¹ (U_b W_aᵀ)`` gives ``cos = sqrt(λ_max(YᵀY))``. The queries of
-    one rank, up to :data:`_QUERY_STACK` at a time, are stacked on a leading
-    batch axis of these gufunc calls, which still factor, solve and
-    decompose one matrix at a time, so no angle depends on the images or the
-    queries that share its call. Each part (:func:`_in_parts`) takes a
-    contiguous run of each rank's images. A degenerate image, and every
+    image of ``rows``, from the index's lattice on each call. The queries of
+    one rank, up to :data:`_QUERY_STACK` at a time, are stacked and
+    whitened as images are, to ``W_a = L_a⁻¹ U_a``; per rank and chunk of
+    images, the chunk is gathered and whitened once, and each image's
+    ``Y = L_b⁻¹ (U_b W_aᵀ)`` gives ``cos = sqrt(λ_max(YᵀY))``, every query
+    of a stack on a leading batch axis of these gufunc calls, which still
+    factor, solve and decompose one matrix at a time, so no angle depends on
+    the images or the queries that share its call. Each part
+    (:func:`_in_parts`) takes a contiguous run of each rank's images. A degenerate image, and every
     image for a degenerate query, scores ``WORST_ANGLE``; so does a side with
     more columns than T, which is rank-deficient and skipped before any
     ``k x k`` Gram is formed."""
-    kind = _kind_of(queries)
+    kind = queries[0].kind
     keys = np.full((len(queries), rows.size), WORST_ANGLE)
-    whitened: dict[int, list[tuple[int, np.ndarray]]] = {}  # rank -> (row of keys, W_a)
-    for i, query in enumerate(queries):
-        if query.k > index.T:
+    stacks = []  # (rows of keys, (m', 1, T, kq) stack of W_aᵀ), healthy queries only
+    for kq, same_rank in _rank_groups(np.array([query.k for query in queries])):
+        if kq > index.T:
             continue
-        U_a = _unit_rows(_query_lattice(query), np.arange(query.k))[None]
-        L_a, degenerate = _whitener(U_a)
-        if not degenerate[0]:
-            whitened.setdefault(query.k, []).append((i, np.linalg.solve(L_a, U_a)[0]))
-    stacks = []  # (rows of keys, (m', 1, T, kq) stack of W_aᵀ)
-    for same_rank in whitened.values():
-        for at in range(0, len(same_rank), _QUERY_STACK):
-            batch = same_rank[at:at + _QUERY_STACK]
-            stacks.append((np.array([i for i, _ in batch]),
-                           np.stack([W_a for _, W_a in batch]).transpose(0, 2, 1)[:, None]))
+        for at in range(0, same_rank.size, _QUERY_STACK):
+            stack = same_rank[at:at + _QUERY_STACK]
+            U_a = np.stack([_unit_rows(_query_lattice(queries[i]), np.arange(kq))
+                            for i in stack])
+            L_a, degenerate = _whitener(U_a)
+            if not degenerate.all():
+                W_a = np.linalg.solve(L_a[~degenerate], U_a[~degenerate])
+                stacks.append((stack[~degenerate], W_a.transpose(0, 2, 1)[:, None]))
     starts = index._offsets[rows]
     groups = [(k, pos) for k, pos in _rank_groups(index._offsets[rows + 1] - starts)
               if k <= index.T]
@@ -574,9 +563,9 @@ def _angle_keys(queries: Sequence[FactorLoadings | QuantizedLoadings],
 
     # the multiply-adds of the U_b W_aᵀ products, split only where one
     # image's product holds _SPLIT_PRODUCT of them on average
-    work = (sum(kq * len(same_rank) for kq, same_rank in whitened.items())
+    work = (sum(W_t.shape[0] * W_t.shape[-1] for _, W_t in stacks)
             * sum(k * pos.size for k, pos in groups) * index.T)
-    pairs = sum(map(len, whitened.values())) * sum(pos.size for _, pos in groups)
+    pairs = sum(query_rows.size for query_rows, _ in stacks) * sum(pos.size for _, pos in groups)
     parts = _part_count(work, _PART_ANGLE, max(pos.size for _, pos in groups)
                         if work >= pairs * _SPLIT_PRODUCT else 1)
     splits = [(k, np.array_split(pos, parts)) for k, pos in groups]
@@ -677,6 +666,8 @@ class QueryBatch:
             for kind, loadings in ((KIND_PCA, pca), (KIND_NMF, nmf)):
                 _check_dims(loadings.T, index.T)
                 self._loadings[kind].append(loadings)
+        if not self._loadings[KIND_PCA]:  # the kernels read the first query's kind
+            raise ValueError("a batch holds at least one query")
         self._index = index
         self._eta = eta
         self._every = np.arange(index.num_images)

@@ -100,19 +100,21 @@ def client_blobs(
     bits: int,
     k_max: int | None = None,
 ) -> tuple[QuantizedLoadings, QuantizedLoadings]:
-    """Client-side pipeline: model order, factorize, quantize both loadings."""
-    pca, nmf, _ = factorize_image(m, k_max)
-    return codec.quantize(pca, bits), codec.quantize(nmf, bits)
+    """Client-side pipeline: model order, factorize, quantize both loadings;
+    the one-image case of ``quantized(factorized(...))``."""
+    codec.check_bits(bits)  # a client always quantizes
+    _, pca, nmf = next(quantized(factorized([m], k_max), bits))
+    return pca, nmf
 
 
 def factorized(
     corpus: Iterable[DescriptorMatrix],
     k_max: int | None = None,
-    fixed_k: int | None = None,
 ) -> Iterator[IndexRecord]:
-    """The float-loadings record of each image, factorized as it is consumed."""
+    """The float-loadings record of each image, at its estimated model
+    order, factorized as it is consumed."""
     for m in corpus:
-        pca, nmf, _ = factorize_image(m, k_max, fixed_k)
+        pca, nmf, _ = factorize_image(m, k_max)
         yield IndexRecord(m.object_id, pca, nmf)
 
 

@@ -269,9 +269,14 @@ def correlation_score(a: FactorLoadings, b: FactorLoadings) -> float:
     return float(np.sum((a.columns.T @ b.columns).max(axis=0)))
 
 
+def quantizer_step(q: QuantizedLoadings) -> float:
+    """The quantizer's step, ``(hi - lo) / (2^b - 1)``."""
+    return (q.hi - q.lo) / ((1 << q.bits) - 1)
+
+
 def lattice_values(q: QuantizedLoadings) -> np.ndarray:
     """Raw reconstruction ``lo + level * step`` (no renormalization)."""
-    return q.lo + q.levels.astype(np.float64) * q.step
+    return q.lo + q.levels.astype(np.float64) * quantizer_step(q)
 
 
 def payload_bytes(q: QuantizedLoadings) -> int:

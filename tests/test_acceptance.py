@@ -32,7 +32,7 @@ from factormatch.model_order import estimate_order
 from factormatch.service import answer_query, client_blobs, read_frame, write_frame
 
 from conftest import (blob_header_bytes, index_of, lattice_values, payload_bytes,
-                      random_unit_columns, serve, subspace_angle)
+                      quantizer_step, random_unit_columns, serve, subspace_angle)
 
 K_MAX_TOY = 16  # scan ceiling for the T=32 synthetic corpora
 
@@ -158,7 +158,7 @@ def test_quantizer_round_trip_and_payload():
         for bits in (1, 5, 12):
             q = codec.quantize(f, bits)
             err = np.abs(lattice_values(q) - samples).max()
-            worst_excess = max(worst_excess, err - q.step / 2)
+            worst_excess = max(worst_excess, err - quantizer_step(q) / 2)
     pair = []
     for kind in ("pca", "nmf"):
         cols = random_unit_columns(rng, 128, 24)

@@ -172,7 +172,7 @@ def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path,
 def test_bits_checked_before_any_corpus_is_read(argv, tmp_path, monkeypatch, capsys):
     factorized = []
     monkeypatch.setattr(service, "factorize_image", lambda *a, **kw: factorized.append(a))
-    for name in ("load_corpus_arg", "load_index_arg", "load_descriptors"):
+    for name in ("load_corpus_arg", "load_index_arg", "load_descriptor_file"):
         monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail(f"{argv[0]} read its input"))
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     assert factorized == []

@@ -14,6 +14,7 @@ from factormatch.descriptors import (
     SynthCorpusSpec,
     generate_corpus,
     load_corpus,
+    load_descriptor_file,
     load_descriptors,
     save_corpus,
     save_descriptors,
@@ -25,6 +26,17 @@ from conftest import spec_label
 
 def make_matrix(values, image_id="img", object_id="obj"):
     return DescriptorMatrix(image_id=image_id, object_id=object_id, values=np.array(values))
+
+
+def csv_bytes(m: DescriptorMatrix) -> bytes:
+    """The csv form of a matrix, one row per descriptor dimension."""
+    lines = [",".join(repr(float(x)) if x != int(x) else str(int(x)) for x in row)
+             for row in m.values]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def saved(m: DescriptorMatrix, fmt: str) -> bytes:
+    return save_descriptors(m) if fmt == "binary" else csv_bytes(m)
 
 
 class TestValidation:
@@ -48,7 +60,7 @@ class TestValidation:
 class TestBinaryFormat:
     def test_identity_payload_round_trip(self):
         m = make_matrix([[1.0, 0.0], [0.0, 1.0]], image_id="", object_id="")
-        data = save_descriptors(m, "binary")
+        data = save_descriptors(m)
         # magic + (u32 T, u32 N) header + 4 float32 values, no trailer
         assert len(data) == 4 + 8 + 16
         assert data[:4] == b"DMT1"
@@ -57,14 +69,14 @@ class TestBinaryFormat:
 
     def test_trailer_carries_ids(self):
         m = make_matrix([[1.0, 0.0], [0.0, 1.0]], image_id="zurich_v1", object_id="zurich")
-        loaded = load_descriptors(save_descriptors(m, "binary"), "binary")
+        loaded = load_descriptors(save_descriptors(m), "binary")
         assert loaded.image_id == "zurich_v1"
         assert loaded.object_id == "zurich"
 
     def test_dimension_mismatch_detected(self):
         # header claims 128 rows but the payload is one row short
         values = np.random.default_rng(0).random((128, 5)).astype(np.float32)
-        data = save_descriptors(make_matrix(values), "binary")
+        data = save_descriptors(make_matrix(values))
         truncated = data[: 12 + 4 * 127 * 5]
         with pytest.raises(DescriptorFormatError, match="truncated in values"):
             load_descriptors(truncated, "binary")
@@ -89,7 +101,7 @@ class TestBinaryFormat:
         rng = np.random.default_rng(7)
         values = rng.random((128, 500)).astype(np.float32) + 1e-3
         m = make_matrix(values, image_id="big_v1", object_id="big")
-        loaded = load_descriptors(save_descriptors(m, "binary"), "binary")
+        loaded = load_descriptors(save_descriptors(m), "binary")
         assert loaded == m
 
     @pytest.mark.parametrize("seed", range(5))
@@ -99,7 +111,7 @@ class TestBinaryFormat:
         T, N = int(rng.integers(2, 40)), int(rng.integers(1, 60))
         values = rng.random((T, N)).astype(np.float32) + 1e-4
         m = make_matrix(values, image_id=f"s{seed}_v1", object_id=f"s{seed}")
-        loaded = load_descriptors(save_descriptors(m, fmt), fmt,
+        loaded = load_descriptors(saved(m, fmt), fmt,
                                   image_id=m.image_id, object_id=m.object_id)
         assert loaded == m
 
@@ -111,14 +123,14 @@ class TestBinaryFormat:
     def test_ids_the_trailer_cannot_carry_rejected(self, image_id, object_id, message):
         m = make_matrix([[1.0], [1.0]], image_id=image_id, object_id=object_id)
         with pytest.raises(ValueError, match=re.escape(message)):
-            save_descriptors(m, "binary")
+            save_descriptors(m)
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(image_id=st.text(max_size=12), object_id=st.text(max_size=12))
     def test_any_text_ids_round_trip_or_are_rejected(self, image_id, object_id):
         m = make_matrix([[1.0, 0.5], [0.25, 1.0]], image_id=image_id, object_id=object_id)
         try:
-            data = save_descriptors(m, "binary")
+            data = save_descriptors(m)
         except ValueError:
             return
         assert load_descriptors(data, "binary") == m
@@ -127,7 +139,7 @@ class TestBinaryFormat:
 class TestCsvFormat:
     def test_identity_lines(self):
         m = make_matrix([[1.0, 0.0], [0.0, 1.0]])
-        assert save_descriptors(m, "csv") == b"1,0\n0,1\n"
+        assert load_descriptors(b"1,0\n0,1\n", "csv", m.image_id, m.object_id) == m
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DescriptorFormatError, match="expected 2 values"):
@@ -139,8 +151,8 @@ class TestCsvFormat:
 
 
 FUZZ = settings(max_examples=300, deadline=None, database=None, derandomize=True)
-VALID_DMT = save_descriptors(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]), "binary")
-VALID_CSV = save_descriptors(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]), "csv")
+VALID_DMT = save_descriptors(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]))
+VALID_CSV = csv_bytes(make_matrix([[1.0, 0.0, 2.5], [0.5, 1.0, 0.0]]))
 
 
 def _load_or_format_error(data: bytes, fmt: str) -> None:
@@ -151,7 +163,7 @@ def _load_or_format_error(data: bytes, fmt: str) -> None:
     except DescriptorFormatError:
         return
     assert isinstance(m, DescriptorMatrix)
-    assert load_descriptors(save_descriptors(m, fmt), fmt, m.image_id, m.object_id) == m
+    assert load_descriptors(saved(m, fmt), fmt, m.image_id, m.object_id) == m
 
 
 def _mutated(valid: bytes, edits, cut, tail) -> bytes:
@@ -281,6 +293,34 @@ def test_corpus_directory_round_trip(tmp_path):
     for m in loaded:
         assert m == by_id[m.image_id]
     assert view_index("obj0001_v2") == 2
+
+
+@pytest.mark.parametrize("stem, object_id", [
+    ("obj0003_v2", "obj0003"), ("a_v1_v7", "a_v1"), ("plain", "plain")])
+def test_a_file_without_a_trailer_takes_its_ids_from_its_stem(stem, object_id, tmp_path):
+    m = make_matrix([[1.0, 0.5], [0.25, 1.0]], image_id="", object_id="")
+    # csv by the .csv suffix, binary by any other
+    for suffix, data in ((".csv", csv_bytes(m)), (".dmt", save_descriptors(m)),
+                         (".bin", save_descriptors(m))):
+        path = tmp_path / f"{stem}{suffix}"
+        path.write_bytes(data)
+        assert load_descriptor_file(path) == make_matrix(m.values, stem, object_id)
+
+
+def test_a_trailer_wins_over_the_file_name(tmp_path):
+    m = make_matrix([[1.0, 0.5], [0.25, 1.0]], image_id="zurich_v1", object_id="zurich")
+    path = tmp_path / "other_v3.dmt"
+    path.write_bytes(save_descriptors(m))
+    assert load_descriptor_file(path) == m
+
+
+def test_corpus_reads_dmt_and_csv_files_only(tmp_path):
+    m = make_matrix([[1.0, 0.5], [0.25, 1.0]], image_id="", object_id="")
+    (tmp_path / "b_v1.csv").write_bytes(csv_bytes(m))
+    (tmp_path / "a_v2.dmt").write_bytes(save_descriptors(m))
+    (tmp_path / "c_v1.bin").write_bytes(save_descriptors(m))
+    assert load_corpus(tmp_path) == [make_matrix(m.values, "a_v2", "a"),
+                                     make_matrix(m.values, "b_v1", "b")]
 
 
 def test_corpus_with_an_id_the_trailer_cannot_carry_writes_no_file(tmp_path):

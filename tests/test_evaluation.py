@@ -194,9 +194,12 @@ class TestSweepRank:
         report = sweep_rank(noisy_corpus, fixed_ranks=ranks, eta=ETA, alpha=2,
                             bits=5, top=2, k_max=K_MAX)
         expected = []
-        for fixed_k in (*ranks, None):
-            expected.extend(evaluate(noisy_corpus, eta=ETA, alpha=2, bits=5, top=2,
-                                     k_max=K_MAX, fixed_k=fixed_k).records)
+        for k in ranks:  # each fixed rank's records of a sweep of that rank alone
+            expected.extend(r for r in sweep_rank(noisy_corpus, fixed_ranks=(k,), eta=ETA,
+                                                  alpha=2, bits=5, top=2, k_max=K_MAX).records
+                            if r.rank_mode == f"fixed:{k}")
+        expected.extend(evaluate(noisy_corpus, eta=ETA, alpha=2, bits=5, top=2,
+                                 k_max=K_MAX).records)
         assert report.records == expected
 
     def test_one_svd_per_image_for_every_rank(self, noisy_corpus, svd_calls):

@@ -451,9 +451,11 @@ def assert_same_state(got, want):
 BATCH_IMAGES = 300
 
 
-# ranks of the batch case's queries: mixed, a degenerate one (3, with a
-# duplicated column) and one with more columns than T = 32
-BATCH_QUERY_RANKS = (20, 24, 28, 3, 33)
+# ranks of the batch case's queries: mixed, then two degenerate ones, each
+# with a duplicated column, one alone in its rank (3) and one (24) whitened
+# in one stack with the healthy query of its rank, and one with more columns
+# than T = 32
+BATCH_QUERY_RANKS = (20, 24, 28, 3, 24, 33)
 
 
 @functools.cache
@@ -475,9 +477,11 @@ def batch_case(bits):
     queries = {kind: [random_query(rng, kind, k, 5, T=32) for k in BATCH_QUERY_RANKS]
                for kind in ("pca", "nmf")}
     for kind_queries in queries.values():
-        levels = kind_queries[3].levels.copy()
-        levels[:, 2] = levels[:, 0]
-        kind_queries[3] = dataclasses.replace(kind_queries[3], levels=levels)
+        for degenerate in (3, 4):
+            levels = kind_queries[degenerate].levels.copy()
+            levels[:, 2] = levels[:, 0]
+            kind_queries[degenerate] = dataclasses.replace(kind_queries[degenerate],
+                                                           levels=levels)
     if bits is None:
         images = [(obj, codec.dequantize(pca), codec.dequantize(nmf))
                   for obj, pca, nmf in images]
@@ -620,7 +624,24 @@ class TestAngleKernel:
         keys = batch_case(5)[2]["nmf"]
         assert np.sum(keys[0] == WORST_ANGLE) == BATCH_IMAGES // 50  # the duplicated columns
         assert np.all(keys[:3][keys[:3] < WORST_ANGLE] > 0)
-        assert np.all(keys[3:] == WORST_ANGLE)  # the degenerate and the wide query
+        assert np.all(keys[3:] == WORST_ANGLE)  # the degenerate and the wide queries
+
+    @pytest.mark.parametrize("bits", [5, None])
+    def test_a_degenerate_query_leaves_its_stack_mates_alone(self, bits):
+        """Queries of one rank are whitened as one stack: a degenerate query
+        in it scores ``WORST_ANGLE`` against every image, and each of its
+        stack-mates, before and after it, exactly its keys alone."""
+        index, pool, alone = batch_case(bits)
+        healthy, degenerate = 1, 4  # both of rank 24
+        assert BATCH_QUERY_RANKS[healthy] == BATCH_QUERY_RANKS[degenerate]
+        order = [healthy, degenerate, healthy, 0, degenerate, healthy]
+        for kind in ("pca", "nmf"):
+            keys = _angle_keys([pool[kind][q] for q in order], index, np.arange(BATCH_IMAGES))
+            assert np.all(keys[[1, 4]] == WORST_ANGLE)
+            assert np.array_equal(keys, alone[kind][order])
+            # the healthy query's angles are real but to the degenerate NMF images
+            assert np.sum(alone[kind][healthy] == WORST_ANGLE) == (
+                0 if kind == "pca" else BATCH_IMAGES // 50)
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_degenerate_images_at_every_width(self, bits):
@@ -1116,14 +1137,8 @@ class TestQueryBatch:
         other_T = [("w", pca_of(np.eye(13, 2), "w"), nmf_of(np.eye(13, 2), "w"))]
         with pytest.raises(DimensionMismatchError, match="dims differ: 13 vs 12"):
             QueryBatch(other_T, index)
-
-    def test_kernels_take_queries_of_one_kind(self):
-        index, queries = self.case(0, 5)
-        every = index._rows(None)
-        for kernel in (_angle_keys, _correlation_keys):
-            for bad in ([queries[0][1], queries[1][2]], []):  # PCA and NMF, and none
-                with pytest.raises(ValueError, match="queries of one kind"):
-                    kernel(bad, index, every)
+        with pytest.raises(ValueError, match="at least one query"):
+            QueryBatch([], index)
 
 
 class TestWorkerSplit:
