@@ -15,7 +15,7 @@ from .descriptors import (
     load_descriptor_file,
     save_corpus,
 )
-from .evaluation import evaluate, sweep_alpha, sweep_bits, sweep_rank
+from .evaluation import evaluate
 from .matcher import ObjectIndex
 
 SYNTH_PREFIX = "synthetic:"
@@ -37,6 +37,10 @@ def load_index_arg(text: str, k_max: int | None, bits: int) -> ObjectIndex:
     if path.is_file():
         return service.read_index(path)
     return ObjectIndex(service.quantized(service.factorized(load_corpus_arg(text), k_max), bits))
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -178,23 +182,22 @@ def _run(args: argparse.Namespace) -> int:
             print(f"{rank:3d}  {entry.object_id:<24} {entry.score:.6f}")
         return 0
 
-    corpus = load_corpus_arg(args.corpus)
-    label = args.corpus
-    common = dict(eta=args.eta, top=args.top, k_max=args.k_max,
-                  query_view=args.query_view, corpus_label=label)
+    # each evaluation subcommand is one evaluate call along the axes it sweeps,
+    # with its reference: sweep-alpha's nmf_angle row (its alpha = eta column
+    # reproduces that row where the PCA prefilter recalls the true object),
+    # sweep-bits' unquantized rate and sweep-rank's estimated order
     if args.command == "evaluate":
-        report = evaluate(corpus, alpha=args.alpha, bits=args.bits, **common)
+        axes = dict(rates=[args.bits], alphas=[args.alpha])
     elif args.command == "sweep-alpha":
-        alphas = ([int(a) for a in args.alphas.split(",")]
-                  if args.alphas else None)
-        report = sweep_alpha(corpus, alphas=alphas, bits=args.bits, **common)
+        alphas = _int_list(args.alphas) if args.alphas else range(args.eta + 1)
+        axes = dict(rates=[args.bits], alphas=alphas, pipelines=("combined", "nmf_angle"))
     elif args.command == "sweep-bits":
-        grid = [int(b) for b in args.grid.split(",")]
-        report = sweep_bits(corpus, bit_grid=grid, alpha=args.alpha, **common)
+        axes = dict(rates=[*_int_list(args.grid), None], alphas=[args.alpha])
     else:  # sweep-rank
-        ranks = [int(k) for k in args.ranks.split(",")]
-        report = sweep_rank(corpus, fixed_ranks=ranks, alpha=args.alpha,
-                            bits=args.bits, **common)
+        axes = dict(ranks=[*_int_list(args.ranks), None], rates=[args.bits], alphas=[args.alpha])
+    report = evaluate(load_corpus_arg(args.corpus), eta=args.eta, top=args.top,
+                      k_max=args.k_max, query_view=args.query_view,
+                      corpus_label=args.corpus, **axes)
     print(report.summary())
     if args.out:
         Path(args.out).write_text(report.to_jsonl())

@@ -1,13 +1,12 @@
-"""Leave-one-view-out retrieval evaluation and the experiment sweeps.
+"""Leave-one-view-out retrieval evaluation along the paper's three axes.
 
 One view per object (the first, by default) queries an index built from all
 remaining views; accuracy at depth n is the fraction of queries whose true
-object lands in the top n. The sweeps rerun that measurement along one axis:
-fusion weight alpha, quantization rate, fixed factorization rank versus the
-estimated model order. ``evaluate`` and the three sweeps are each one call
-into the same loop over (rank, rate, alpha) points, which scores every
-query of a (rank, rate) point at once as one ``matcher.QueryBatch``, whose
-lists are the ones each query gets on its own.
+object lands in the top n. ``evaluate`` takes that measurement at every
+(rank, rate, alpha) point: fixed factorization rank versus the estimated
+model order, quantization rate, and fusion weight. It scores every query of
+a (rank, rate) point at once as one ``matcher.QueryBatch``, whose lists are
+the ones each query gets on its own.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Sequence
 
 from . import codec, factorization, service
@@ -80,15 +80,18 @@ class EvalReport:
         return hits[0].accuracy
 
     def validate(self) -> None:
-        """Accuracy must be in [0,1] and non-decreasing in top_n per config."""
-        by_config: dict[tuple, list[EvalRecord]] = {}
+        """Accuracy must be in [0,1], given once per config and top_n, and
+        non-decreasing in top_n per config."""
+        by_config: dict[tuple, dict[int, float]] = {}
         for rec in self.records:
             if not 0.0 <= rec.accuracy <= 1.0:
                 raise ValueError(f"accuracy out of range in {rec}")
-            by_config.setdefault(rec.config_key(), []).append(rec)
-        for key, recs in by_config.items():
-            recs = sorted(recs, key=lambda r: r.top_n)
-            accs = [r.accuracy for r in recs]
+            found = by_config.setdefault(rec.config_key(), {})
+            if rec.top_n in found:
+                raise ValueError(f"two records for config {rec.config_key()} at top-{rec.top_n}")
+            found[rec.top_n] = rec.accuracy
+        for key, found in by_config.items():
+            accs = [found[n] for n in sorted(found)]
             if any(b < a for a, b in zip(accs, accs[1:])):
                 raise ValueError(f"accuracy not monotone in top_n for config {key}")
 
@@ -159,7 +162,7 @@ def _true_object_rank(ranked: RankedList, object_id: str) -> int | None:
     return None
 
 
-# --- evaluate and sweeps ----------------------------------------------------
+# --- evaluate ---------------------------------------------------------------
 
 
 def _factorized_by_rank(
@@ -179,38 +182,46 @@ def _factorized_by_rank(
     return by_rank
 
 
-def _sweep(
+def evaluate(
     corpus: Sequence[DescriptorMatrix],
-    ranks: Sequence[int | None],
-    rates: Sequence[int | None],
-    alphas: Sequence[int],
-    pipelines: Sequence[str],
-    eta: int,
-    top: int,
-    k_max: int | None,
-    query_view: int,
-    corpus_label: str,
+    ranks: Sequence[int | None] = (None,),
+    rates: Sequence[int | None] = (5,),
+    alphas: Sequence[int] = (2,),
+    pipelines: Sequence[str] = PIPELINES,
+    eta: int = 20,
+    top: int = 20,
+    k_max: int | None = None,
+    query_view: int = 1,
+    corpus_label: str = "corpus",
 ) -> EvalReport:
     """Top-n accuracy of ``pipelines`` at every (rank, rate, alpha) point.
 
-    Rank ``None`` is the estimated model order, rate ``None`` full precision.
-    Every image is factorized once per rank, all ranks from one SVD, and the
-    database is indexed once per rate. At each rate, the queries are scored
-    together as one :class:`~factormatch.matcher.QueryBatch`, which scores
-    only the key matrices that the requested pipelines read; each query's
-    two hypotheses are fused once per alpha, and each single-metric
-    pipeline's lists are read once per rate (its records keep
-    ``alpha=None``). Records come out rank by rate by pipeline, with the
-    alphas inside ``combined``.
+    Rank ``None`` is the estimated model order, rate ``None`` full precision;
+    the defaults are the paper's operating point. Every image is factorized
+    once per rank, all ranks from one SVD, and the database is indexed once
+    per rate. At each rate, the queries are scored together as one
+    :class:`~factormatch.matcher.QueryBatch`, which scores only the key
+    matrices that the requested pipelines read; each query's two hypotheses
+    are fused once per alpha, and each single-metric pipeline's lists are
+    read once per rate (its records keep ``alpha=None``). Records come out
+    rank by rate by pipeline, with the alphas inside ``combined``.
     """
+    ranks, rates, alphas, pipelines = map(tuple, (ranks, rates, alphas, pipelines))
+    # before any image is factorized
+    for name, axis in (("ranks", ranks), ("rates", rates), ("alphas", alphas),
+                       ("pipelines", pipelines)):
+        if not axis or len(set(axis)) < len(axis):
+            raise ValueError(f"{name} must be non-empty without repeats, got {list(axis)}")
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
         raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
-    # before any image is factorized
     if eta < 1:
         raise ValueError("eta must be >= 1")
     if any(not 0 <= a <= eta for a in alphas):
         raise ValueError(f"alphas must lie in [0, {eta}]")
+    for k in ranks:
+        if k is not None and not (isinstance(k, Integral) and not isinstance(k, bool) and k >= 1):
+            raise ValueError(f"fixed ranks must be positive integers, got {k!r}")
     for bits in rates:
         if bits is not None:
             codec.check_bits(bits)
@@ -256,76 +267,19 @@ def _sweep(
     return report
 
 
-def evaluate(
-    corpus: Sequence[DescriptorMatrix],
-    eta: int = 20,
-    alpha: int = 2,
-    bits: int | None = 5,
-    top: int = 20,
-    k_max: int | None = None,
-    query_view: int = 1,
-    pipelines: Sequence[str] = PIPELINES,
-    corpus_label: str = "corpus",
-) -> EvalReport:
-    """Measure top-n accuracy of the requested pipelines on one corpus, at
-    each image's estimated model order (fixed ranks: :func:`sweep_rank`)."""
-    return _sweep(corpus, [None], [bits], [alpha], pipelines, eta, top, k_max,
-                  query_view, corpus_label)
-
-
-def sweep_alpha(
-    corpus: Sequence[DescriptorMatrix],
-    alphas: Sequence[int] | None = None,
-    eta: int = 20,
-    bits: int | None = 5,
-    top: int = 20,
-    k_max: int | None = None,
-    query_view: int = 1,
-    corpus_label: str = "corpus",
-) -> EvalReport:
-    """Combined-pipeline accuracy across the fusion weight grid.
-
-    The two hypotheses are computed once per query and re-fused per alpha;
-    an ``nmf_angle`` reference row rides along (the alpha = eta column must
-    reproduce it on corpora where the PCA prefilter recalls the true object).
-    """
-    if alphas is None:
-        alphas = range(eta + 1)
-    return _sweep(corpus, [None], [bits], alphas, ("combined", "nmf_angle"), eta, top,
-                  k_max, query_view, corpus_label)
-
-
 def sweep_bits(
     corpus: Sequence[DescriptorMatrix],
-    bit_grid: Sequence[int] = (1, 2, 3, 4, 5, 6, 8),
-    eta: int = 20,
-    alpha: int = 2,
-    top: int = 20,
-    k_max: int | None = None,
-    query_view: int = 1,
-    pipelines: Sequence[str] = PIPELINES,
-    corpus_label: str = "corpus",
+    *,
+    bit_grid: Sequence[int],
+    eta: int,
+    alpha: int,
+    top: int,
+    k_max: int | None,
+    corpus_label: str,
 ) -> EvalReport:
-    """Accuracy versus quantization rate, plus an unquantized reference row;
-    every image is factorized once and only quantized again for each rate."""
-    return _sweep(corpus, [None], [*bit_grid, None], [alpha], pipelines, eta, top,
-                  k_max, query_view, corpus_label)
-
-
-def sweep_rank(
-    corpus: Sequence[DescriptorMatrix],
-    fixed_ranks: Sequence[int] = (1, 2, 4, 8, 16),
-    eta: int = 20,
-    alpha: int = 2,
-    bits: int | None = 5,
-    top: int = 20,
-    k_max: int | None = None,
-    query_view: int = 1,
-    pipelines: Sequence[str] = PIPELINES,
-    corpus_label: str = "corpus",
-) -> EvalReport:
-    """Accuracy under fixed factorization ranks versus the estimated order."""
-    if any(k < 1 for k in fixed_ranks):
-        raise ValueError("fixed ranks must be positive")
-    return _sweep(corpus, [*fixed_ranks, None], [bits], [alpha], pipelines, eta, top,
-                  k_max, query_view, corpus_label)
+    """Accuracy versus quantization rate, plus the unquantized reference row;
+    kept for the benchmark's sweep-bits workload, which calls it by name. The
+    ``evaluate`` it calls is looked up on the module at call time, so a
+    wrapper on ``evaluation.evaluate`` sees the call."""
+    return evaluate(corpus, rates=(*bit_grid, None), alphas=(alpha,), eta=eta, top=top,
+                    k_max=k_max, corpus_label=corpus_label)

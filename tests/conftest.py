@@ -227,9 +227,10 @@ def lookup_fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> R
     return RankedList(entries=tuple(working), eta=eta)
 
 
-def per_query_sweep(corpus, ranks, rates, alphas, pipelines, eta, top, k_max, query_view,
-                    corpus_label) -> evaluation.EvalReport:
-    """``evaluation._sweep`` on valid arguments with each query ranked on its
+def per_query_sweep(corpus, ranks=(None,), rates=(5,), alphas=(2,),
+                    pipelines=evaluation.PIPELINES, eta=20, top=20, k_max=None, query_view=1,
+                    corpus_label="corpus") -> evaluation.EvalReport:
+    """``evaluation.evaluate`` on valid arguments with each query ranked on its
     own: one ``rank_database`` call per single-metric pipeline and one
     ``combined_hypotheses`` call per query, fused with :func:`lookup_fuse`."""
     top = min(top, eta)

@@ -182,7 +182,7 @@ def test_end_to_end_retrieval_accuracy(eval_corpus):
     """Combined top-1 >= each single-metric top-1 and >= 0.9 on the seeded
     corpus; the noiseless control is exactly 1.0. Under 5 minutes."""
     t0 = time.perf_counter()
-    rep = evaluate(eval_corpus, eta=20, alpha=2, bits=5, top=3, k_max=K_MAX_TOY)
+    rep = evaluate(eval_corpus, eta=20, alphas=(2,), rates=(5,), top=3, k_max=K_MAX_TOY)
     pca = rep.accuracy("pca_corr", 1)
     nmf = rep.accuracy("nmf_angle", 1)
     combined = rep.accuracy("combined", 1)
@@ -191,7 +191,7 @@ def test_end_to_end_retrieval_accuracy(eval_corpus):
         num_objects=50, views_per_object=5, T=32, descriptors_per_view=400,
         planted_rank=4, view_noise_sigma=0.0, seed=1,
     )
-    control = evaluate(generate_corpus(control_spec), eta=20, alpha=2, bits=5,
+    control = evaluate(generate_corpus(control_spec), eta=20, alphas=(2,), rates=(5,),
                        top=1, k_max=K_MAX_TOY)
     control_acc = {p: control.accuracy(p, 1)
                    for p in ("pca_corr", "nmf_angle", "combined")}
@@ -207,9 +207,9 @@ def test_end_to_end_retrieval_accuracy(eval_corpus):
 
 def test_quantization_saturation(eval_corpus):
     """Accuracy at 5 bits within one point of 8 bits on the seeded corpus."""
-    acc5 = evaluate(eval_corpus, eta=20, alpha=2, bits=5, top=1,
+    acc5 = evaluate(eval_corpus, eta=20, alphas=(2,), rates=(5,), top=1,
                     k_max=K_MAX_TOY, pipelines=("combined",)).accuracy("combined", 1)
-    acc8 = evaluate(eval_corpus, eta=20, alpha=2, bits=8, top=1,
+    acc8 = evaluate(eval_corpus, eta=20, alphas=(2,), rates=(8,), top=1,
                     k_max=K_MAX_TOY, pipelines=("combined",)).accuracy("combined", 1)
     report(
         "quantization saturation",
@@ -328,7 +328,7 @@ def test_zubud_reproduction_offline():
 
     corpus = load_corpus(os.environ[ZUBUD_ENV])
     orders = [estimate_order(m, k_max=64).k_star for m in corpus]
-    rep = evaluate(corpus, eta=20, alpha=2, bits=5, top=3, k_max=64,
+    rep = evaluate(corpus, eta=20, alphas=(2,), rates=(5,), top=3, k_max=64,
                    pipelines=("combined",))
     acc = [rep.accuracy("combined", n) for n in (1, 2, 3)]
     targets = (0.8905, 0.9154, 0.9254)

@@ -2,7 +2,9 @@
 modules, and its workloads check outputs through the package's public API;
 these tests fail when a refactor moves a name either of them uses."""
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -65,8 +67,34 @@ def test_factorize_image_traced_with_one_svd(tracer):
 def test_evaluate_runtime_keys_read(tracer):
     spec = SynthCorpusSpec(3, 2, T=16, descriptors_per_view=60,
                            planted_rank=3, view_noise_sigma=0.02, seed=3)
-    factormatch.evaluation.evaluate(generate_corpus(spec), eta=3, alpha=1,
+    factormatch.evaluation.evaluate(generate_corpus(spec), eta=3, alphas=(1,),
                                     top=2, k_max=8)
+    assert len(tracer.counts["evaluation.index_build_s"]) == 1
+    assert len(tracer.counts["evaluation.queries_s"]) == 1
+
+
+def _bench_sweep_bits_keywords() -> list[str]:
+    """The keywords of the one ``sweep_bits`` call in bench/workloads.py,
+    which also passes the corpus as its one positional argument."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    (call,) = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "sweep_bits"]
+    assert len(call.args) == 1
+    return [keyword.arg for keyword in call.keywords]
+
+
+def test_bench_sweep_bits_call_is_one_traced_evaluate(tracer):
+    keywords = _bench_sweep_bits_keywords()
+    sweep_bits = factormatch.evaluation.sweep_bits
+    inspect.signature(sweep_bits).bind(None, **dict.fromkeys(keywords))
+    spec = SynthCorpusSpec(3, 2, T=16, descriptors_per_view=60,
+                           planted_rank=3, view_noise_sigma=0.02, seed=3)
+    values = {"bit_grid": (5,), "eta": 3, "alpha": 1, "top": 2, "k_max": 8,
+              "corpus_label": "toy"}
+    assert sorted(values) == sorted(keywords)
+    report = sweep_bits(generate_corpus(spec), **values)
+    assert {r.bits for r in report.records} == {5, None}
+    assert len(tracer.durations("evaluation.evaluate")) == 1
     assert len(tracer.counts["evaluation.index_build_s"]) == 1
     assert len(tracer.counts["evaluation.queries_s"]) == 1
 

@@ -8,6 +8,7 @@ import pytest
 from factormatch import cli, service
 from factormatch.cli import main
 from factormatch.descriptors import SynthCorpusSpec, generate_corpus, save_corpus
+from factormatch.evaluation import evaluate
 from factormatch.service import read_index
 
 from conftest import serve
@@ -89,6 +90,25 @@ def test_sweep_subcommands(tmp_path):
     assert main(["sweep-rank", *args, "--ranks", "1,3"]) == 0
 
 
+@pytest.mark.parametrize("argv, axes", [
+    (["evaluate", "--alpha", "1", "--bits", "4"], {"rates": (4,), "alphas": (1,)}),
+    (["sweep-alpha", "--bits", "4"],
+     {"rates": (4,), "alphas": range(4), "pipelines": ("combined", "nmf_angle")}),
+    (["sweep-alpha", "--alphas", "3,0"],
+     {"alphas": (3, 0), "pipelines": ("combined", "nmf_angle")}),
+    (["sweep-bits", "--alpha", "1", "--grid", "2,5"], {"rates": (2, 5, None), "alphas": (1,)}),
+    (["sweep-rank", "--bits", "4", "--ranks", "3,1"], {"ranks": (3, 1, None), "rates": (4,)}),
+], ids=["evaluate", "sweep-alpha", "sweep-alpha-grid", "sweep-bits", "sweep-rank"])
+def test_evaluation_commands_write_the_report_of_evaluate(argv, axes, tmp_path):
+    out = tmp_path / "report.jsonl"
+    corpus = f"synthetic:{SPEC}"
+    assert main([*argv, "--corpus", corpus, "--eta", "3", "--top", "2", "--k-max", "8",
+                 "--query-view", "2", "--out", str(out)]) == 0
+    expected = evaluate(generate_corpus(SynthCorpusSpec.from_string(SPEC)), eta=3, top=2,
+                        k_max=8, query_view=2, corpus_label=corpus, **axes)
+    assert out.read_text() == expected.to_jsonl()
+
+
 def test_bad_corpus_argument(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["evaluate", "--corpus", str(missing), "--eta", "3"]) == 2
@@ -137,6 +157,9 @@ def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("argv, message", [
     (["sweep-bits", "--grid", "1,x"], "invalid literal for int()"),
     (["sweep-rank", "--ranks", "0"], "fixed ranks must be positive"),
+    (["sweep-bits", "--grid", "5,5"], "rates must be non-empty without repeats"),
+    (["sweep-alpha", "--alphas", "1,1"], "alphas must be non-empty without repeats"),
+    (["sweep-rank", "--ranks", "2,2"], "ranks must be non-empty without repeats"),
     (["evaluate", "--eta", "0"], "eta must be >= 1"),
     (["evaluate", "--bits", "0"], "bits must lie in 1..16"),
     (["evaluate", "--alpha", "30"], "alphas must lie in [0, 20]"),
@@ -147,8 +170,8 @@ def test_serve_rejects_an_object_id_too_long_to_send(tmp_path, monkeypatch, caps
     (["evaluate", "--corpus", "synthetic:objects=2,views=2,T=8,N=20,r=2,sigma=0.01,seed=1",
       "--k-max", "99"], "k_max=99 out of range [1, 8]"),
     (["serve", "--index", "{not_an_index}"], "bad index file magic"),
-], ids=["grid", "ranks", "eta", "bits", "alpha", "query_view", "spec", "spec_number", "k_max",
-        "index"])
+], ids=["grid", "ranks", "grid_repeat", "alphas_repeat", "ranks_repeat", "eta", "bits",
+        "alpha", "query_view", "spec", "spec_number", "k_max", "index"])
 def test_bad_arguments_are_reported_without_a_traceback(argv, message, tmp_path, capsys):
     not_an_index = tmp_path / "db.txt"
     not_an_index.write_text("not an index\n")

@@ -50,7 +50,6 @@ def test_binary_is_a_leaf():
     assert package_imports()["binary"] == set()
 
 
-_EVAL = ("top", "k_max", "query_view")
 # Every defaulted parameter of every public function, public method and
 # public class __init__: a new setting is added here on purpose.
 SETTINGS = {
@@ -58,11 +57,8 @@ SETTINGS = {
     "descriptors.load_descriptors": ("fmt", "image_id", "object_id"),
     "evaluation.EvalReport.accuracy": ("top_n",),
     "evaluation.split_queries": ("query_view",),
-    "evaluation.evaluate": ("eta", "alpha", "bits", *_EVAL, "pipelines", "corpus_label"),
-    "evaluation.sweep_alpha": ("alphas", "eta", "bits", *_EVAL, "corpus_label"),
-    "evaluation.sweep_bits": ("bit_grid", "eta", "alpha", *_EVAL, "pipelines", "corpus_label"),
-    "evaluation.sweep_rank": ("fixed_ranks", "eta", "alpha", "bits", *_EVAL, "pipelines",
-                              "corpus_label"),
+    "evaluation.evaluate": ("ranks", "rates", "alphas", "pipelines", "eta", "top", "k_max",
+                            "query_view", "corpus_label"),
     "factorization.pca_loadings": ("svd",),
     "factorization.nmf_loadings": ("seed",),
     "matcher.rank_database": ("eta", "candidates"),
