@@ -19,14 +19,15 @@ class Reader:
     """Bounded reads over one payload: every field that does not fit, does
     not decode or is followed by stray bytes raises ``error``. A declared
     length is compared with the bytes present before anything of that size
-    is sliced or allocated."""
+    is sliced or allocated. Over a ``memoryview``, every field it takes is
+    a view of the same buffer, not a copy."""
 
-    def __init__(self, data: bytes, magic: bytes, what: str, error: type[Exception]):
+    def __init__(self, data: bytes | memoryview, magic: bytes, what: str, error: type[Exception]):
         self.data, self.pos, self.what, self.error = data, len(magic), what, error
         if data[:len(magic)] != magic:
-            raise error(f"bad {what} magic {data[:len(magic)]!r}, expected {magic!r}")
+            raise error(f"bad {what} magic {bytes(data[:len(magic)])!r}, expected {magic!r}")
 
-    def take(self, n: int, field: str) -> bytes:
+    def take(self, n: int, field: str) -> bytes | memoryview:
         if len(self.data) - self.pos < n:
             raise self.error(f"{self.what} truncated in {field} at byte {self.pos}")
         self.pos += n
@@ -40,16 +41,16 @@ class Reader:
         """u16 length + UTF-8."""
         (n,) = self.unpack("H", f"{field} length")
         try:
-            return self.take(n, field).decode("utf-8")
+            return str(self.take(n, field), "utf-8")
         except UnicodeDecodeError as exc:
             raise self.error(f"{field} is not UTF-8: {exc}") from None
 
-    def blob(self, field: str) -> bytes:
+    def blob(self, field: str) -> bytes | memoryview:
         """u32 length + bytes."""
         (n,) = self.unpack("I", f"{field} length")
         return self.take(n, field)
 
-    def rest(self) -> bytes:
+    def rest(self) -> bytes | memoryview:
         """Every byte not yet read."""
         return self.take(len(self.data) - self.pos, "rest")
 

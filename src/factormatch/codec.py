@@ -15,15 +15,17 @@ Eight ``b``-bit levels fill exactly ``b`` bytes, so levels are packed and
 unpacked eight at a time, each group as one little-endian 128-bit word in
 two ``uint64`` lanes, for every blob of one ``(T, k, b)`` shape at once; a
 partial last group is padded with zero levels. :func:`encode_many` and
-:func:`unpack_many` work that way over many blobs, in chunks of whole blobs
-of about :data:`CHUNK_LEVELS` levels, and :func:`encode` and
-:func:`decode` are the one-blob case of the same packer pair.
+:func:`decode_many` work that way over many blobs, grouped by shape, in
+chunks of whole blobs of about :data:`CHUNK_LEVELS` levels, and
+:func:`encode` and :func:`decode` are their one-blob case. ``decode_many``
+is the one QFL1 reader: it checks every blob, in the order it draws them,
+before it unpacks any level.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,8 @@ BLOB_MAGIC = b"QFL1"
 _KIND_CODE = {KIND_PCA: 0, KIND_NMF: 1}
 _CODE_KIND = {0: KIND_PCA, 1: KIND_NMF}
 RANGE_SLACK = 1e-9
-# levels per chunk of whole blobs that encode_many and unpack_many work on at
-# once; bounds their temporaries
+# levels per chunk of whole blobs of one shape that encode_many and
+# decode_many pack or unpack at once; bounds their temporaries
 CHUNK_LEVELS = 1 << 16
 _HEADER = struct.Struct("<BBHHff")
 
@@ -55,7 +57,8 @@ def kind_range(kind: str) -> tuple[float, float]:
 
 def check_bits(bits: int) -> None:
     """Reject a rate the codec cannot pack: anything but an integer in 1..16."""
-    if not (isinstance(bits, (int, np.integer)) and 1 <= bits <= 16):
+    if not (isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
+            and 1 <= bits <= 16):
         raise ValueError(f"bits must lie in 1..16, got {bits!r}")
 
 
@@ -174,16 +177,16 @@ def encode(q: QuantizedLoadings) -> bytes:
 def encode_many(qs: Sequence[QuantizedLoadings]) -> Iterator[bytes]:
     """:func:`encode` of each loadings in turn; the levels of the blobs of
     each shape are packed together, a chunk at a time."""
-    shapes, group_of = _shapes(np.fromiter(
-        (_shape_key(q.bits, q.T, q.k) for q in qs), dtype=np.int64, count=len(qs)))
-    bodies = [_packed([qs[i] for i in np.flatnonzero(group_of == g).tolist()], *shape)
-              for g, shape in enumerate(shapes)]
-    for q, g in zip(qs, group_of.tolist()):
+    groups: dict[tuple[int, int, int], list[QuantizedLoadings]] = {}
+    for q in qs:
+        groups.setdefault((q.bits, q.T, q.k), []).append(q)
+    bodies = {shape: _packed(group, *shape) for shape, group in groups.items()}
+    for q in qs:
         yield (BLOB_MAGIC + _HEADER.pack(_KIND_CODE[q.kind], q.bits, q.T, q.k, q.lo, q.hi)
-               + text(q.image_id) + next(bodies[g]).tobytes())
+               + text(q.image_id) + next(bodies[q.bits, q.T, q.k]).tobytes())
 
 
-def parse(data: bytes) -> tuple[str, int, int, int, str, bytes]:
+def _parse(data: bytes | memoryview) -> tuple[str, int, int, int, str, bytes | memoryview]:
     """Check that ``data`` is exactly one well-formed QFL1 blob, raising
     :class:`CodecError` otherwise; return its ``(kind, bits, T, k,
     image_id, packed levels)``."""
@@ -210,35 +213,29 @@ def parse(data: bytes) -> tuple[str, int, int, int, str, bytes]:
 def decode(data: bytes) -> QuantizedLoadings:
     """Parse a QFL1 blob back into :class:`QuantizedLoadings`; any blob that
     is not exactly one well-formed QFL1 blob raises :class:`CodecError`."""
-    kind, bits, T, k, image_id, body = parse(data)
-    # the packed levels end the blob
-    levels = next(unpack_many(data, np.array([[bits, T, k, len(data) - len(body)]])))
-    return QuantizedLoadings(image_id, kind, bits, levels)
+    return decode_many([data])[0]
 
 
-def unpack_many(data: bytes, blobs: np.ndarray) -> Iterator[np.ndarray]:
-    """The ``T x k`` levels of each blob that :func:`parse` accepted in
-    ``data``, in turn, given one ``(bits, T, k, offset of the packed
-    levels)`` row per blob; the levels of the blobs of each shape are
-    unpacked together, a chunk at a time."""
-    body = np.frombuffer(data, dtype=np.uint8)
-    shapes, group_of = _shapes(_shape_key(blobs[:, 0], blobs[:, 1], blobs[:, 2]))
-    levels = [_unpacked(body, blobs[group_of == g, 3], *shape) for g, shape in enumerate(shapes)]
-    for g in group_of.tolist():
-        yield next(levels[g])
-
-
-def _shape_key(bits, T, k):
-    """One integer per ``(bits, T, k)``: bits < 2^5, T and k < 2^16."""
-    return bits << 32 | T << 16 | k
-
-
-def _shapes(keys: np.ndarray) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """The distinct ``(bits, T, k)`` among the blobs' shape keys, and the
-    position of each blob's in that list."""
-    distinct, group_of = np.unique(keys, return_inverse=True)
-    return ([(key >> 32, key >> 16 & 0xFFFF, key & 0xFFFF) for key in distinct.tolist()],
-            group_of)
+def decode_many(blobs: Iterable[bytes | memoryview]) -> list[QuantizedLoadings]:
+    """:func:`decode` of each blob in turn. Each blob is checked as it is
+    drawn, and all of them before any level is unpacked; the levels of the
+    blobs of each shape are then unpacked together, a chunk at a time."""
+    image_ids: list[str] = []
+    kinds: list[str] = []
+    # per shape: the positions of its blobs and their packed levels
+    groups: dict[tuple[int, int, int], tuple[list[int], list[bytes | memoryview]]] = {}
+    for data in blobs:
+        kind, bits, T, k, image_id, body = _parse(data)
+        positions, bodies = groups.setdefault((bits, T, k), ([], []))
+        positions.append(len(kinds))
+        bodies.append(body)
+        image_ids.append(image_id)
+        kinds.append(kind)
+    loadings = [None] * len(kinds)
+    for (bits, T, k), (positions, bodies) in groups.items():
+        for i, levels in zip(positions, _unpacked(bodies, bits, T, k)):
+            loadings[i] = QuantizedLoadings(image_ids[i], kinds[i], bits, levels)
+    return loadings
 
 
 def _packed(qs: list[QuantizedLoadings], bits: int, T: int, k: int) -> Iterator[np.ndarray]:
@@ -250,20 +247,16 @@ def _packed(qs: list[QuantizedLoadings], bits: int, T: int, k: int) -> Iterator[
         yield from _pack(np.stack([q.levels.T for q in part]).reshape(len(part), -1), bits)
 
 
-def _unpacked(body: np.ndarray, offsets: np.ndarray, bits: int, T: int,
+def _unpacked(bodies: Sequence[bytes | memoryview], bits: int, T: int,
               k: int) -> Iterator[np.ndarray]:
-    """The ``T x k`` levels of the blobs of one shape whose packed levels
-    start at ``offsets`` of ``body``, in turn."""
-    size = (T * k * bits + 7) // 8
+    """The ``T x k`` levels of each of the packed ``bodies``, all of one
+    shape, in turn."""
     step = max(1, CHUNK_LEVELS // (T * k))
-    for i in range(0, offsets.size, step):
-        part = offsets[i:i + step].tolist()
-        bodies = np.empty((len(part), size), dtype=np.uint8)
-        for row, offset in zip(bodies, part):
-            row[:] = body[offset:offset + size]
+    for i in range(0, len(bodies), step):
+        part = np.frombuffer(b"".join(bodies[i:i + step]), dtype=np.uint8)
         # one transpose per chunk, to C-order T x k levels in their narrowest dtype
-        yield from _unpack(bodies, T * k, bits).reshape(-1, k, T).transpose(0, 2, 1).astype(
-            _level_dtype(bits), order="C")
+        yield from _unpack(part.reshape(-1, (T * k * bits + 7) // 8), T * k, bits).reshape(
+            -1, k, T).transpose(0, 2, 1).astype(_level_dtype(bits), order="C")
 
 
 def _pack(levels: np.ndarray, bits: int) -> np.ndarray:

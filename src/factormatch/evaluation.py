@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Sequence
 
 from . import codec, factorization, service
 from .descriptors import DescriptorMatrix, view_index
 from .factorization import KIND_NMF, KIND_PCA
-from .fusion import FusionParams, RankedList, fuse
+from .fusion import FusionParams, RankedList, _check_eta, _integer, fuse
 from .matcher import METRIC_ANGLE, METRIC_CORRELATION, IndexRecord, ObjectIndex, QueryBatch
 from .service import quantized
 
@@ -215,12 +214,11 @@ def evaluate(
     unknown = set(pipelines) - set(PIPELINES)
     if unknown:
         raise ValueError(f"unknown pipeline(s) {sorted(unknown)}")
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    if any(not 0 <= a <= eta for a in alphas):
-        raise ValueError(f"alphas must lie in [0, {eta}]")
+    _check_eta(eta)
+    if not all(_integer(a) and 0 <= a <= eta for a in alphas):
+        raise ValueError(f"alphas must lie in [0, {eta}] and be integers, got {list(alphas)}")
     for k in ranks:
-        if k is not None and not (isinstance(k, Integral) and not isinstance(k, bool) and k >= 1):
+        if k is not None and not (_integer(k) and k >= 1):
             raise ValueError(f"fixed ranks must be positive integers, got {k!r}")
     for bits in rates:
         if bits is not None:

@@ -18,7 +18,19 @@ this module, so the two modules import in one direction only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
+
+
+def _integer(value: object) -> bool:
+    """An int or numpy integer; a ``bool`` is not one here."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_eta(eta: int) -> None:
+    """The one rule for a list length ``eta``, checked before any scoring."""
+    if not (_integer(eta) and eta >= 1):
+        raise ValueError(f"eta must be >= 1 and an integer, got {eta!r}")
 
 
 class RankedEntry(NamedTuple):
@@ -35,8 +47,7 @@ class RankedList:
     eta: int
 
     def __post_init__(self) -> None:
-        if self.eta < 1:
-            raise ValueError("eta must be >= 1")
+        _check_eta(self.eta)
         # the matcher's and fuse's lists hold RankedEntry already
         entries = tuple(e if isinstance(e, RankedEntry) else RankedEntry(*e)
                         for e in self.entries)
@@ -60,10 +71,9 @@ class FusionParams:
     eta: int
 
     def __post_init__(self) -> None:
-        if self.eta < 1:
-            raise ValueError("eta must be >= 1")
-        if not 0 <= self.alpha <= self.eta:
-            raise ValueError(f"alpha={self.alpha} out of range [0, {self.eta}]")
+        _check_eta(self.eta)
+        if not (_integer(self.alpha) and 0 <= self.alpha <= self.eta):
+            raise ValueError(f"alpha={self.alpha!r} out of range: an integer in [0, {self.eta}]")
 
 
 def fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> RankedList:

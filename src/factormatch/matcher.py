@@ -63,7 +63,7 @@ import numpy as np
 from .binary import MAX_TEXT_BYTES
 from .codec import QuantizedLoadings
 from .factorization import KIND_NMF, KIND_PCA, FactorLoadings
-from .fusion import FusionParams, RankedEntry, RankedList, fuse
+from .fusion import FusionParams, RankedEntry, RankedList, _check_eta, fuse
 
 METRIC_ANGLE = "angle"
 METRIC_CORRELATION = "correlation"
@@ -610,8 +610,7 @@ def rank_database(
     """
     if metric not in (METRIC_ANGLE, METRIC_CORRELATION):
         raise ValueError(f"unknown metric {metric!r}")
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
+    _check_eta(eta)
     _check_dims(query.T, index.T)
     rows = index._rows(candidates)
     if rows.size == 0:
@@ -658,8 +657,7 @@ class QueryBatch:
     """
 
     def __init__(self, queries: Iterable[IndexRecord], index: ObjectIndex, eta: int = 20):
-        if eta < 1:
-            raise ValueError("eta must be >= 1")
+        _check_eta(eta)
         self._loadings: dict[str, list[FactorLoadings | QuantizedLoadings]] = {
             KIND_PCA: [], KIND_NMF: []}
         for _, pca, nmf in queries:

@@ -26,11 +26,8 @@ import socket
 import socketserver
 import struct
 import zlib
-from array import array
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from . import codec, factorization
 from .binary import Reader, blob, text
@@ -215,36 +212,24 @@ def read_index(path: str | Path) -> ObjectIndex:
     ``codec.CodecError``.
 
     Every record and blob is checked, in file order, before any image is
-    handed to the index; ``codec.unpack_many`` then unpacks the levels."""
-    data = Path(path).read_bytes()
-    r = Reader(data, INDEX_MAGIC, "index file", ProtocolError)
+    handed to the index: ``codec.decode_many`` draws the blobs, as views of
+    the file, from the record framing as it reads it."""
+    r = Reader(memoryview(Path(path).read_bytes()), INDEX_MAGIC, "index file", ProtocolError)
     (count,) = r.unpack("I", "image count")
     object_ids: list[str] = []
-    image_ids: list[str] = []  # per blob; an NMF blob of its PCA blob's image shares its str
-    kinds: list[str] = []
-    blobs = array("q")  # per blob: bits, T, k, offset of its packed levels
-    for _ in range(count):
-        object_ids.append(r.text("object id"))
-        for field in ("pca blob", "nmf blob"):
-            kind, bits, T, k, image_id, body = codec.parse(r.blob(field))
-            image_ids.append(image_ids[-1] if field == "nmf blob" and image_id == image_ids[-1]
-                             else image_id)
-            kinds.append(kind)
-            blobs.extend((bits, T, k, r.pos - len(body)))
-    r.end(f"{count} index records")
-    table = np.frombuffer(blobs, dtype=np.int64).reshape(-1, 4)
-    levels = codec.unpack_many(data, table)
-    del r, data  # the unpacker drops the file once it is exhausted
 
-    def loadings() -> Iterator[QuantizedLoadings]:
-        for matrix, image_id, kind, row in zip(levels, image_ids, kinds, table):
-            yield QuantizedLoadings(image_id, kind, int(row[0]), matrix)
+    def blobs() -> Iterator[memoryview]:
+        for _ in range(count):
+            object_ids.append(r.text("object id"))
+            yield r.blob("pca blob")
+            yield r.blob("nmf blob")
+        r.end(f"{count} index records")
 
-    blob_loadings = loadings()
+    loadings = iter(codec.decode_many(blobs()))
+    del r  # the file, once its levels are unpacked
     try:
-        # the loadings first, so zip exhausts them, and the unpacker, at the end
-        return ObjectIndex(IndexRecord(object_id, pca, nmf) for pca, nmf, object_id
-                           in zip(blob_loadings, blob_loadings, object_ids))
+        return ObjectIndex(IndexRecord(object_id, pca, nmf)
+                           for object_id, pca, nmf in zip(object_ids, loadings, loadings))
     except ValueError as exc:  # records that do not form one index
         raise ProtocolError(f"invalid index file: {exc}") from None
 

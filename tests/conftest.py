@@ -1,7 +1,10 @@
 import contextlib
+import importlib.util
 import math
 import struct
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,19 @@ from factormatch.service import RetrievalServer, factorized, quantized
 
 UNIT_NORM_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-8
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name, monkeypatch):
+    """bench/<name>.py as a module until ``monkeypatch`` is undone, with
+    bench/ on the path (workloads imports reference) and the module
+    registered (a dataclass looks its module up)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

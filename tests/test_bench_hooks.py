@@ -3,29 +3,14 @@ modules, and its workloads check outputs through the package's public API;
 these tests fail when a refactor moves a name either of them uses."""
 
 import ast
-import importlib.util
 import inspect
-import sys
-from pathlib import Path
 
 import pytest
 
 import factormatch
 from factormatch import SynthCorpusSpec, generate_corpus
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load_bench(name, monkeypatch):
-    """bench/<name>.py as a module until the test ends, with bench/ on the
-    path (workloads imports reference) and the module registered (a
-    dataclass looks its module up)."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from conftest import BENCH, load_bench
 
 
 @pytest.fixture
@@ -36,7 +21,7 @@ def tracer(monkeypatch):
               if type(module) is type(factormatch)]
     owners.append(factormatch.matcher.ObjectIndex)
     saved = [(owner, dict(vars(owner))) for owner in owners]
-    tracing = _load_bench("tracing", monkeypatch)
+    tracing = load_bench("tracing", monkeypatch)
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer, factormatch)
@@ -126,7 +111,7 @@ def test_answer_query_spans(tracer):
 def test_workload_checks_pass_on_the_package(tmp_path, monkeypatch):
     """The workloads' own checks of uploads, a read-back index and fresh
     loadings accept the package's outputs on a small corpus."""
-    workloads = _load_bench("workloads", monkeypatch)
+    workloads = load_bench("workloads", monkeypatch)
     spec = SynthCorpusSpec(3, 2, T=16, descriptors_per_view=60,
                            planted_rank=3, view_noise_sigma=0.02, seed=3)
     corpus = generate_corpus(spec)

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factormatch import codec
 from factormatch.codec import (
     CodecError,
     QuantizedLoadings,
     blob_size,
     decode,
+    decode_many,
     dequantize,
     encode,
     kind_range,
     quantize,
-    unpack_many,
 )
 from factormatch.factorization import FactorLoadings
 from factormatch.matcher import ObjectIndex
@@ -308,10 +309,9 @@ class TestLevelDtype:
         self.assert_narrow(q.levels, bits)
         blob = encode(q)
         self.assert_narrow(decode(blob).levels, bits)
-        offset = len(blob) - (13 * 3 * bits + 7) // 8
-        (levels,) = unpack_many(blob, np.array([[bits, 13, 3, offset]]))
-        assert levels.dtype == q.levels.dtype and levels.flags.c_contiguous
-        assert np.array_equal(levels, q.levels)
+        (viewed,) = decode_many([memoryview(blob)])
+        self.assert_narrow(viewed.levels, bits)
+        assert np.array_equal(viewed.levels, q.levels)
 
     def test_narrow_c_order_levels_kept_without_a_copy(self):
         given_levels = np.arange(12, dtype=np.uint8).reshape(4, 3)
@@ -325,6 +325,56 @@ class TestLevelDtype:
 
 def random_levels(rng, T, k, bits, kind, image_id="img"):
     return QuantizedLoadings(image_id, kind, bits, rng.integers(0, 1 << bits, size=(T, k)))
+
+
+class TestDecodeMany:
+    """``decode_many`` is ``decode`` of each blob in turn, however the
+    shapes interleave, and checks every blob it draws before it unpacks a
+    level."""
+
+    def test_interleaved_shapes_equal_blob_by_blob(self, monkeypatch):
+        monkeypatch.setattr(codec, "CHUNK_LEVELS", 40)  # several chunks per shape
+        rng = np.random.default_rng(7)
+        shapes = [(1, 1, 1), (5, 13, 3), (16, 7, 2), (5, 13, 3), (9, 3, 5)]
+        qs = [random_levels(rng, T, k, bits, kind, f"i{i}")
+              for i, (bits, T, k) in enumerate(shapes * 4) for kind in ("pca", "nmf")]
+        blobs = [encode(q) for q in qs]
+        # bytes and views of one buffer, mixed
+        views = [b if i % 2 else memoryview(b"pad" + b)[3:] for i, b in enumerate(blobs)]
+        assert decode_many(views) == [decode(b) for b in blobs] == qs
+        assert decode_many([]) == []
+
+    @pytest.mark.parametrize("position", [0, 3])
+    @pytest.mark.parametrize("edit", ["magic", "truncated", "trailing", "padding", "range"])
+    def test_bad_blob_raises_as_drawn(self, monkeypatch, edit, position):
+        rng = np.random.default_rng(position)
+        good = [encode(random_levels(rng, 7, 3, 5, "nmf", f"g{i}")) for i in range(6)]
+        bad = bytearray(good[position])
+        if edit == "magic":
+            bad[0] = ord("X")
+        elif edit == "truncated":
+            del bad[-1]
+        elif edit == "trailing":
+            bad += b"\0"
+        elif edit == "padding":  # 7*3*5 = 105 bits: the last byte's top 7 bits pad
+            bad[-1] |= 0x80
+        else:
+            bad[10:14] = struct.pack("<f", -1.0)  # lo of an NMF blob
+        with pytest.raises(CodecError) as alone:
+            decode(bytes(bad))
+        drawn = []
+
+        def blobs():
+            for i, blob in enumerate(good):
+                drawn.append(i)
+                yield bytes(bad) if i == position else blob
+
+        unpacked = []
+        monkeypatch.setattr(codec, "_unpack", lambda *args: unpacked.append(args))
+        with pytest.raises(CodecError) as many:
+            decode_many(blobs())
+        assert str(many.value) == str(alone.value)
+        assert drawn == list(range(position + 1)) and unpacked == []
 
 
 def assert_matches_the_oracle(blob: bytes, q: QuantizedLoadings) -> None:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import factormatch
 
+from conftest import BENCH
+
 PACKAGE = Path(factormatch.__file__).parent
 
 
@@ -100,3 +102,41 @@ def defaulted(function: ast.FunctionDef) -> tuple[str, ...]:
 def test_settings_census():
     found = {name: defaulted(f) for name, f in public_functions()}
     assert {name: params for name, params in found.items() if params} == SETTINGS
+
+
+# Public module-level functions and classes that neither the rest of src/
+# nor bench/ refers to, each with the reason it is public all the same.
+TEST_ONLY: dict[str, str] = {}
+
+
+def names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name ``tree`` reads, as a bare name, an attribute or, as the
+    bench's tracer wraps functions, a string; ``skip``'s subtree left out."""
+    used, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """ROADMAP aim 2's "no public API that only tests use": a name that
+    only tests read is listed in ``TEST_ONLY`` on purpose."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"}
+    bench = set().union(*(names_used(ast.parse(path.read_text()))
+                          for path in sorted(BENCH.glob("*.py"))))
+    unused = {f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in bench
+              and not any(node.name in names_used(other, skip=node)
+                          for other in modules.values())}
+    assert unused == set(TEST_ONLY)

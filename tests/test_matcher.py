@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import gc
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -1130,10 +1131,25 @@ class TestQueryBatch:
             assert batch.hypotheses() == [combined_hypotheses(pca, nmf, index, eta)
                                           for _, pca, nmf in queries]
 
-    def test_bad_eta_and_dims_rejected(self):
+    def test_bad_eta_and_dims_rejected(self, monkeypatch):
         index, queries = self.case(0, None)
         with pytest.raises(ValueError, match="eta"):
             QueryBatch(queries, index, eta=0)
+        # a non-integer or bool eta or alpha is a ValueError before any scoring
+        monkeypatch.setattr(matcher, "_KERNELS", {})
+        _, pca, nmf = queries[0]
+        for eta in (2.5, 3.0, True):
+            message = f"eta must be >= 1 and an integer, got {eta!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                QueryBatch(queries, index, eta=eta)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                rank_database(pca, index, "correlation", eta=eta)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                retrieve_combined(pca, nmf, index, eta=eta, alpha=0)
+        for alpha in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"alpha={alpha!r} out of range: an integer in [0, 3]")):
+                retrieve_combined(pca, nmf, index, eta=3, alpha=alpha)
         other_T = [("w", pca_of(np.eye(13, 2), "w"), nmf_of(np.eye(13, 2), "w"))]
         with pytest.raises(DimensionMismatchError, match="dims differ: 13 vs 12"):
             QueryBatch(other_T, index)
