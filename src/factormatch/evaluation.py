@@ -223,8 +223,10 @@ def evaluate(
     for bits in rates:
         if bits is not None:
             codec.check_bits(bits)
-    if top < 1:
-        raise ValueError("top must be >= 1")
+    if not (_integer(top) and top >= 1):
+        raise ValueError(f"top must be >= 1 and an integer, got {top!r}")
+    if k_max is not None and not (_integer(k_max) and k_max >= 1):
+        raise ValueError(f"k_max must be >= 1 and an integer, got {k_max!r}")
     top = min(top, eta)
     queries, database = split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]

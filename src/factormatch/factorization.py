@@ -118,13 +118,11 @@ def _canonical_signs(H: np.ndarray) -> np.ndarray:
     return H * np.where(H[pivot, np.arange(H.shape[1])] < 0, -1.0, 1.0)
 
 
-def pca_loadings(m: DescriptorMatrix, k: int, svd: SvdResult | None = None) -> FactorLoadings:
-    """First ``k`` left singular vectors of the descriptor matrix (of ``svd``
-    if given), sign-canonicalized."""
+def pca_loadings(m: DescriptorMatrix, k: int, svd: SvdResult) -> FactorLoadings:
+    """First ``k`` left singular vectors of the descriptor matrix, read from
+    its ``svd``, sign-canonicalized."""
     if not 1 <= k <= min(m.T, m.N):
         raise ValueError(f"k={k} out of range [1, {min(m.T, m.N)}]")
-    if svd is None:
-        svd = compute_svd(m)
     H = _canonical_signs(svd.U[:, :k])
     return FactorLoadings(image_id=m.image_id, kind=KIND_PCA, columns=H)
 
@@ -151,7 +149,7 @@ def _farthest_point_init(values: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def nmf_loadings(
-    m: DescriptorMatrix, k: int, seed: int = 0
+    m: DescriptorMatrix, k: int, seed: int
 ) -> tuple[FactorLoadings, FactorAssignment, np.ndarray]:
     """Sparse NMF via alternating assignment/update; returns the objective trace.
 

@@ -28,12 +28,11 @@ one row per query equal to the query's keys alone: the angle kernel gathers
 and whitens each chunk of images once for every query, and quantized
 queries of one rank share each correlation GEMM. ``rank_database`` is their
 one-query call: it keeps each object's best view and truncates to the top
-eta (:func:`_top_eta`); ``combined_hypotheses`` gives the combined
-pipeline's two lists, a PCA-correlation prefilter and an NMF-angle rerank
-on the surviving objects' views, which ``retrieve_combined`` fuses.
-:class:`QueryBatch` gives many queries at once the lists that these two
-give each of them, from one key matrix per kind and metric over every
-image.
+eta (:func:`_top_eta`). ``retrieve_combined`` is the combined pipeline for
+one query: a PCA-correlation prefilter, an NMF-angle rerank on the
+surviving objects' views, and fusion of the two lists. :class:`QueryBatch`
+gives many queries at once the lists that these two give each of them, from
+one key matrix per kind and metric over every image.
 
 One kernel call is split across the CPUs this process may run on
 (``os.sched_getaffinity``): the calling thread scores one part and a private
@@ -595,7 +594,7 @@ def rank_database(
     query: FactorLoadings | QuantizedLoadings,
     index: ObjectIndex,
     metric: str,
-    eta: int = 20,
+    eta: int,
     candidates: set[str] | None = None,
 ) -> RankedList:
     """Score the query against database images and return the top-eta objects.
@@ -618,24 +617,6 @@ def rank_database(
     return _top_eta(index, rows, _KERNELS[metric]([query], index, rows)[0], metric, eta)
 
 
-def combined_hypotheses(
-    query_pca: FactorLoadings | QuantizedLoadings,
-    query_nmf: FactorLoadings | QuantizedLoadings,
-    index: ObjectIndex,
-    eta: int = 20,
-) -> tuple[RankedList, RankedList]:
-    """The two retrieval hypotheses feeding fusion: (primary NMF, secondary PCA).
-
-    The correlation pass over PCA loadings picks eta candidate objects; the
-    angle pass over NMF loadings re-scores every view of those objects
-    (:func:`_candidates`).
-    """
-    v_sec = rank_database(query_pca, index, METRIC_CORRELATION, eta)
-    v_pri = rank_database(query_nmf, index, METRIC_ANGLE, eta,
-                          candidates=_candidates(index, v_sec))
-    return v_pri, v_sec
-
-
 def _candidates(index: ObjectIndex, v_sec: RankedList) -> set[str]:
     """The images that the combined pipeline's angle pass re-scores: every
     view of the objects of its correlation pass's list ``v_sec``."""
@@ -644,8 +625,8 @@ def _candidates(index: ObjectIndex, v_sec: RankedList) -> set[str]:
 
 class QueryBatch:
     """A list of query images scored at once against every image of an
-    index, each given the lists that :func:`rank_database` and
-    :func:`combined_hypotheses` give it alone.
+    index, each given the lists that :func:`rank_database` gives it alone
+    and the two that :func:`retrieve_combined` fuses for it alone.
 
     Each kind and metric's key matrix is scored once, when a list first
     reads it, and serves every list that reads it: the PCA correlation
@@ -656,7 +637,7 @@ class QueryBatch:
     scored beside it.
     """
 
-    def __init__(self, queries: Iterable[IndexRecord], index: ObjectIndex, eta: int = 20):
+    def __init__(self, queries: Iterable[IndexRecord], index: ObjectIndex, eta: int):
         _check_eta(eta)
         self._loadings: dict[str, list[FactorLoadings | QuantizedLoadings]] = {
             KIND_PCA: [], KIND_NMF: []}
@@ -687,7 +668,8 @@ class QueryBatch:
         return self._ranked[kind, metric]
 
     def hypotheses(self) -> list[tuple[RankedList, RankedList]]:
-        """Each query's ``combined_hypotheses``, ``(v_pri, v_sec)``."""
+        """Each query's two combined-pipeline lists, ``(v_pri, v_sec)``, the
+        ones ``retrieve_combined`` fuses."""
         index, pairs = self._index, []
         angles = self._keys_of(KIND_NMF, METRIC_ANGLE)
         for v_sec, row in zip(self.ranked(KIND_PCA, METRIC_CORRELATION), angles):
@@ -700,10 +682,15 @@ def retrieve_combined(
     query_pca: FactorLoadings | QuantizedLoadings,
     query_nmf: FactorLoadings | QuantizedLoadings,
     index: ObjectIndex,
-    eta: int = 20,
-    alpha: int = 2,
+    eta: int,
+    alpha: int,
 ) -> RankedList:
-    """PCA-correlation prefilter, NMF-angle rerank, then rank fusion."""
+    """The combined pipeline for one query: the correlation pass over PCA
+    loadings picks eta candidate objects (``v_sec``), the angle pass over
+    NMF loadings re-scores every view of those objects (``v_pri``,
+    :func:`_candidates`), and fusion reorders ``v_pri`` by ``v_sec``."""
     params = FusionParams(alpha=alpha, eta=eta)  # checked before any scoring
-    v_pri, v_sec = combined_hypotheses(query_pca, query_nmf, index, eta)
+    v_sec = rank_database(query_pca, index, METRIC_CORRELATION, eta)
+    v_pri = rank_database(query_nmf, index, METRIC_ANGLE, eta,
+                          candidates=_candidates(index, v_sec))
     return fuse(v_pri, v_sec, params)

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptors import DescriptorMatrix
-from .factorization import SvdResult, compute_svd
+from .factorization import SvdResult
+from .fusion import _integer
+
+# Not called here; the benchmark's tracer (bench/tracing.py) wraps this name on this module.
+from .factorization import compute_svd  # noqa: F401
 
 RESIDUAL_FLOOR = 1e-12
 
@@ -50,15 +54,15 @@ class ModelOrderProfile:
 def estimate_order(
     m: DescriptorMatrix,
     k_max: int | None = None,
-    svd: SvdResult | None = None,
+    *,
+    svd: SvdResult,
 ) -> ModelOrderProfile:
-    """Scan I(k) for k = 1..k_max from one SVD; ties break toward smaller k."""
+    """Scan I(k) for k = 1..k_max from the image's ``svd``; ties break toward
+    smaller k."""
     if k_max is None:
         k_max = default_k_max(m.T, m.N)
-    if not 1 <= k_max <= min(m.T, m.N):
-        raise ValueError(f"k_max={k_max} out of range [1, {min(m.T, m.N)}]")
-    if svd is None:
-        svd = compute_svd(m)
+    if not (_integer(k_max) and 1 <= k_max <= min(m.T, m.N)):
+        raise ValueError(f"k_max={k_max!r} out of range [1, {min(m.T, m.N)}] or not an integer")
     s2 = svd.singular_values**2
     # tail[k] = sum of squared singular values beyond the first k
     tail = np.concatenate([np.cumsum(s2[::-1])[::-1], [0.0]])

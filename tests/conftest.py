@@ -243,12 +243,24 @@ def lookup_fuse(v_pri: RankedList, v_sec: RankedList, params: FusionParams) -> R
     return RankedList(entries=tuple(working), eta=eta)
 
 
+def combined_hypotheses(query_pca, query_nmf, index: ObjectIndex,
+                        eta: int) -> tuple[RankedList, RankedList]:
+    """The combined pipeline's two lists for one query, ``(v_pri, v_sec)``,
+    each from its own ``rank_database`` call: the correlation pass over PCA
+    loadings picks eta candidate objects, and the angle pass over NMF
+    loadings re-scores every view of those objects."""
+    v_sec = matcher.rank_database(query_pca, index, matcher.METRIC_CORRELATION, eta)
+    v_pri = matcher.rank_database(query_nmf, index, matcher.METRIC_ANGLE, eta,
+                                  candidates=matcher._candidates(index, v_sec))
+    return v_pri, v_sec
+
+
 def per_query_sweep(corpus, ranks=(None,), rates=(5,), alphas=(2,),
                     pipelines=evaluation.PIPELINES, eta=20, top=20, k_max=None, query_view=1,
                     corpus_label="corpus") -> evaluation.EvalReport:
     """``evaluation.evaluate`` on valid arguments with each query ranked on its
     own: one ``rank_database`` call per single-metric pipeline and one
-    ``combined_hypotheses`` call per query, fused with :func:`lookup_fuse`."""
+    :func:`combined_hypotheses` call per query, fused with :func:`lookup_fuse`."""
     top = min(top, eta)
     queries, database = evaluation.split_queries(corpus, query_view)
     points = [(p, a) for p in pipelines for a in (alphas if p == "combined" else [None])]
@@ -261,7 +273,7 @@ def per_query_sweep(corpus, ranks=(None,), rates=(5,), alphas=(2,),
             positions = [[] for _ in points]
             for object_id, q_pca, q_nmf in quantized(query_loadings, bits):
                 if "combined" in pipelines:
-                    v_pri, v_sec = matcher.combined_hypotheses(q_pca, q_nmf, index, eta)
+                    v_pri, v_sec = combined_hypotheses(q_pca, q_nmf, index, eta)
                 for (pipeline, alpha), found in zip(points, positions):
                     if pipeline == "combined":
                         ranked = lookup_fuse(v_pri, v_sec, FusionParams(alpha=alpha, eta=eta))

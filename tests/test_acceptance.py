@@ -20,7 +20,7 @@ import pytest
 from factormatch import codec
 from factormatch.descriptors import DescriptorMatrix, SynthCorpusSpec, generate_corpus
 from factormatch.evaluation import evaluate
-from factormatch.factorization import FactorLoadings, nmf_loadings
+from factormatch.factorization import FactorLoadings, compute_svd, nmf_loadings
 from factormatch.fusion import FusionParams, fuse
 from factormatch.matcher import (
     ObjectIndex,
@@ -85,7 +85,7 @@ def test_model_order_recovery_rate():
                 planted_rank=r, view_noise_sigma=0.02, seed=10_000 * r + seed,
             )
             m = generate_corpus(spec)[0]
-            hits += estimate_order(m, k_max=K_MAX_TOY).k_star == r
+            hits += estimate_order(m, k_max=K_MAX_TOY, svd=compute_svd(m)).k_star == r
         rates[r] = hits / 50
     elapsed = time.perf_counter() - t0
     report(
@@ -327,7 +327,7 @@ def test_zubud_reproduction_offline():
     from factormatch.descriptors import load_corpus
 
     corpus = load_corpus(os.environ[ZUBUD_ENV])
-    orders = [estimate_order(m, k_max=64).k_star for m in corpus]
+    orders = [estimate_order(m, k_max=64, svd=compute_svd(m)).k_star for m in corpus]
     rep = evaluate(corpus, eta=20, alphas=(2,), rates=(5,), top=3, k_max=64,
                    pipelines=("combined",))
     acc = [rep.accuracy("combined", n) for n in (1, 2, 3)]

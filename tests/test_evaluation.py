@@ -88,12 +88,17 @@ def test_eta_and_alpha_checked_before_factorizing(noisy_corpus, unfactorized, ax
     ({"rates": (True,)}, "bits must lie in 1..16, got True"),
     ({"eta": 3.5}, "eta must be >= 1 and an integer, got 3.5"),
     ({"eta": True}, "eta must be >= 1 and an integer, got True"),
+    ({"top": 2.5}, "top must be >= 1 and an integer, got 2.5"),
+    ({"top": True}, "top must be >= 1 and an integer, got True"),
+    ({"k_max": 2.5}, "k_max must be >= 1 and an integer, got 2.5"),
+    ({"k_max": True}, "k_max must be >= 1 and an integer, got True"),
 ], ids=["evaluate_bits_0", "evaluate_bits_17", "evaluate_bits_float", "sweep_alpha_bits",
         "sweep_bits_grid", "sweep_rank_bits", "evaluate_top", "sweep_alpha_top",
         "sweep_bits_top", "sweep_rank_top", "repeated_rate", "no_rate", "repeated_alpha",
         "repeated_rank", "repeated_estimated_rank", "repeated_pipeline", "no_pipeline",
         "rank_float", "rank_bool", "rank_zero", "rank_text", "alpha_float", "alpha_bool",
-        "rate_bool", "eta_float", "eta_bool"])
+        "rate_bool", "eta_float", "eta_bool", "top_float", "top_bool", "k_max_float",
+        "k_max_bool"])
 def test_rates_and_top_checked_before_factorizing(noisy_corpus, unfactorized, kwargs, message):
     with pytest.raises(ValueError, match=message):
         evaluate(noisy_corpus, **{"eta": ETA, "k_max": K_MAX, **kwargs})

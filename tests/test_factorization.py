@@ -36,7 +36,7 @@ def random_matrix(rng, T, N):
 class TestPcaLoadings:
     def test_rank_one_sign_canonicalization(self):
         m = matrix_of([[1.0, 1.0], [0.0, 0.0]])
-        loadings = pca_loadings(m, 1)
+        loadings = pca_loadings(m, 1, svd=compute_svd(m))
         assert np.allclose(loadings.columns, [[1.0], [0.0]], atol=1e-12)
 
     def test_orthonormal_columns(self):
@@ -44,7 +44,7 @@ class TestPcaLoadings:
         for _ in range(5):
             m = random_matrix(rng, int(rng.integers(3, 20)), int(rng.integers(5, 40)))
             k = int(rng.integers(1, min(m.T, m.N) + 1))
-            loadings = pca_loadings(m, k)
+            loadings = pca_loadings(m, k, svd=compute_svd(m))
             gram = loadings.columns.T @ loadings.columns
             assert np.allclose(gram, np.eye(k), atol=1e-8)
             validate_loadings(loadings)
@@ -54,7 +54,7 @@ class TestPcaLoadings:
         # same subspace as the loadings
         rng = np.random.default_rng(11)
         m = random_matrix(rng, 3, 6)
-        loadings = pca_loadings(m, 2)
+        loadings = pca_loadings(m, 2, svd=compute_svd(m))
         values = m.values.astype(np.float64)
         eigvals, eigvecs = np.linalg.eigh(values @ values.T)
         top2 = eigvecs[:, np.argsort(eigvals)[::-1][:2]]
@@ -80,9 +80,9 @@ class TestPcaLoadings:
     def test_k_out_of_range(self):
         m = matrix_of([[1.0, 2.0], [1.0, 1.0]])
         with pytest.raises(ValueError, match="out of range"):
-            pca_loadings(m, 3)
+            pca_loadings(m, 3, svd=compute_svd(m))
         with pytest.raises(ValueError, match="out of range"):
-            pca_loadings(m, 0)
+            pca_loadings(m, 0, svd=compute_svd(m))
 
     def test_svd_reconstructs(self):
         """``U`` is ``T x min(T, N)`` with orthonormal columns, and
@@ -357,7 +357,7 @@ class TestAgainstExplicitAlgorithms:
         for m in generate_corpus(spec)[:8]:
             U_ref, s_ref = gesdd_svd(m)
             k = estimate_order(m, svd=SvdResult(U_ref, s_ref)).k_star
-            assert k == estimate_order(m).k_star == 24
+            assert k == estimate_order(m, svd=compute_svd(m)).k_star == 24
             seed = zlib.crc32(m.image_id.encode("utf-8"))
             pca_ref = FactorLoadings(m.image_id, KIND_PCA, canonical_signs(U_ref[:, :k]))
             nmf_ref = FactorLoadings(m.image_id, KIND_NMF, explicit_nmf(m, k, seed)[0])

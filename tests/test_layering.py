@@ -61,13 +61,8 @@ SETTINGS = {
     "evaluation.split_queries": ("query_view",),
     "evaluation.evaluate": ("ranks", "rates", "alphas", "pipelines", "eta", "top", "k_max",
                             "query_view", "corpus_label"),
-    "factorization.pca_loadings": ("svd",),
-    "factorization.nmf_loadings": ("seed",),
-    "matcher.rank_database": ("eta", "candidates"),
-    "matcher.combined_hypotheses": ("eta",),
-    "matcher.QueryBatch.__init__": ("eta",),
-    "matcher.retrieve_combined": ("eta", "alpha"),
-    "model_order.estimate_order": ("k_max", "svd"),
+    "matcher.rank_database": ("candidates",),
+    "model_order.estimate_order": ("k_max",),
     "service.factorize_image": ("k_max", "fixed_k", "svd"),
     "service.client_blobs": ("k_max",),
     "service.factorized": ("k_max",),

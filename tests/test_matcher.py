@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from factormatch import codec, matcher
 from factormatch.factorization import FactorLoadings
+from factormatch.fusion import FusionParams, fuse
 from factormatch.matcher import (
     _CHUNK_ROWS,
     _PART_ANGLE,
@@ -35,13 +36,12 @@ from factormatch.matcher import (
     _in_parts,
     _part_count,
     _query_lattice,
-    combined_hypotheses,
     rank_database,
     retrieve_combined,
 )
 from factormatch.service import answer_query, encode_query
 
-from conftest import correlation_score, random_unit_columns, subspace_angle
+from conftest import combined_hypotheses, correlation_score, random_unit_columns, subspace_angle
 
 
 def angle_keys(query, index, rows):
@@ -524,9 +524,9 @@ class TestBasisCache:
             warmed = toy_index(entries)
             warmer = angle_queries(rng, other if warm_up == "other_kind" else kind)[2]
             if warm_up in ("subset", "subset_then_full"):
-                rank_database(warmer, warmed, "angle", candidates=subset)
+                rank_database(warmer, warmed, "angle", 20, candidates=subset)
             if warm_up in ("full", "subset_then_full", "other_kind"):
-                rank_database(warmer, warmed, "angle")
+                rank_database(warmer, warmed, "angle", 20)
             for query in angle_queries(rng, kind):
                 for candidates in (None, subset):
                     cold_keys, cold_ranked = angles(toy_index(entries), query, candidates)
@@ -597,10 +597,10 @@ class TestAngleKernel:
         before = copy.deepcopy(state())
         for kind in ("pca", "nmf"):
             for query in angle_queries(rng, kind):
-                rank_database(query, index, "angle")
-                rank_database(query, index, "angle", candidates=set(list(index.images)[:3]))
-                rank_database(codec.quantize(query, 5), index, "angle")
-        rank_database(nmf_of(np.zeros((12, 2))), index, "angle")  # degenerate query
+                rank_database(query, index, "angle", 20)
+                rank_database(query, index, "angle", 20, candidates=set(list(index.images)[:3]))
+                rank_database(codec.quantize(query, 5), index, "angle", 20)
+        rank_database(nmf_of(np.zeros((12, 2))), index, "angle", 20)  # degenerate query
         assert index.images is view
         assert_same_state(state(), before)
 
@@ -1027,7 +1027,7 @@ class TestOneDimensionPerIndex:
         assert index.T == 6
         for metric in ("correlation", "angle"):
             with pytest.raises(DimensionMismatchError, match="dims differ: 5 vs 6"):
-                rank_database(pca_of(random_unit_columns(rng, 5, 2)), index, metric)
+                rank_database(pca_of(random_unit_columns(rng, 5, 2)), index, metric, 20)
 
 
 @pytest.mark.parametrize("case, message", [
@@ -1098,7 +1098,7 @@ class TestRetrieveCombined:
 
 class TestQueryBatch:
     """A batch gives each query the lists that rank_database and
-    combined_hypotheses give it alone."""
+    retrieve_combined's two passes give it alone."""
 
     @staticmethod
     def case(seed, bits):
@@ -1131,6 +1131,19 @@ class TestQueryBatch:
             assert batch.hypotheses() == [combined_hypotheses(pca, nmf, index, eta)
                                           for _, pca, nmf in queries]
 
+    @pytest.mark.parametrize("bits", [None, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_query_front_door_fuses_the_batch_lists(self, seed, bits):
+        """``retrieve_combined`` on one query gives what fusing its
+        ``QueryBatch.hypotheses`` pair gives."""
+        index, queries = self.case(seed, bits)
+        for eta in (2, 20):
+            pairs = QueryBatch(queries, index, eta).hypotheses()
+            for alpha in (0, 1, eta):
+                for (_, pca, nmf), pair in zip(queries, pairs):
+                    assert (retrieve_combined(pca, nmf, index, eta, alpha)
+                            == fuse(*pair, FusionParams(alpha, eta)))
+
     def test_bad_eta_and_dims_rejected(self, monkeypatch):
         index, queries = self.case(0, None)
         with pytest.raises(ValueError, match="eta"):
@@ -1152,9 +1165,9 @@ class TestQueryBatch:
                 retrieve_combined(pca, nmf, index, eta=3, alpha=alpha)
         other_T = [("w", pca_of(np.eye(13, 2), "w"), nmf_of(np.eye(13, 2), "w"))]
         with pytest.raises(DimensionMismatchError, match="dims differ: 13 vs 12"):
-            QueryBatch(other_T, index)
+            QueryBatch(other_T, index, 20)
         with pytest.raises(ValueError, match="at least one query"):
-            QueryBatch([], index)
+            QueryBatch([], index, 20)
 
 
 class TestWorkerSplit:

@@ -72,18 +72,18 @@ class TestInformationContent:
 class TestEstimateOrder:
     def test_recovers_planted_rank_four(self):
         m = planted_view(16, 200, 4, 0.01, 21)
-        profile = estimate_order(m, k_max=10)
+        profile = estimate_order(m, k_max=10, svd=compute_svd(m))
         assert profile.k_star == 4
         # brute-force argmin over the profile agrees
         assert profile.k_star == int(np.argmin(profile.I)) + 1
 
     def test_recovers_planted_rank_one(self):
         m = planted_view(16, 200, 1, 0.01, 22)
-        assert estimate_order(m, k_max=10).k_star == 1
+        assert estimate_order(m, k_max=10, svd=compute_svd(m)).k_star == 1
 
     def test_v_non_increasing(self):
         m = planted_view(12, 80, 3, 0.05, 5)
-        profile = estimate_order(m, k_max=11)
+        profile = estimate_order(m, k_max=11, svd=compute_svd(m))
         assert np.all(np.diff(profile.V) <= 0)
 
     def test_invariant_to_column_permutation(self):
@@ -93,17 +93,26 @@ class TestEstimateOrder:
             image_id=m.image_id, object_id=m.object_id,
             values=m.values[:, rng.permutation(m.N)],
         )
-        assert estimate_order(m, k_max=9).k_star == estimate_order(shuffled, k_max=9).k_star
+        assert (estimate_order(m, k_max=9, svd=compute_svd(m)).k_star
+                == estimate_order(shuffled, k_max=9, svd=compute_svd(shuffled)).k_star)
 
     def test_noiseless_never_overshoots_rank(self):
         for r in (1, 2, 4):
             m = planted_view(12, 60, r, 0.0, 100 + r)
-            assert estimate_order(m, k_max=11).k_star <= r
+            assert estimate_order(m, k_max=11, svd=compute_svd(m)).k_star <= r
 
     def test_k_max_out_of_range(self):
         m = planted_view(6, 20, 2, 0.0, 0)
         with pytest.raises(ValueError):
-            estimate_order(m, k_max=7)
+            estimate_order(m, k_max=7, svd=compute_svd(m))
+
+    @pytest.mark.parametrize("k_max", [2.5, True], ids=["float", "bool"])
+    def test_k_max_not_an_integer(self, k_max):
+        """A non-integer or bool ``k_max`` is a ValueError, not an
+        IndexError or a scan to 1, as ``eta`` and the ranks are."""
+        m = planted_view(6, 20, 2, 0.0, 0)
+        with pytest.raises(ValueError, match=f"k_max={k_max!r} out of range .* not an integer"):
+            estimate_order(m, k_max, svd=compute_svd(m))
 
     def test_profile_matches_pointwise_evaluation(self):
         m = planted_view(12, 80, 3, 0.05, 5)
